@@ -23,6 +23,7 @@ import numpy as np
 
 from .crc import CrcSpec
 from .polar import PolarCode
+from .scl import _boxplus
 
 __all__ = [
     "bit_prob",
@@ -80,16 +81,6 @@ def convert_llr(b: np.ndarray, code: PolarCode) -> np.ndarray:
     return (0.5 - 0.5 * d)[..., code.info]
 
 
-def _llr_soft_xor(a, b):
-    # XOR of independent bits in the LLR domain (package convention):
-    # magnitudes contract onto min(|a|,|b|), computed in stable form
-    return -(
-        np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-        + np.log1p(np.exp(-np.abs(a + b)))
-        - np.log1p(np.exp(-np.abs(a - b)))
-    )
-
-
 def outer_llr(llr_in: np.ndarray, code: PolarCode) -> np.ndarray:
     """LLRs of the K CRC-word bits seen by the outer decoder.
 
@@ -103,7 +94,8 @@ def outer_llr(llr_in: np.ndarray, code: PolarCode) -> np.ndarray:
         raise ValueError(f"expected {code.n_code} LLRs, got {llr_in.shape[-1]}")
     if code.systematic:
         return llr_in[..., code.info]
-    return _soft_xor_butterfly(llr_in, _llr_soft_xor)[..., code.info]
+    # the inner decoder's boxplus, negated: positive LLRs favour 1 here
+    return _soft_xor_butterfly(llr_in, lambda a, b: -_boxplus(a, b))[..., code.info]
 
 
 def _column_support(code: PolarCode, msg_index: int) -> np.ndarray:
@@ -137,18 +129,145 @@ def pair_covariance(i: int, j: int, b: np.ndarray, code: PolarCode) -> float:
     return p_shared * (1.0 - p_shared) * (1.0 - 2.0 * p_i_only) * (1.0 - 2.0 * p_j_only)
 
 
-def _distinct_partitions(total, max_part):
-    """Partitions of ``total`` into distinct parts <= max_part, as ascending
-    tuples in lexicographic order."""
-    def rec(remaining, smallest):
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(smallest, min(remaining, max_part) + 1):
-            # the parts above ``part`` must sum to remaining - part
-            for rest in rec(remaining - part, part + 1):
-                yield (part,) + rest
-    yield from rec(total, 1)
+@dataclass(frozen=True)
+class _Schedule:
+    """A prefix of the ORBGRAND order over k ranks, stored as byte planes.
+
+    Row i is the i-th rank set of the order; bit j of ``planes[b, i]`` says
+    whether it flips rank 8b + j + 1.  ``ends[w]`` counts the rows of
+    logistic weight <= w, for every weight class held in full.
+    """
+
+    planes: np.ndarray  # (ceil(k / 8), rows) uint8
+    ends: np.ndarray
+    complete: bool  # all 2^k rank sets are held
+
+    @property
+    def rows(self) -> int:
+        return self.planes.shape[1]
+
+    def limit(self, max_weight: int | None) -> tuple[int, bool]:
+        """Rows of weight <= max_weight held here, and whether that is all."""
+        if max_weight is not None and max_weight < len(self.ends):
+            return int(self.ends[max_weight]), True
+        return self.rows, self.complete
+
+
+def _class_sizes(k: int, top: int, cap: int) -> np.ndarray:
+    """Rank sets over k ranks of each weight 0..top, saturated at ``cap``."""
+    sizes = np.zeros(top + 1, dtype=np.int64)
+    sizes[0] = 1
+    for part in range(1, min(k, top) + 1):
+        sizes[part:] = np.minimum(sizes[part:] + sizes[:-part], cap)
+    return sizes
+
+
+def _build_schedule(k: int, rows: int) -> _Schedule:
+    """The first ``rows`` rank sets over k ranks in ORBGRAND order.
+
+    Sets are ordered by weight (the sum of their ranks), ties broken
+    lexicographically on the ascending rank tuples.  Built bottom-up over
+    (smallest rank, weight), whole weight classes at a time.
+    """
+    # every weight up to k(k+1)/2 has at least one set, so no weight past
+    # rows - 1 is ever needed
+    sizes = _class_sizes(k, min(k * (k + 1) // 2, rows - 1), rows)
+    last = min(int(np.searchsorted(np.cumsum(sizes), rows)), len(sizes) - 1)
+
+    # by_weight[t] holds the sets of weight t whose ranks all lie in s..k, in
+    # lexicographic order; admitting rank s puts {s} + by_weight[t - s] in
+    # front of the sets without it
+    n_planes = (k + 7) // 8
+    by_weight = [np.zeros((1, n_planes), np.uint8)]
+    by_weight += [np.zeros((0, n_planes), np.uint8)] * last
+    for s in range(min(k, last), 0, -1):
+        byte, bit = (s - 1) >> 3, np.uint8(1 << ((s - 1) & 7))
+        for t in range(last, s - 1, -1):
+            if len(by_weight[t - s]):
+                head = by_weight[t - s].copy()
+                head[:, byte] |= bit
+                by_weight[t] = np.concatenate((head, by_weight[t]))
+    ends = np.cumsum([len(sets) for sets in by_weight])
+    table = np.concatenate(by_weight)[:rows]
+    return _Schedule(planes=np.ascontiguousarray(table.T), ends=ends[ends <= rows],
+                     complete=len(table) == 2 ** k)
+
+
+# rows per slice when gcd_decode evaluates its budget: temporaries of this
+# many float64s stay in a core's cache
+_CHUNK = 8192
+
+# the order depends only on the number of guessed bits; each entry holds the
+# largest prefix asked for so far
+_schedules: dict[int, _Schedule] = {}
+
+
+def _schedule(k: int, rows: int) -> _Schedule:
+    """The ORBGRAND schedule over k ranks, holding at least ``rows`` sets
+    (or all of them)."""
+    have = _schedules.get(k)
+    if have is None or (have.rows < rows and not have.complete):
+        have = _schedules[k] = _build_schedule(k, rows)
+    return have
+
+
+def _byte_tables(values: np.ndarray, combine) -> np.ndarray:
+    """Per byte of ranks, ``values`` folded over each of its 256 subsets.
+
+    Entry v of row b combines values[8b + j] over the set bits j of v, low
+    bits first, so one gather per byte plane maps a batch of rank sets to
+    their per-byte shares.
+    """
+    n = (len(values) + 7) // 8
+    padded = np.zeros(8 * n, dtype=values.dtype)
+    padded[:len(values)] = values
+    padded = padded.reshape(n, 8)
+    tab = np.zeros((n, 256), dtype=values.dtype)
+    for j in range(8):
+        tab[:, 1 << j:2 << j] = combine(tab[:, :1 << j], padded[:, j:j + 1])
+    return tab
+
+
+def _gather(tab: np.ndarray, index, combine) -> np.ndarray:
+    """Per pattern, the combined table entries its byte planes pick.
+
+    ``index`` holds the planes as intp: numpy gathers through intp indices
+    several times faster than through the uint8 planes themselves.
+    """
+    out = tab[0][index[0]]
+    for b in range(1, len(index)):
+        combine(out, tab[b][index[b]], out=out)
+    return out
+
+
+def _int_planes(x: np.ndarray, n_bytes: int) -> list[np.ndarray]:
+    """The low ``n_bytes`` bytes of each integer in x, as intp index planes."""
+    return [(x >> np.uint64(8 * b)).astype(np.uint8).astype(np.intp)
+            for b in range(n_bytes)]
+
+
+def _xor_and_sum(planes: np.ndarray, xor_tab: np.ndarray,
+                 sum_tab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The evaluation core of both guessers: for each rank set in a slice of
+    schedule planes, the XOR of one per-rank integer (a syndrome column, or
+    the parity solve of one) and the sum of one per-rank float (a
+    reliability magnitude), from their byte tables."""
+    index = planes.astype(np.intp)
+    return _gather(xor_tab, index, np.bitwise_xor), _gather(sum_tab, index, np.add)
+
+
+def _syndromes(spec: CrcSpec, hard: np.ndarray) -> tuple[np.ndarray, np.uint64]:
+    """Parity-check columns packed into integers, and the hard decision's
+    syndrome: the syndrome of a flip pattern is the XOR of the columns it
+    touches."""
+    tab = spec.parity_check(len(hard))
+    cols = (tab.T.astype(np.uint64) << np.arange(spec.degree, dtype=np.uint64)).sum(axis=1)
+    return cols, np.bitwise_xor.reduce(cols[hard.astype(bool)])
+
+
+def _check_max_weight(max_weight: int | None):
+    if max_weight is not None and max_weight < 0:
+        raise ValueError("max_weight must be >= 0")
 
 
 def orbgrand_schedule(order: np.ndarray, max_weight: int | None = None):
@@ -158,37 +277,26 @@ def orbgrand_schedule(order: np.ndarray, max_weight: int | None = None):
     position is its 1-based index in this list, and a pattern's logistic
     weight is the sum of the ranks it flips.  The all-zero pattern comes
     first; ties inside a weight class break lexicographically on the flipped
-    rank sets.  Patterns are uint8 masks over the original positions.
+    rank sets.  Patterns are uint8 masks over the original positions,
+    unpacked from the schedule the guessing decoders evaluate.
     """
     order = np.asarray(order, dtype=np.int64)
     k = len(order)
     if sorted(order.tolist()) != list(range(k)):
         raise ValueError("order must be a permutation of 0..K-1")
-    if max_weight is None:
-        max_weight = k * (k + 1) // 2
-    for weight in range(max_weight + 1):
-        for ranks in _distinct_partitions(weight, k):
+    _check_max_weight(max_weight)
+    done, want = 0, 256
+    while True:
+        sched = _schedule(k, want)
+        stop, final = sched.limit(max_weight)
+        for row in range(done, stop):
+            flips = np.unpackbits(sched.planes[:, row], bitorder="little")[:k]
             mask = np.zeros(k, dtype=np.uint8)
-            mask[order[np.array(ranks, dtype=np.int64) - 1]] = 1
+            mask[order[flips.astype(bool)]] = 1
             yield mask
-
-
-# rank-set schedules only depend on (K, weight); cache them as flip matrices
-_rank_cache: dict[int, list[np.ndarray]] = {}
-
-
-def _weight_class(k: int, weight: int) -> np.ndarray | None:
-    """Boolean flip matrix over ranks for one weight class, None past the end."""
-    if weight > k * (k + 1) // 2:
-        return None
-    per_weight = _rank_cache.setdefault(k, [])
-    while len(per_weight) <= weight:
-        sets = list(_distinct_partitions(len(per_weight), k))
-        m = np.zeros((len(sets), k), dtype=bool)
-        for row, ranks in enumerate(sets):
-            m[row, np.array(ranks, dtype=np.int64) - 1] = True
-        per_weight.append(m)
-    return per_weight[weight]
+        if final:
+            return
+        done, want = stop, 4 * sched.rows
 
 
 @dataclass(frozen=True)
@@ -220,58 +328,46 @@ def sogrand_decode(llr: np.ndarray, spec: CrcSpec,
         raise ValueError(f"{k} bits cannot carry {spec.degree} parity bits")
     if max_queries < 1 or list_size < 1:
         raise ValueError("max_queries and list_size must be >= 1")
+    _check_max_weight(max_weight)
 
     hard = hard_decision(llr)
     mag = np.abs(llr)
     order = np.argsort(mag, kind="stable")  # least reliable first
     log_keep = -np.logaddexp(0.0, -mag).sum()
 
-    # syndrome columns packed into integers: the syndrome of a flip pattern
-    # is the XOR of the columns it touches, and a hit is a pattern whose
-    # syndrome cancels the hard decision's
-    tab = spec.parity_check(k)
-    col_bits = (tab.T.astype(np.uint64) << np.arange(spec.degree, dtype=np.uint64)).sum(axis=1)
-    syn_hard = np.bitwise_xor.reduce(col_bits[hard.astype(bool)]) if hard.any() else np.uint64(0)
-    ranked_cols = col_bits[order]
-    ranked_mag = mag[order]
-
-    budget = max_queries
-    top_weight = max_weight if max_weight is not None else k * (k + 1) // 2
-
-    def to_pattern(rank_mask: np.ndarray) -> np.ndarray:
-        mask = np.zeros(k, dtype=np.uint8)
-        mask[order[rank_mask]] = 1
-        return hard ^ mask
+    # a hit is a pattern whose syndrome cancels the hard decision's
+    col_bits, syn_hard = _syndromes(spec, hard)
+    syn_tab = _byte_tables(col_bits[order], np.bitwise_xor)
+    cost_tab = _byte_tables(mag[order], np.add)
 
     cands: list[np.ndarray] = []
     log_phi: list[float] = []
     queried_mass = 0.0
     queries = 0
-    weight = 0
-    while queries < budget and len(cands) < list_size and weight <= top_weight:
-        masks = _weight_class(k, weight)
-        if masks is None:
+    while len(cands) < list_size:
+        # the schedule grows with the deepest query so far, not the budget
+        sched = _schedule(k, min(max_queries, max(4 * queries, 256)))
+        end = min(max_queries, sched.limit(max_weight)[0])
+        if queries >= end:
             break
-        take = min(len(masks), budget - queries)
-        masks = masks[:take]
-        syn = np.bitwise_xor.reduce(np.where(masks, ranked_cols, np.uint64(0)), axis=1)
-        lp = log_keep - masks @ ranked_mag
-        hits = np.flatnonzero(syn == syn_hard)
+        # query whole weight classes, at least doubling the queries so far,
+        # and stop right after the list_size-th hit in schedule order
+        nxt = np.searchsorted(sched.ends, max(2 * queries, 64))
+        stop = min(end, int(sched.ends[nxt]) if nxt < len(sched.ends) else end)
+        planes = sched.planes[:, queries:stop]
+        syn, cost = _xor_and_sum(planes, syn_tab, cost_tab)
+        lp = log_keep - cost
         needed = list_size - len(cands)
-        if len(hits) >= needed:
-            last = hits[needed - 1]
-            queries += last + 1
-            queried_mass += float(np.exp(lp[: last + 1]).sum())
-            for h in hits[:needed]:
-                cands.append(to_pattern(masks[h]))
-                log_phi.append(float(lp[h]))
-            break
-        queries += take
-        queried_mass += float(np.exp(lp).sum())
-        for h in hits:
-            cands.append(to_pattern(masks[h]))
+        hits = np.flatnonzero(syn == syn_hard)[:needed]
+        take = int(hits[-1]) + 1 if len(hits) == needed else stop - queries
+        queried_mass += float(np.exp(lp[:take]).sum())
+        for h in hits.tolist():
+            flips = np.unpackbits(planes[:, h], bitorder="little")[:k]
+            word = hard.copy()
+            word[order[flips.astype(bool)]] ^= 1
+            cands.append(word)
             log_phi.append(float(lp[h]))
-        weight += 1
+        queries += take
 
     n_codewords = 2.0 ** (k - spec.degree)
     n_patterns = 2.0 ** k
@@ -316,15 +412,14 @@ def gcd_decode(llr: np.ndarray, spec: CrcSpec,
         raise ValueError(f"{k} bits cannot carry {spec.degree} parity bits")
     if max_queries < 1 or list_size < 1:
         raise ValueError("max_queries and list_size must be >= 1")
+    _check_max_weight(max_weight)
 
     hard = hard_decision(llr)
     mag = np.abs(llr)
     order = np.argsort(mag, kind="stable")  # least reliable first
     r = spec.degree
 
-    tab = spec.parity_check(k)
-    col_bits = (tab.T.astype(np.uint64) << np.arange(r, dtype=np.uint64)).sum(axis=1)
-    syn_hard = np.bitwise_xor.reduce(col_bits[hard.astype(bool)]) if hard.any() else np.uint64(0)
+    col_bits, syn_hard = _syndromes(spec, hard)
 
     # greedy basis over the reliability order: the first ``degree`` positions
     # with independent columns become the solved part P, everything else the
@@ -356,8 +451,10 @@ def gcd_decode(llr: np.ndarray, spec: CrcSpec,
     log_keep = -np.logaddexp(0.0, -mag).sum()
     log_keep_s = -np.logaddexp(0.0, -mag_s).sum()
 
-    # the P flips are a linear image of the syndrome; tabulate it bytewise so
-    # a batch solve is three lookups instead of a walk over the basis
+    # the P flips are a linear image of the syndrome, so each S flip maps to
+    # the P combination that cancels its column and a query's P flips are
+    # those of the hard decision XOR those of its S flips: tabulated per byte
+    # of S ranks, the solve costs no more lookups than the syndrome would
     unit = np.zeros(r, dtype=np.uint64)
     for i in range(r):
         t, e = 1 << i, 0
@@ -367,61 +464,49 @@ def gcd_decode(llr: np.ndarray, spec: CrcSpec,
                 e ^= b_comb
         unit[i] = e
     n_bytes = (r + 7) // 8
-    solve_tab = np.zeros((n_bytes, 256), dtype=np.uint64)
-    cost_tab = np.zeros((n_bytes, 256), dtype=np.float64)
-    byte_bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
-    for b in range(n_bytes):
-        chunk = unit[8 * b:8 * b + 8]
-        weights = mag_p[8 * b:8 * b + 8]
-        bits = byte_bits[:, :len(chunk)]
-        solve_tab[b] = np.bitwise_xor.reduce(
-            np.where(bits.astype(bool), chunk, np.uint64(0)), axis=1)
-        cost_tab[b] = bits @ weights
+    solve_tab = _byte_tables(unit, np.bitwise_xor)
+    combs = _gather(solve_tab, _int_planes(np.append(cols_s, syn_hard), n_bytes),
+                    np.bitwise_xor)
+    comb_s, comb_hard = combs[:-1], combs[-1]
+    comb_tab = _byte_tables(comb_s, np.bitwise_xor)
+    cost_s_tab = _byte_tables(mag_s, np.add)
+    cost_p_tab = _byte_tables(mag_p, np.add)
 
+    # the whole budget prefix of the schedule over S in one pass; slices of
+    # _CHUNK rows keep the temporaries in cache
     budget = max_queries
-    top_weight = max_weight if max_weight is not None else sm * (sm + 1) // 2
-
-    best: list[tuple[float, int, int, np.ndarray, int]] = []
-    phi_sum = 0.0
-    psi_sum = 0.0
-    queries = 0
-    weight = 0
-    while queries < budget and weight <= top_weight:
-        masks = _weight_class(sm, weight)
-        if masks is None:
-            break
-        take = min(len(masks), budget - queries)
-        masks = masks[:take]
-        target = syn_hard ^ np.bitwise_xor.reduce(
-            np.where(masks, cols_s, np.uint64(0)), axis=1)
-        flips_p = np.zeros(take, dtype=np.uint64)
-        cost_p = np.zeros(take, dtype=np.float64)
-        for b in range(n_bytes):
-            flips_p ^= solve_tab[b][(target >> np.uint64(8 * b)) & np.uint64(255)]
-        for b in range(n_bytes):
-            cost_p += cost_tab[b][(flips_p >> np.uint64(8 * b)) & np.uint64(255)]
-        cost_s = masks @ mag_s
-        lp = log_keep - cost_s - cost_p
-        phi_sum += float(np.exp(lp).sum())
+    if max_weight is not None:
+        # build no deeper than the last weight class allowed
+        top = min(max_weight, sm * (sm + 1) // 2, budget - 1)
+        budget = min(budget, int(_class_sizes(sm, top, budget).sum()))
+    sched = _schedule(sm, budget)
+    queries = min(budget, sched.limit(max_weight)[0])
+    lp = np.empty(queries)
+    phi_sum = psi_sum = 0.0
+    for lo in range(0, queries, _CHUNK):
+        hi = min(queries, lo + _CHUNK)
+        comb, cost_s = _xor_and_sum(sched.planes[:, lo:hi], comb_tab, cost_s_tab)
+        cost_p = _gather(cost_p_tab, _int_planes(comb_hard ^ comb, n_bytes), np.add)
+        lp[lo:hi] = log_keep - cost_s - cost_p
+        phi_sum += float(np.exp(lp[lo:hi]).sum())
         psi_sum += float(np.exp(log_keep_s - cost_s).sum())
-        for row in np.argsort(-lp, kind="stable")[:list_size]:
-            best.append((float(lp[row]), weight, int(row),
-                         masks[row], int(flips_p[row])))
-        queries += take
-        weight += 1
-
-    best.sort(key=lambda item: (-item[0], item[1], item[2]))
-    best = best[:list_size]
+    # best first; ties keep schedule order
+    if list_size == 1:
+        best = [int(np.argmax(lp))]
+    else:
+        best = np.argsort(-lp, kind="stable")[:list_size].tolist()
 
     cands = []
-    for _, _, _, s_mask, p_comb in best:
+    for row in best:
         word = hard.copy()
-        word[guessed_idx[s_mask]] ^= 1
+        s_flips = np.unpackbits(sched.planes[:, row], bitorder="little")[:sm].astype(bool)
+        word[guessed_idx[s_flips]] ^= 1
+        p_comb = int(comb_hard ^ np.bitwise_xor.reduce(comb_s[s_flips]))
         for j in range(r):
             if (p_comb >> j) & 1:
                 word[solved_idx[j]] ^= 1
         cands.append(word)
-    log_phi = np.array([item[0] for item in best])
+    log_phi = lp[best]
     r_term = max(0.0, 1.0 - psi_sum)
     denom = phi_sum + r_term
     so = np.exp(log_phi) / denom if denom > 0.0 and cands else np.zeros(len(cands))

@@ -15,7 +15,8 @@ import numpy as np
 from . import oracle
 from .channel import ChannelParams, llr_from_channel, message_rng, modulate, transmit
 from .crc import CRC6, CRC11, CRC24C, crc_encode, crc_syndrome
-from .outer import orbgrand_schedule, outer_llr, pair_covariance, sogrand_decode
+from .outer import (gcd_decode, orbgrand_schedule, outer_llr, pair_covariance,
+                    sogrand_decode)
 from .pipeline import PipelineConfig, cca_scl_decode
 from .polar import (CodeDims, ca_encode, construct_polar, encode_systematic,
                     polar_transform)
@@ -198,6 +199,32 @@ def _check_sogrand_coset():
     return True, "50 trials, full coset recovered, top = ML"
 
 
+def _check_gcd_posterior():
+    # at the full budget every guessed-part prefix is queried once, so the
+    # list is the whole codebook and the soft outputs its exact posterior
+    rng = np.random.default_rng(9)
+    k, spec = 10, CRC6
+    msgs = np.array(list(itertools.product([0, 1], repeat=k - 6)), dtype=np.uint8)
+    book = crc_encode(msgs, spec)
+    worst = 0.0
+    for trial in range(50):
+        llr = rng.normal(0.0, 2.0, k)
+        out = gcd_decode(llr, spec, max_queries=len(book), list_size=len(book))
+        if out.queries_used != len(book) or len(out.candidates) != len(book):
+            return False, f"trial {trial}: codebook not covered"
+        post = np.exp(book @ llr - (book @ llr).max())
+        post /= post.sum()
+        for c, s in zip(out.candidates, out.so):
+            idx = np.flatnonzero((book == c).all(axis=1))[0]
+            worst = max(worst, abs(s - post[idx]))
+        ml_word, _ = oracle.ml_decode(llr, book)
+        if not np.array_equal(out.candidates[0], ml_word):
+            return False, f"trial {trial}: top candidate != ML"
+    if worst > 1e-9:
+        return False, f"posterior err {worst:.2e}"
+    return True, f"50 trials, full codebook, top = ML, max SO err {worst:.1e}"
+
+
 def _check_pipeline_totality():
     code = construct_polar(64, 48)
     cfg = PipelineConfig(code, CRC24C, 4)
@@ -227,6 +254,7 @@ CHECKS = [
     ("pair covariance closed form", _check_covariance_closed_form),
     ("guess schedule ordering", _check_orbgrand_order),
     ("guessing decoder coset recovery", _check_sogrand_coset),
+    ("codeword guessing exact posterior", _check_gcd_posterior),
     ("pipeline totality", _check_pipeline_totality),
 ]
 

@@ -636,8 +636,10 @@ def _write_uer_csv(paths, records: list[SimRecord], cfg: SimConfig):
                      r.block_errors, r.undetected_errors, r.erasures,
                      r.uer, lo, hi, r.erasures / r.trials])
     _write_rows(paths["csv"], header, rows)
+    # one record per (snr, epsilon), epsilon fastest; one wall time per snr
+    per_snr = records[::len(cfg.epsilon_grid)]
     _sidecar(paths, cfg, {"kind": "uer",
-                          "wall_time": sorted({r.wall_time for r in records})})
+                          "wall_time": [r.wall_time for r in per_snr]})
     if paths["plot"]:
         lines = ["# epsilon uer uer_lo uer_hi"]
         for row in rows:

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capolar.crc import CRC6, crc_encode, crc_syndrome
+from capolar import outer
+from capolar.channel import (ChannelParams, llr_from_channel, message_rng,
+                             modulate, saturate_llr, transmit)
+from capolar.crc import CRC6, CRC24C, crc_encode, crc_syndrome
 from capolar.outer import (
     bit_prob,
     convert_llr,
@@ -16,7 +19,8 @@ from capolar.outer import (
     pair_covariance,
     sogrand_decode,
 )
-from capolar.polar import PolarCode, construct_polar, polar_transform
+from capolar.polar import PolarCode, ca_encode, construct_polar, polar_transform
+from capolar.scl import _boxplus, ca_select_batch, scl_decode_batch
 
 
 def test_bit_prob_matches_logistic():
@@ -83,6 +87,34 @@ def test_outer_llr_systematic_is_restriction():
     assert np.array_equal(outer_llr(llr, code), llr[code.info])
 
 
+def test_outer_llr_butterfly_is_negated_boxplus():
+    # the outer butterfly combines with the inner decoder's boxplus, negated;
+    # negation is exact, so it matches the stand-alone soft XOR it replaced
+    # bit for bit, saturated inputs included
+    def soft_xor(a, b):
+        return -(
+            np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+            + np.log1p(np.exp(-np.abs(a + b)))
+            - np.log1p(np.exp(-np.abs(a - b)))
+        )
+
+    rng = np.random.default_rng(16)
+    a = np.concatenate([rng.normal(0, 8, 5000), [40.0, -40.0, 40.0, 0.0]])
+    b = np.concatenate([rng.normal(0, 8, 5000), [40.0, 40.0, -40.0, -40.0]])
+    assert np.array_equal(-_boxplus(a, b), soft_xor(a, b))
+    code = construct_polar(64, 43)
+    for llr in (rng.normal(0, 3, (200, 64)),
+                np.clip(rng.normal(0, 60, (200, 64)), -40, 40),
+                40.0 * rng.choice([-1.0, 1.0], (200, 64))):
+        want = llr.copy()
+        half = 1
+        while half < 64:
+            blocks = want.reshape(200, 64 // (2 * half), 2, half)
+            blocks[..., 0, :] = soft_xor(blocks[..., 0, :], blocks[..., 1, :])
+            half *= 2
+        assert np.array_equal(outer_llr(llr, code), want[:, code.info])
+
+
 def test_outer_llr_magnitude_contraction():
     # each output magnitude is bounded by the weakest input in its support,
     # even for saturated inputs where the probability domain degenerates
@@ -117,6 +149,75 @@ def rank_lookup(order):
     rank_of = np.empty(len(order), dtype=int)
     rank_of[order] = np.arange(1, len(order) + 1)
     return rank_of
+
+
+def distinct_partitions(total, max_part):
+    """Partitions of ``total`` into distinct parts <= max_part, as ascending
+    tuples in lexicographic order (recursive enumeration)."""
+    def rec(remaining, smallest):
+        if remaining == 0:
+            yield ()
+            return
+        for part in range(smallest, min(remaining, max_part) + 1):
+            # the parts above ``part`` must sum to remaining - part
+            for rest in rec(remaining - part, part + 1):
+                yield (part,) + rest
+    yield from rec(total, 1)
+
+
+def oracle_rank_sets(k, max_weight=None):
+    """ORBGRAND rank sets over k ranks: by weight, then lexicographic."""
+    top = k * (k + 1) // 2 if max_weight is None else max_weight
+    for weight in range(top + 1):
+        yield from distinct_partitions(weight, k)
+
+
+def oracle_schedule(order, max_weight=None):
+    """uint8 flip masks over positions, one per oracle rank set."""
+    order = np.asarray(order)
+    for ranks in oracle_rank_sets(len(order), max_weight):
+        mask = np.zeros(len(order), dtype=np.uint8)
+        mask[order[np.array(ranks, dtype=np.int64) - 1]] = 1
+        yield mask
+
+
+def rank_sets(masks, order):
+    rank_of = rank_lookup(order)
+    return [tuple(sorted(rank_of[np.flatnonzero(m)].tolist())) for m in masks]
+
+
+@pytest.mark.parametrize("k, rows", [(24, 65536), (43, 4096), (114, 2048)])
+def test_orbgrand_schedule_matches_recursive_oracle(k, rows):
+    # byte planes hold any K; 114 ranks need 15 planes, past 64 bits
+    order = np.random.default_rng(k).permutation(k)
+    got = rank_sets(itertools.islice(orbgrand_schedule(order), rows), order)
+    want = list(itertools.islice(oracle_rank_sets(k), rows))
+    assert len(got) == rows
+    assert got == want
+
+
+@pytest.mark.parametrize("k, max_weight", [(24, 40), (43, 30), (114, 25), (5, 100)])
+def test_orbgrand_schedule_max_weight_truncation(k, max_weight):
+    order = np.random.default_rng(k).permutation(k)
+    got = rank_sets(orbgrand_schedule(order, max_weight=max_weight), order)
+    assert got == list(oracle_rank_sets(k, min(max_weight, k * (k + 1) // 2)))
+
+
+def test_decoders_stop_at_max_weight():
+    # a budget past the last allowed weight class queries exactly that class
+    # prefix, in both guessers, and builds no schedule past it
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        llr = rng.normal(0, 0.5, 30)
+        n_sets = len(list(oracle_rank_sets(30 - 6, 12)))
+        out = gcd_decode(llr, CRC6, max_queries=1 << 40, max_weight=12)
+        assert out.queries_used == n_sets
+        out = sogrand_decode(llr, CRC6, max_queries=1 << 40, list_size=1 << 10,
+                             max_weight=12)
+        assert out.queries_used == len(list(oracle_rank_sets(30, 12)))
+    for decode in (gcd_decode, sogrand_decode):
+        with pytest.raises(ValueError):
+            decode(np.zeros(10), CRC6, max_weight=-1)
 
 
 def test_orbgrand_schedule_matches_brute_force():
@@ -186,7 +287,7 @@ def reference_sogrand(llr, spec, max_queries, list_size):
     cands, lphi = [], []
     qmass = 0.0
     queries = 0
-    for mask in orbgrand_schedule(order):
+    for mask in oracle_schedule(order):
         if queries >= max_queries or len(cands) >= list_size:
             break
         queries += 1
@@ -267,56 +368,63 @@ def test_sogrand_exhausted_budget_reports_nothing():
     assert len(out.so) == 0
 
 
+def gf2_reduce(m):
+    """Row-reduced echelon form over GF(2) and its pivot columns."""
+    m = m.copy() % 2
+    pivots = []
+    for c in range(m.shape[1]):
+        rows = np.flatnonzero(m[len(pivots):, c])
+        if len(rows) == 0:
+            continue
+        top = len(pivots)
+        m[[top, top + rows[0]]] = m[[top + rows[0], top]]
+        others = np.flatnonzero(m[:, c])
+        m[others[others != top]] ^= m[top]
+        pivots.append(c)
+        if len(pivots) == m.shape[0]:
+            break
+    return m, pivots
+
+
 def reference_gcd(llr, spec, max_queries, list_size):
-    # prefix-at-a-time rerun: split by reliability with a span table, solve
-    # each query by enumerating every subset of the solved columns
+    # query-at-a-time rerun: split by reliability with GF(2) rank tests on the
+    # parity-check matrix, walk the recursive oracle schedule over the
+    # guessed part, and solve each query through the inverse of the solved
+    # columns
     k = len(llr)
     r = spec.degree
     hard = (llr > 0).astype(np.uint8)
     mag = np.abs(llr)
     order = np.argsort(mag, kind="stable")
-    tab = spec.parity_check(k)
-    col = [int("".join(map(str, tab[:, j]))[::-1], 2) for j in range(k)]
+    tab = spec.parity_check(k).astype(np.int64)
 
-    solved, guessed, span = [], [], {0}
+    solved, guessed = [], []
     for pos in order.tolist():
-        if len(solved) < r and col[pos] not in span:
-            span |= {v ^ col[pos] for v in span}
+        if len(solved) < r and len(gf2_reduce(tab[:, solved + [pos]])[1]) > len(solved):
             solved.append(pos)
         else:
             guessed.append(pos)
-    subsets = {}
-    for bits in itertools.product([0, 1], repeat=r):
-        syn = 0
-        for j, b in enumerate(bits):
-            if b:
-                syn ^= col[solved[j]]
-        subsets[syn] = bits
-
-    syn_hard = 0
-    for pos in np.flatnonzero(hard):
-        syn_hard ^= col[pos]
+    eye = np.eye(r, dtype=np.int64)
+    inverse = gf2_reduce(np.concatenate([tab[:, solved], eye], axis=1))[0][:, r:]
     log_keep = -np.logaddexp(0, -mag).sum()
     log_keep_s = -np.logaddexp(0, -mag[guessed]).sum()
 
     scored, phi_sum, psi_sum, queries = [], 0.0, 0.0, 0
-    for mask in orbgrand_schedule(np.arange(len(guessed))):
+    for mask in oracle_schedule(np.arange(len(guessed))):
         if queries >= max_queries:
             break
         queries += 1
-        target = syn_hard
         word = hard.copy()
         cost_s = 0.0
         for i in np.flatnonzero(mask):
             word[guessed[i]] ^= 1
-            target ^= col[guessed[i]]
             cost_s += mag[guessed[i]]
         lp_s = log_keep_s - cost_s
         lp = log_keep - cost_s
-        for j, b in enumerate(subsets[target]):
-            if b:
-                word[solved[j]] ^= 1
-                lp -= mag[solved[j]]
+        fix = inverse @ (tab @ word % 2) % 2
+        for j in np.flatnonzero(fix):
+            word[solved[j]] ^= 1
+            lp -= mag[solved[j]]
         assert not crc_syndrome(word, spec).any()
         phi_sum += np.exp(lp)
         psi_sum += np.exp(lp_s)
@@ -326,6 +434,23 @@ def reference_gcd(llr, spec, max_queries, list_size):
     denom = phi_sum + max(0.0, 1.0 - psi_sum)
     return ([tuple(w) for _, _, w in scored],
             [float(np.exp(lp) / denom) for lp, _, _ in scored], queries)
+
+
+def crc_failing_outer_llrs(count):
+    """Outer LLRs of [64,48,24] L=4 trials at 5 dB whose list holds no CRC
+    passer: the words the complete decoder hands to its outer guesser."""
+    code = construct_polar(64, 48)
+    params = ChannelParams(5.0, 24 / 64)
+    seed, trials = 31, 512
+    msgs = np.stack([message_rng(seed, t).integers(0, 2, 24).astype(np.uint8)
+                     for t in range(trials)])
+    s = modulate(ca_encode(msgs, code, CRC24C))
+    y = np.stack([transmit(s[t], params, seed, t) for t in range(trials)])
+    llr = saturate_llr(llr_from_channel(y, params))
+    found = ca_select_batch(scl_decode_batch(llr, code, 4), CRC24C)["found"]
+    fails = np.flatnonzero(~found)[:count]
+    assert len(fails) == count
+    return outer_llr(llr[fails], code)
 
 
 def test_gcd_matches_reference():
@@ -340,6 +465,22 @@ def test_gcd_matches_reference():
         assert [tuple(c) for c in got.candidates] == want_c, trial
         assert np.allclose(got.so, want_so, rtol=1e-9, atol=1e-300), trial
         assert got.found
+
+
+@pytest.mark.parametrize("chunk", [None, 100])
+def test_gcd_matches_reference_on_crc24_outer_llrs(chunk, monkeypatch):
+    # the guessed part spans 24 bits here, three schedule planes, and the
+    # solve runs through three syndrome bytes; a short slice length makes
+    # the budget span several evaluation slices
+    if chunk:
+        monkeypatch.setattr(outer, "_CHUNK", chunk)
+    for trial, llr in enumerate(crc_failing_outer_llrs(12)):
+        for ls in (1, 3):
+            got = gcd_decode(llr, CRC24C, max_queries=256, list_size=ls)
+            want_c, want_so, want_q = reference_gcd(llr, CRC24C, 256, ls)
+            assert got.queries_used == want_q == 256, trial
+            assert [tuple(c) for c in got.candidates] == want_c, trial
+            assert np.allclose(got.so, want_so, rtol=1e-9, atol=0.0), trial
 
 
 def test_gcd_exhaustive_budget_recovers_posterior():

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -189,6 +190,33 @@ def test_uer_threshold_algebra(tmp_path):
     rows = (tmp_path / "u.csv").read_bytes().decode().split("\r\n")
     assert rows[0].startswith("schema_version,snr_db,epsilon,")
     assert len(rows) == 2 + len(eps_grid)
+
+
+def test_uer_sidecar_wall_time_per_snr_in_grid_order(tmp_path, monkeypatch):
+    # one wall time per SNR point, in grid order, as in the bler sidecar; a
+    # fake clock makes the first point the slower one, so a sorted list
+    # would show
+    eps = (1e-3, 1e-2, 1e-1)
+    cfg = small_cfg(tmp_path, snr_grid_db=(3.0, 25.0), epsilon_grid=eps,
+                    trials=512, out_stem="w")
+    run_uer_sweep(cfg)
+    plain = (tmp_path / "w.csv").read_bytes()
+
+    ticks = itertools.count()
+
+    def clock():
+        c = next(ticks)
+        return c * (10 - c)  # 0, 9, 16, 21: walls 9 then 5
+
+    monkeypatch.setattr("capolar.sim.time.perf_counter", clock)
+    recs = run_uer_sweep(cfg)
+    monkeypatch.undo()
+    blob = json.loads((tmp_path / "w.json").read_text())
+    assert blob["wall_time"] == [9, 5]
+    assert [(r.snr_db, r.epsilon) for r in recs] == [
+        (snr, e) for snr in (3.0, 25.0) for e in eps]
+    assert [r.wall_time for r in recs] == [9] * 3 + [5] * 3
+    assert (tmp_path / "w.csv").read_bytes() == plain
 
 
 def test_uer_needs_grid_and_complete_decoder(tmp_path):
