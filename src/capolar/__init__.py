@@ -17,9 +17,7 @@ from .pipeline import (DecodeResult, PipelineConfig, cca_scl_decode,
 from .polar import (CodeDims, PolarCode, ca_encode, construct_polar,
                     encode_nonsystematic, encode_systematic, polar_transform)
 from .reliability import bhattacharyya_order, sequence_for
-from .scl import (BatchSclOutput, SclCandidate, SclOutput, ca_select,
-                  ca_select_batch, message_window, scl_decode,
-                  scl_decode_batch, so_ca, so_forney, so_polar)
+from .scl import BatchSclOutput, ca_select_batch, scl_decode_batch
 from .sim import (CalibrationBin, SimConfig, SimRecord, run_bler_sweep,
                   run_calibration, run_llr_profile, run_uer_sweep,
                   wilson_interval)
@@ -39,9 +37,7 @@ __all__ = [
     "CodeDims", "PolarCode", "ca_encode", "construct_polar",
     "encode_nonsystematic", "encode_systematic", "polar_transform",
     "bhattacharyya_order", "sequence_for",
-    "BatchSclOutput", "SclCandidate", "SclOutput", "ca_select",
-    "ca_select_batch", "message_window", "scl_decode", "scl_decode_batch",
-    "so_ca", "so_forney", "so_polar",
+    "BatchSclOutput", "ca_select_batch", "scl_decode_batch",
     "CalibrationBin", "SimConfig", "SimRecord", "run_bler_sweep",
     "run_calibration", "run_llr_profile", "run_uer_sweep", "wilson_interval",
     "__version__",

@@ -270,6 +270,22 @@ def _check_max_weight(max_weight: int | None):
         raise ValueError("max_weight must be >= 0")
 
 
+def _checked_llr(llr, spec: CrcSpec, max_queries: int, list_size: int,
+                 max_weight: int | None, name: str) -> np.ndarray:
+    """The argument checks both guessers share; NaN LLRs are refused."""
+    llr = np.asarray(llr, dtype=np.float64)
+    if llr.ndim != 1:
+        raise ValueError(f"{name} takes a single LLR vector")
+    if len(llr) <= spec.degree:
+        raise ValueError(f"{len(llr)} bits cannot carry {spec.degree} parity bits")
+    if max_queries < 1 or list_size < 1:
+        raise ValueError("max_queries and list_size must be >= 1")
+    _check_max_weight(max_weight)
+    if np.isnan(llr).any():
+        raise ValueError(f"{name} got NaN LLRs")
+    return llr
+
+
 def orbgrand_schedule(order: np.ndarray, max_weight: int | None = None):
     """Yield error patterns in non-decreasing logistic weight.
 
@@ -320,15 +336,8 @@ def sogrand_decode(llr: np.ndarray, spec: CrcSpec,
     the codeword mass left in the unqueried patterns: the leftover pattern
     mass times the fraction of unqueried patterns expected to be codewords.
     """
-    llr = np.asarray(llr, dtype=np.float64)
-    k = llr.shape[-1]
-    if llr.ndim != 1:
-        raise ValueError("sogrand_decode takes a single LLR vector")
-    if k <= spec.degree:
-        raise ValueError(f"{k} bits cannot carry {spec.degree} parity bits")
-    if max_queries < 1 or list_size < 1:
-        raise ValueError("max_queries and list_size must be >= 1")
-    _check_max_weight(max_weight)
+    llr = _checked_llr(llr, spec, max_queries, list_size, max_weight, "sogrand_decode")
+    k = len(llr)
 
     hard = hard_decision(llr)
     mag = np.abs(llr)
@@ -404,15 +413,8 @@ def gcd_decode(llr: np.ndarray, spec: CrcSpec,
     pattern mass left unqueried, which never exceeds the mass of the missed
     codewords, so the quoted posteriors are conservative.
     """
-    llr = np.asarray(llr, dtype=np.float64)
-    k = llr.shape[-1]
-    if llr.ndim != 1:
-        raise ValueError("gcd_decode takes a single LLR vector")
-    if k <= spec.degree:
-        raise ValueError(f"{k} bits cannot carry {spec.degree} parity bits")
-    if max_queries < 1 or list_size < 1:
-        raise ValueError("max_queries and list_size must be >= 1")
-    _check_max_weight(max_weight)
+    llr = _checked_llr(llr, spec, max_queries, list_size, max_weight, "gcd_decode")
+    k = len(llr)
 
     hard = hard_decision(llr)
     mag = np.abs(llr)

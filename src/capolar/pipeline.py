@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crc import CrcSpec, crc_syndrome
+from .crc import CrcSpec
 from .outer import gcd_decode, hard_decision, outer_llr, sogrand_decode
 from .polar import PolarCode
-from .scl import SclOutput, ca_select, message_window, scl_decode
+from .scl import ca_select_batch, scl_decode_batch
 
 __all__ = ["PipelineConfig", "DecodeResult", "threshold_test", "cca_scl_decode",
            "resolve_decision", "InnerDecision"]
@@ -89,8 +89,7 @@ def threshold_test(so: float, epsilon: float) -> bool:
     return so > 1.0 - epsilon
 
 
-def _outer_decision(llr: np.ndarray, cfg: PipelineConfig):
-    lo = outer_llr(llr, cfg.code)
+def _outer_decision(lo: np.ndarray, cfg: PipelineConfig):
     decode = gcd_decode if cfg.outer_decoder == "gcd" else sogrand_decode
     out = decode(lo, cfg.spec, max_queries=cfg.outer_max_queries,
                  list_size=cfg.outer_list_size,
@@ -101,20 +100,23 @@ def _outer_decision(llr: np.ndarray, cfg: PipelineConfig):
     return hard_decision(lo)[:m], 0.0, "fallback", out.queries_used
 
 
-def resolve_decision(llr: np.ndarray, inner: InnerDecision | None,
+def resolve_decision(lo: np.ndarray, inner: InnerDecision | None,
                      cfg: PipelineConfig) -> DecodeResult:
     """Finish a trial whose inner stage already ran.
 
-    ``inner`` carries the CRC-passing selection, or None when no list
-    candidate passed.  The batched simulator calls this with the per-trial
-    slice of its inner batch; cca_scl_decode with a fresh single decode.
+    ``lo`` holds the trial's outer LLRs (``outer_llr`` of its channel LLRs);
+    the outer decoder reads nothing else.  ``inner`` carries the CRC-passing
+    selection, or None when no list candidate passed.
     """
+    k = len(cfg.code.info)
+    if np.shape(lo) != (k,):
+        raise ValueError(f"expected the {k} outer LLRs of one trial, got shape {np.shape(lo)}")
     m = cfg.m_msg
     if inner is not None:
         message, so, origin = inner.window[:m].copy(), inner.so, "inner"
         pass_count, queries = inner.pass_count, 0
     else:
-        message, so, origin, queries = _outer_decision(llr, cfg)
+        message, so, origin, queries = _outer_decision(lo, cfg)
         pass_count = 0
 
     if cfg.epsilon is None:
@@ -122,7 +124,7 @@ def resolve_decision(llr: np.ndarray, inner: InnerDecision | None,
     if threshold_test(so, cfg.epsilon):
         return DecodeResult(message, so, origin, False, pass_count, queries)
     if cfg.retry_on_threshold_fail and origin == "inner":
-        alt_msg, alt_so, alt_origin, queries = _outer_decision(llr, cfg)
+        alt_msg, alt_so, alt_origin, queries = _outer_decision(lo, cfg)
         if threshold_test(alt_so, cfg.epsilon):
             return DecodeResult(alt_msg, alt_so, alt_origin, False, pass_count, queries)
         if alt_so > so:
@@ -130,18 +132,15 @@ def resolve_decision(llr: np.ndarray, inner: InnerDecision | None,
     return DecodeResult(message, so, origin, True, pass_count, queries)
 
 
-def _inner_from_scl(out: SclOutput, cfg: PipelineConfig) -> InnerDecision | None:
-    sel = ca_select(out, cfg.spec)
-    if sel is None:
-        return None
-    best, so = sel
-    windows = np.array([message_window(c, out.code) for c in out.candidates])
-    pass_count = int((~crc_syndrome(windows, cfg.spec).any(axis=1)).sum())
-    return InnerDecision(message_window(best, out.code), so, pass_count)
-
-
 def cca_scl_decode(llr: np.ndarray, cfg: PipelineConfig) -> DecodeResult:
-    """Decode one word end to end; never raises on valid config."""
-    out = scl_decode(llr, cfg.code, cfg.list_size)
-    return resolve_decision(np.asarray(llr, dtype=np.float64),
-                            _inner_from_scl(out, cfg), cfg)
+    """Decode one word end to end: the batch inner path on a single row.
+
+    Never raises on a valid config and LLRs without NaN.
+    """
+    llr = np.asarray(llr, dtype=np.float64)
+    sel = ca_select_batch(scl_decode_batch(llr, cfg.code, cfg.list_size), cfg.spec)
+    inner = None
+    if sel["found"][0]:
+        inner = InnerDecision(sel["message"][0], float(sel["so"][0]),
+                              int(sel["pass_count"][0]))
+    return resolve_decision(outer_llr(llr, cfg.code), inner, cfg)

@@ -24,43 +24,12 @@ from .channel import LLR_LIMIT
 from .crc import CrcSpec, crc_syndrome
 from .polar import PolarCode, polar_transform
 
-__all__ = [
-    "SclCandidate",
-    "SclOutput",
-    "BatchSclOutput",
-    "scl_decode",
-    "scl_decode_batch",
-    "message_window",
-    "so_forney",
-    "so_polar",
-    "so_ca",
-    "ca_select",
-    "ca_select_batch",
-]
-
-
-@dataclass(frozen=True)
-class SclCandidate:
-    """One surviving path: input word, codeword, path metric, q = exp(-pm)."""
-
-    u_hat: np.ndarray
-    x_hat: np.ndarray
-    pm: float
-    q: float
-
-
-@dataclass(frozen=True, eq=False)
-class SclOutput:
-    """Decoded list in ascending-pm order plus the unvisited-mass estimate."""
-
-    candidates: tuple[SclCandidate, ...]
-    unvisited_mass: float
-    code: PolarCode
+__all__ = ["BatchSclOutput", "scl_decode_batch", "ca_select_batch"]
 
 
 @dataclass(frozen=True, eq=False)
 class BatchSclOutput:
-    """Array view of per-trial lists: leading axis is the trial."""
+    """Per-trial lists in ascending-pm order: leading axis is the trial."""
 
     u_hat: np.ndarray  # (trials, paths, N) uint8
     x_hat: np.ndarray  # (trials, paths, N) uint8
@@ -68,14 +37,6 @@ class BatchSclOutput:
     q: np.ndarray  # (trials, paths)
     unvisited_mass: np.ndarray  # (trials,)
     code: PolarCode
-
-    def trial(self, t: int) -> SclOutput:
-        cands = tuple(
-            SclCandidate(self.u_hat[t, i], self.x_hat[t, i],
-                         float(self.pm[t, i]), float(self.q[t, i]))
-            for i in range(self.pm.shape[1])
-        )
-        return SclOutput(cands, float(self.unvisited_mass[t]), self.code)
 
 
 def _boxplus(a, b):
@@ -96,10 +57,17 @@ def _mass_factors(code: PolarCode) -> np.ndarray:
 
 
 def scl_decode_batch(llr: np.ndarray, code: PolarCode, list_size: int) -> BatchSclOutput:
-    """Decode a (trials, N) block of channel LLRs."""
+    """Decode a (trials, N) block, or one length-N word, of channel LLRs.
+
+    Infinite LLRs are clipped to +-LLR_LIMIT; NaN is refused.
+    """
     llr = np.asarray(llr, dtype=np.float64)
     if llr.ndim == 1:
         llr = llr[None, :]
+    if llr.ndim != 2:
+        raise ValueError(f"expected a (trials, N) block of LLRs, got shape {llr.shape}")
+    if np.isnan(llr).any():
+        raise ValueError("channel LLRs contain NaN")
     n_trials, n_code = llr.shape
     if n_code != code.n_code:
         raise ValueError(f"got {n_code} LLRs for a length-{code.n_code} code")
@@ -199,62 +167,15 @@ def scl_decode_batch(llr: np.ndarray, code: PolarCode, list_size: int) -> BatchS
     )
 
 
-def scl_decode(llr: np.ndarray, code: PolarCode, list_size: int) -> SclOutput:
-    """List-decode one block of channel LLRs (package sign convention)."""
-    return scl_decode_batch(np.asarray(llr, dtype=np.float64)[None, :],
-                            code, list_size).trial(0)
-
-
-def message_window(candidate: SclCandidate, code: PolarCode) -> np.ndarray:
-    """K-bit CRC word carried by a path: u|_A, or x|_A for systematic codes."""
-    word = candidate.x_hat if code.systematic else candidate.u_hat
-    return word[code.info]
-
-
-def so_forney(target: SclCandidate, pool) -> float:
-    """q normalised over a candidate pool only (no unvisited-mass term)."""
-    denom = sum(c.q for c in pool)
-    return target.q / denom if denom > 0.0 else 0.0
-
-
-def so_polar(target: SclCandidate, out: SclOutput) -> float:
-    """Probability that target is the transmitted word, given the list."""
-    denom = sum(c.q for c in out.candidates) + out.unvisited_mass
-    return target.q / denom if denom > 0.0 else 0.0
-
-
-def so_ca(target: SclCandidate, out: SclOutput, spec: CrcSpec) -> float:
-    """CRC-aware soft output.
-
-    The denominator keeps only CRC-passing candidates and discounts the
-    unvisited mass by 2^(M-K): a uniformly-distributed unseen path survives
-    the r = K - M parity checks with probability 2^-r.
-    """
-    code = out.code
-    denom = 2.0 ** (-spec.degree) * out.unvisited_mass
-    for c in out.candidates:
-        if not crc_syndrome(message_window(c, code), spec).any():
-            denom += c.q
-    return target.q / denom if denom > 0.0 else 0.0
-
-
-def ca_select(out: SclOutput, spec: CrcSpec):
-    """Best CRC-passing candidate and its soft output, or None if none pass."""
-    best = None
-    for c in out.candidates:
-        if not crc_syndrome(message_window(c, out.code), spec).any():
-            if best is None or c.pm < best.pm:
-                best = c
-    if best is None:
-        return None
-    return best, so_ca(best, out, spec)
-
-
 def ca_select_batch(out: BatchSclOutput, spec: CrcSpec) -> dict:
-    """Vectorised CRC filter + selection over a decoded batch.
+    """CRC filter, selection and both soft outputs over a decoded batch.
 
-    Returns arrays keyed found, pass_count, message (K bits, zeros when not
-    found), so, so_forney.  Matches ca_select / so_forney trial by trial.
+    Per trial, the selection is the first CRC-passing candidate in pm
+    order.  Its CRC-aware soft output ``so`` is q over (sum of q of the
+    passers + 2^-r * unvisited mass): a uniformly distributed unseen path
+    survives the r parity checks with probability 2^-r.  ``so_forney``
+    normalises over the passers only.  Returns arrays keyed found,
+    pass_count, message (K bits, zeros when not found), so, so_forney.
     """
     code = out.code
     words = (out.x_hat if code.systematic else out.u_hat)[:, :, code.info]
@@ -268,8 +189,8 @@ def ca_select_batch(out: BatchSclOutput, spec: CrcSpec) -> dict:
     message[~found] = 0
     q_pass = np.where(ok, out.q, 0.0)
     q_sel = out.q[rows, sel]
-    denom_ca = q_pass.sum(axis=1) + 2.0 ** (-spec.degree) * out.unvisited_mass
     denom_f = q_pass.sum(axis=1)
+    denom_ca = denom_f + 2.0 ** (-spec.degree) * out.unvisited_mass
     with np.errstate(invalid="ignore", divide="ignore"):
         so = np.where((denom_ca > 0.0) & found, q_sel / denom_ca, 0.0)
         so_f = np.where((denom_f > 0.0) & found, q_sel / denom_f, 0.0)

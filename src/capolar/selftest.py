@@ -20,7 +20,7 @@ from .outer import (gcd_decode, orbgrand_schedule, outer_llr, pair_covariance,
 from .pipeline import PipelineConfig, cca_scl_decode
 from .polar import (CodeDims, ca_encode, construct_polar, encode_systematic,
                     polar_transform)
-from .scl import ca_select_batch, scl_decode_batch, so_polar
+from .scl import ca_select_batch, scl_decode_batch
 
 __all__ = ["run_selftest", "CHECKS"]
 
@@ -93,17 +93,18 @@ def _check_scl_exhaustive_ml():
     if not sel["found"].all():
         return False, "exhaustive list missed the CRC-valid paths"
     worst = 0.0
+    # list-based posterior of the top path: q over all q plus unvisited mass
+    so_top = out.q[:, 0] / (out.q.sum(axis=1) + out.unvisited_mass)
     for t in range(trials):
-        one = out.trial(t)
         # first CRC passer in path-metric order must be the restricted ML word
         ok = ~crc_syndrome(out.u_hat[t][:, code.info], spec).any(axis=1)
         ml_word, _ = oracle.ml_decode(llr[t], valid_x)
         if not np.array_equal(out.x_hat[t, int(np.argmax(ok))], ml_word):
             return False, f"trial {t}: selection != restricted ML"
-        exact = oracle.exact_so(one.candidates[0].u_hat, llr[t], code)
-        worst = max(worst, abs(so_polar(one.candidates[0], one) - exact))
+        exact = oracle.exact_so(out.u_hat[t, 0], llr[t], code)
+        worst = max(worst, abs(so_top[t] - exact))
     if worst > 1e-12:
-        return False, f"so_polar vs exact_so err {worst:.2e}"
+        return False, f"top-path SO vs exact_so err {worst:.2e}"
     return True, f"{trials} trials, max SO err {worst:.1e}"
 
 

@@ -171,49 +171,39 @@ class _Plan:
     """Picklable worker payload: everything a batch needs, fully built."""
 
     dims: CodeDims
-    code: PolarCode
-    spec: CrcSpec
+    pipe: PipelineConfig
     decoder: str
-    list_size: int
-    outer_max_queries: int
-    outer_list_size: int
-    outer_max_weight: int | None
-    outer_decoder: str
     master_seed: int
-
-    def pipeline(self) -> PipelineConfig:
-        return PipelineConfig(self.code, self.spec, self.list_size,
-                              outer_max_queries=self.outer_max_queries,
-                              outer_list_size=self.outer_list_size,
-                              outer_max_weight=self.outer_max_weight,
-                              outer_decoder=self.outer_decoder)
 
 
 def _plan_for(cfg: SimConfig) -> _Plan:
-    return _Plan(cfg.dims, cfg.build_code(), cfg.crc(), cfg.decoder,
-                 cfg.list_size, cfg.outer_max_queries, cfg.outer_list_size,
-                 cfg.outer_max_weight, cfg.outer_decoder, cfg.master_seed)
+    pipe = PipelineConfig(cfg.build_code(), cfg.crc(), cfg.list_size,
+                          outer_max_queries=cfg.outer_max_queries,
+                          outer_list_size=cfg.outer_list_size,
+                          outer_max_weight=cfg.outer_max_weight,
+                          outer_decoder=cfg.outer_decoder)
+    return _Plan(cfg.dims, pipe, cfg.decoder, cfg.master_seed)
 
 
-def _trial_wave(plan: _Plan, snr_db: float, start: int, count: int):
-    """Messages and decoder-input LLRs for trials start .. start+count-1."""
+def _trial_wave(plan: _Plan, snr_db: float, trials):
+    """Messages and decoder-input LLRs for the given trial indices (ints)."""
     params = ChannelParams(snr_db, plan.dims.rate)
     m = plan.dims.m_msg
     msgs = np.stack([
         message_rng(plan.master_seed, t).integers(0, 2, m).astype(np.uint8)
-        for t in range(start, start + count)
+        for t in trials
     ])
-    s = modulate(ca_encode(msgs, plan.code, plan.spec))
+    s = modulate(ca_encode(msgs, plan.pipe.code, plan.pipe.spec))
     y = np.stack([
-        transmit(s[i], params, plan.master_seed, start + i)
-        for i in range(count)
+        transmit(s[i], params, plan.master_seed, t)
+        for i, t in enumerate(trials)
     ])
     return msgs, saturate_llr(llr_from_channel(y, params))
 
 
 def _inner_pass(plan: _Plan, llr: np.ndarray):
-    out = scl_decode_batch(llr, plan.code, plan.list_size)
-    return ca_select_batch(out, plan.spec)
+    out = scl_decode_batch(llr, plan.pipe.code, plan.pipe.list_size)
+    return ca_select_batch(out, plan.pipe.spec)
 
 
 def _decide_batch(args):
@@ -223,7 +213,7 @@ def _decide_batch(args):
     counts, found flags, so_forney).
     """
     plan, snr_db, start, count = args
-    msgs, llr = _trial_wave(plan, snr_db, start, count)
+    msgs, llr = _trial_wave(plan, snr_db, range(start, start + count))
     sel = _inner_pass(plan, llr)
     m = plan.dims.m_msg
     found = sel["found"]
@@ -234,13 +224,14 @@ def _decide_batch(args):
     origin = np.zeros(count, dtype=np.uint8)
     queries = np.zeros(count, dtype=np.int64)
     if plan.decoder == "cca_scl":
-        pcfg = plan.pipeline()
-        for i in np.flatnonzero(~found):
-            res = resolve_decision(llr[i], None, pcfg)
-            so[i] = res.so
-            correct[i] = np.array_equal(res.message, msgs[i])
-            origin[i] = _ORIGIN_CODES[res.origin]
-            queries[i] = res.outer_queries
+        fail = np.flatnonzero(~found)
+        lo = outer_llr(llr[fail], plan.pipe.code)
+        for i, t in enumerate(fail):
+            res = resolve_decision(lo[i], None, plan.pipe)
+            so[t] = res.so
+            correct[t] = np.array_equal(res.message, msgs[t])
+            origin[t] = _ORIGIN_CODES[res.origin]
+            queries[t] = res.outer_queries
     else:
         origin[~found] = _ORIGIN_CODES["fallback"]  # no decision emitted
     return correct, so, origin, queries, sel["pass_count"], found, sel["so_forney"]
@@ -268,7 +259,7 @@ def _bler_batch(args):
 
 def _calibrate_batch(args, edges=CALIBRATION_EDGES):
     plan, snr_db, start, count = args
-    msgs, llr = _trial_wave(plan, snr_db, start, count)
+    msgs, llr = _trial_wave(plan, snr_db, range(start, start + count))
     sel = _inner_pass(plan, llr)
     m = plan.dims.m_msg
     found = sel["found"]
@@ -284,11 +275,6 @@ def _calibrate_batch(args, edges=CALIBRATION_EDGES):
         sums = np.bincount(idx, weights=pred, minlength=nbins)
         out.append((counts, errs, sums))
     return count, int(found.sum()), out
-
-
-def _uer_batch(args):
-    correct, so, origin, queries, pass_count, found, _ = _decide_batch(args)
-    return correct, so, origin, queries, found
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +423,14 @@ def run_uer_sweep(cfg: SimConfig):
             parts = {"correct": [], "so": [], "origin": [], "queries": []}
 
             def fold(part):
-                correct, so, origin, queries, _ = part
+                correct, so, origin, queries = part[:4]
                 parts["correct"].append(correct)
                 parts["so"].append(so)
                 parts["origin"].append(origin)
                 parts["queries"].append(queries)
 
             t0 = time.perf_counter()
-            _rounds(cfg, runner, plan, snr, _uer_batch, fold, stop=lambda: False)
+            _rounds(cfg, runner, plan, snr, _decide_batch, fold, stop=lambda: False)
             correct = np.concatenate(parts["correct"])
             so = np.concatenate(parts["so"])
             origin = np.concatenate(parts["origin"])
@@ -486,13 +472,16 @@ def _retry_decisions(cfg: SimConfig, plan: _Plan, snr: float,
                      so: np.ndarray, origin: np.ndarray):
     """Outer decisions for inner trials that could fail some grid threshold."""
     widest = 1.0 - min(cfg.epsilon_grid)
-    need = np.flatnonzero((origin == 0) & (so <= widest))
-    pcfg = plan.pipeline()
+    need = np.flatnonzero((origin == 0) & (so <= widest)).tolist()
     out = {}
-    for t in need:
-        msgs, llr = _trial_wave(plan, snr, int(t), 1)
-        res = resolve_decision(llr[0], None, pcfg)
-        out[int(t)] = (res.so, bool(np.array_equal(res.message, msgs[0])))
+    # one wave per round's worth of trials keeps the regenerated LLRs small
+    for first in range(0, len(need), cfg.round_trials):
+        wave = need[first:first + cfg.round_trials]
+        msgs, llr = _trial_wave(plan, snr, wave)
+        lo = outer_llr(llr, plan.pipe.code)
+        for i, t in enumerate(wave):
+            res = resolve_decision(lo[i], None, plan.pipe)
+            out[t] = (res.so, bool(np.array_equal(res.message, msgs[i])))
     return out
 
 
@@ -511,9 +500,9 @@ def run_llr_profile(cfg: SimConfig):
     done = 0
     while done < cfg.trials:
         count = min(cfg.batch_size, cfg.trials - done)
-        _, llr = _trial_wave(plan, snr, done, count)
+        _, llr = _trial_wave(plan, snr, range(done, done + count))
         sum_inner += np.sort(np.abs(llr), axis=1).sum(axis=0)
-        lo = outer_llr(llr, plan.code)
+        lo = outer_llr(llr, plan.pipe.code)
         sum_outer += np.sort(np.abs(lo), axis=1).sum(axis=0)
         done += count
     profile = {

@@ -7,7 +7,7 @@ from capolar import oracle
 from capolar.crc import CRC6, CRC11, CRC24C, crc_encode, crc_syndrome
 from capolar.outer import pair_covariance
 from capolar.polar import construct_polar
-from capolar.scl import scl_decode, so_polar
+from capolar.scl import scl_decode_batch
 
 
 def test_crc_longdivision_trivia():
@@ -116,11 +116,13 @@ def test_exact_so_matches_exhaustive_list_decoder():
     rng = np.random.default_rng(16)
     for _ in range(50):
         llr = rng.normal(0, 2.5, 8)
-        out = scl_decode(llr, code, 16)
-        assert out.unvisited_mass == 0.0
-        for c in out.candidates[:4]:
-            assert so_polar(c, out) == pytest.approx(
-                oracle.exact_so(c.u_hat, llr, code), abs=1e-12
+        out = scl_decode_batch(llr, code, 16)
+        assert out.unvisited_mass[0] == 0.0
+        # list-based posterior: q over all q plus the (zero) unvisited mass
+        so = out.q[0] / (out.q[0].sum() + out.unvisited_mass[0])
+        for i in range(4):
+            assert so[i] == pytest.approx(
+                oracle.exact_so(out.u_hat[0, i], llr, code), abs=1e-12
             )
 
 

@@ -559,3 +559,14 @@ def test_gcd_validation():
         gcd_decode(np.zeros(10), CRC6, max_queries=0)
     with pytest.raises(ValueError):
         gcd_decode(np.zeros(10), CRC6, list_size=0)
+
+
+@pytest.mark.parametrize("decode", [gcd_decode, sogrand_decode])
+def test_outer_decoders_refuse_nan(decode):
+    llr = np.random.default_rng(4).normal(0, 3, 16)
+    llr[3] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        decode(llr, CRC6)
+    llr[3] = np.inf  # infinite reliability is a valid input
+    out = decode(llr, CRC6)
+    assert out.found and 0.0 < out.so[0] <= 1.0

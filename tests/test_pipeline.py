@@ -11,8 +11,9 @@ from capolar.pipeline import (
     resolve_decision,
     threshold_test,
 )
+from capolar.outer import outer_llr
 from capolar.polar import CodeDims, ca_encode, construct_polar
-from capolar.scl import ca_select, message_window, scl_decode
+from capolar.scl import ca_select_batch, scl_decode_batch
 
 DIMS = CodeDims(64, 48, 24)
 SPEC = crc_spec_for(24)
@@ -75,19 +76,21 @@ def test_zero_epsilon_always_erases():
 
 
 def test_inner_pass_trials_match_plain_ca_scl():
+    # each single-word decode must agree with its row of one batched
+    # CA-SCL pass over all 300 words
     cfg = PipelineConfig(CODE, SPEC, 4)
+    llrs = np.stack([noisy_llr(17, t)[1] for t in range(300)])
+    sel = ca_select_batch(scl_decode_batch(llrs, CODE, 4), SPEC)
     for t in range(300):
-        msg, llr = noisy_llr(17, t)
-        res = cca_scl_decode(llr, cfg)
-        out = scl_decode(llr, CODE, 4)
-        sel = ca_select(out, SPEC)
-        if sel is None:
+        res = cca_scl_decode(llrs[t], cfg)
+        if not sel["found"][t]:
             assert res.origin in ("outer", "fallback")
             assert res.outer_queries > 0
         else:
             assert res.origin == "inner"
-            assert np.array_equal(res.message, message_window(sel[0], CODE)[:24])
-            assert res.so == pytest.approx(sel[1])
+            assert np.array_equal(res.message, sel["message"][t][:24])
+            assert res.so == pytest.approx(sel["so"][t])
+            assert res.inner_pass_count == sel["pass_count"][t]
 
 
 def test_every_trial_yields_a_decision():
@@ -176,8 +179,29 @@ def test_retry_keeps_better_decision():
     msg, llr = noisy_llr(31, 0)
     cfg = PipelineConfig(CODE, SPEC, 4, epsilon=1e-9, retry_on_threshold_fail=True)
     inner = InnerDecision(window=np.zeros(48, np.uint8), so=0.4, pass_count=1)
-    res = resolve_decision(llr, inner, cfg)
+    res = resolve_decision(outer_llr(llr, CODE), inner, cfg)
     if res.origin == "inner":
         assert res.so == 0.4
     else:
         assert res.so > 0.4 or not res.erased
+
+
+def test_resolve_decision_refuses_channel_llrs():
+    # the N channel LLRs are not a K-bit outer word; guessing on them would
+    # return a wrong message without complaint
+    _, llr = noisy_llr(31, 0)
+    cfg = PipelineConfig(CODE, SPEC, 4)
+    inner = InnerDecision(window=np.zeros(48, np.uint8), so=0.9, pass_count=1)
+    for bad in (llr, outer_llr(llr, CODE)[None, :]):
+        for decision in (None, inner):
+            with pytest.raises(ValueError, match="outer LLRs"):
+                resolve_decision(bad, decision, cfg)
+
+
+def test_nan_llr_is_refused_not_decoded():
+    cfg = PipelineConfig(CODE, SPEC, 4)
+    _, llr = noisy_llr(3, 0)
+    llr[10] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        cca_scl_decode(llr, cfg)
+

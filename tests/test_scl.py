@@ -5,20 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capolar.channel import ChannelParams, llr_from_channel, message_rng, modulate, transmit
-from capolar.crc import CRC6, crc_encode, crc_syndrome
+from capolar.channel import (LLR_LIMIT, ChannelParams, llr_from_channel,
+                             message_rng, modulate, transmit)
+from capolar.crc import CRC6, CRC11, crc_syndrome
 from capolar.polar import (ca_encode, construct_polar,
                            encode_nonsystematic, polar_transform)
-from capolar.scl import (
-    ca_select,
-    ca_select_batch,
-    message_window,
-    scl_decode,
-    scl_decode_batch,
-    so_ca,
-    so_forney,
-    so_polar,
-)
+from capolar.scl import ca_select_batch, scl_decode_batch
 
 
 def llr_arrays(n):
@@ -36,31 +28,53 @@ def log_path_probability(x_hat, llr):
     return -np.logaddexp(0.0, -s * llr).sum()
 
 
+def reference_select(out, t, spec):
+    """Per-trial CRC selection, written out one candidate at a time.
+
+    Returns None when no candidate passes, else (index, K-bit window, so,
+    so_forney): the passer of least pm (first in list order on ties), q over
+    (sum of q of the passers + 2^-r * unvisited mass), and q over the sum of
+    q of the passers.
+    """
+    code = out.code
+    words = out.x_hat[t] if code.systematic else out.u_hat[t]
+    passing = [i for i in range(out.pm.shape[1])
+               if not crc_syndrome(words[i][code.info], spec).any()]
+    if not passing:
+        return None
+    best = min(passing, key=lambda i: out.pm[t, i])
+    pool = sum(float(out.q[t, i]) for i in passing)
+    q = float(out.q[t, best])
+    so = q / (pool + 2.0 ** -spec.degree * float(out.unvisited_mass[t]))
+    return best, words[best][code.info], so, q / pool
+
+
 @settings(max_examples=1000, deadline=None, derandomize=True)
 @given(llr=llr_arrays(16))
 def test_pm_q_consistency(llr):
     code = construct_polar(16, 9)
-    out = scl_decode(llr, code, 4)
-    pms = [c.pm for c in out.candidates]
+    out = scl_decode_batch(llr, code, 4)
+    pms = list(out.pm[0])
     assert pms == sorted(pms)
-    for c in out.candidates:
-        assert c.q == pytest.approx(np.exp(-c.pm), rel=1e-12, abs=1e-300)
-        assert -c.pm == pytest.approx(log_path_probability(c.x_hat, llr), rel=1e-9, abs=1e-9)
+    for pm, q, x_hat in zip(out.pm[0], out.q[0], out.x_hat[0]):
+        assert q == pytest.approx(np.exp(-pm), rel=1e-12, abs=1e-300)
+        assert -pm == pytest.approx(log_path_probability(x_hat, llr), rel=1e-9, abs=1e-9)
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True)
 @given(llr=llr_arrays(16), list_exp=st.integers(0, 6))
 def test_mass_bound(llr, list_exp):
     code = construct_polar(16, 6)
-    out = scl_decode(llr, code, 1 << list_exp)
-    total = sum(c.q for c in out.candidates)
-    assert out.unvisited_mass >= 0.0
-    assert total + out.unvisited_mass <= 1.0 + 1e-9
+    out = scl_decode_batch(llr, code, 1 << list_exp)
+    total = out.q[0].sum()
+    mass = out.unvisited_mass[0]
+    assert mass >= 0.0
+    assert total + mass <= 1.0 + 1e-9
     if list_exp >= 6:
         # list covers the whole input tree: nothing is left unvisited and the
         # candidate masses add up to the likelihood of the entire codebook
-        assert out.unvisited_mass == 0.0
-        assert len(out.candidates) == 64
+        assert mass == 0.0
+        assert out.q.shape == (1, 64)
         msgs = np.array(list(itertools.product([0, 1], repeat=6)), dtype=np.uint8)
         codebook_mass = sum(
             np.exp(log_path_probability(encode_nonsystematic(m, code), llr))
@@ -72,13 +86,13 @@ def test_candidates_are_codewords():
     code = construct_polar(32, 20)
     rng = np.random.default_rng(2)
     for _ in range(25):
-        out = scl_decode(rng.normal(0, 3, 32), code, 8)
+        out = scl_decode_batch(rng.normal(0, 3, 32), code, 8)
         seen = set()
-        for c in out.candidates:
-            assert np.array_equal(polar_transform(c.u_hat), c.x_hat)
-            assert not c.u_hat[code.frozen].any()
-            seen.add(c.u_hat.tobytes())
-        assert len(seen) == len(out.candidates)
+        for u_hat, x_hat in zip(out.u_hat[0], out.x_hat[0]):
+            assert np.array_equal(polar_transform(u_hat), x_hat)
+            assert not u_hat[code.frozen].any()
+            seen.add(u_hat.tobytes())
+        assert len(seen) == out.u_hat.shape[1]
 
 
 def test_noiseless_decode_recovers_codeword():
@@ -89,17 +103,30 @@ def test_noiseless_decode_recovers_codeword():
     u[code.info] = phi
     x = polar_transform(u)
     p = ChannelParams(4.0, 0.5)
-    out = scl_decode(llr_from_channel(modulate(x).astype(float), p), code, 8)
-    assert np.array_equal(out.candidates[0].x_hat, x)
-    assert np.array_equal(message_window(out.candidates[0], code), phi)
+    out = scl_decode_batch(llr_from_channel(modulate(x).astype(float), p), code, 8)
+    assert np.array_equal(out.x_hat[0, 0], x)
+    assert np.array_equal(out.u_hat[0, 0][code.info], phi)
 
 
 def test_message_window_systematic_reads_codeword():
+    # the CRC word of a systematic code sits in the codeword itself, so the
+    # selection must read x_hat at the information positions, not u_hat
     code = construct_polar(64, 43, systematic=True)
+    msg = message_rng(6, 0).integers(0, 2, 32).astype(np.uint8)
+    x = ca_encode(msg, code, CRC11)
+    p = ChannelParams(4.0, 32 / 64)
+    clean = scl_decode_batch(llr_from_channel(modulate(x), p), code, 4)
+    res = ca_select_batch(clean, CRC11)
+    assert res["found"][0]
+    assert np.array_equal(res["message"][0], x[code.info])
+    assert not np.array_equal(clean.u_hat[0, 0][code.info], x[code.info])
     rng = np.random.default_rng(6)
-    out = scl_decode(rng.normal(0, 2, 64), code, 4)
-    for c in out.candidates:
-        assert np.array_equal(message_window(c, code), c.x_hat[code.info])
+    out = scl_decode_batch(rng.normal(0, 2, (30, 64)), code, 4)
+    res = ca_select_batch(out, CRC11)
+    for t in range(30):
+        ref = reference_select(out, t, CRC11)
+        if ref is not None:
+            assert np.array_equal(res["message"][t], out.x_hat[t, ref[0]][code.info])
 
 
 def test_single_and_batch_decoders_agree():
@@ -108,30 +135,33 @@ def test_single_and_batch_decoders_agree():
     llr = rng.normal(0, 2.5, (40, 32))
     batch = scl_decode_batch(llr, code, 8)
     for t in range(40):
-        single = scl_decode(llr[t], code, 8)
-        via_batch = batch.trial(t)
-        assert np.allclose([c.pm for c in single.candidates],
-                           [c.pm for c in via_batch.candidates], rtol=1e-12)
-        assert single.unvisited_mass == pytest.approx(batch.unvisited_mass[t], rel=1e-12)
-        for a, b in zip(single.candidates, via_batch.candidates):
-            assert np.array_equal(a.u_hat, b.u_hat)
-            assert np.array_equal(a.x_hat, b.x_hat)
+        single = scl_decode_batch(llr[t], code, 8)
+        assert np.allclose(single.pm[0], batch.pm[t], rtol=1e-12)
+        assert single.unvisited_mass[0] == pytest.approx(batch.unvisited_mass[t], rel=1e-12)
+        assert np.array_equal(single.u_hat[0], batch.u_hat[t])
+        assert np.array_equal(single.x_hat[0], batch.x_hat[t])
 
 
 def test_soft_output_definitions():
     code = construct_polar(16, 10)
-    rng = np.random.default_rng(10)
-    out = scl_decode(rng.normal(0, 2, 16), code, 8)
-    qs = np.array([c.q for c in out.candidates])
-    target = out.candidates[0]
-    assert so_forney(target, out.candidates) == pytest.approx(qs[0] / qs.sum())
-    assert so_polar(target, out) == pytest.approx(qs[0] / (qs.sum() + out.unvisited_mass))
     spec = CRC6
-    passing = np.array(
-        [not crc_syndrome(message_window(c, code), spec).any() for c in out.candidates]
-    )
-    want = qs[0] / (qs[passing].sum() + 2.0 ** -spec.degree * out.unvisited_mass)
-    assert so_ca(target, out, spec) == pytest.approx(want)
+    rng = np.random.default_rng(10)
+    out = scl_decode_batch(rng.normal(0, 2, (60, 16)), code, 8)
+    res = ca_select_batch(out, spec)
+    passing = ~crc_syndrome(out.u_hat[:, :, code.info], spec).any(axis=2)
+    assert np.array_equal(res["found"], passing.any(axis=1))
+    assert np.array_equal(res["pass_count"], passing.sum(axis=1))
+    assert 0 < res["found"].sum() < 60
+    for t in range(60):
+        if not passing[t].any():
+            assert res["so"][t] == 0.0 and res["so_forney"][t] == 0.0
+            continue
+        qs = out.q[t]
+        sel = int(np.flatnonzero(passing[t])[0])
+        pool = qs[passing[t]].sum()
+        want = qs[sel] / (pool + 2.0 ** -spec.degree * out.unvisited_mass[t])
+        assert res["so"][t] == pytest.approx(want)
+        assert res["so_forney"][t] == pytest.approx(qs[sel] / pool)
 
 
 def test_ca_select_returns_first_passing_path():
@@ -143,19 +173,18 @@ def test_ca_select_returns_first_passing_path():
         msg = message_rng(21, t).integers(0, 2, 4).astype(np.uint8)
         x = ca_encode(msg, code, spec)
         llr = llr_from_channel(transmit(modulate(x), p, 21, t), p)
-        out = scl_decode(llr, code, 8)
-        sel = ca_select(out, spec)
+        out = scl_decode_batch(llr, code, 8)
+        res = ca_select_batch(out, spec)
         passing = [
-            i for i, c in enumerate(out.candidates)
-            if not crc_syndrome(message_window(c, code), spec).any()
+            i for i in range(out.pm.shape[1])
+            if not crc_syndrome(out.u_hat[0, i][code.info], spec).any()
         ]
-        if sel is None:
+        if not res["found"][0]:
             assert not passing
             continue
         hits += 1
-        cand, so = sel
-        assert np.array_equal(cand.u_hat, out.candidates[passing[0]].u_hat)
-        assert so == pytest.approx(so_ca(cand, out, spec))
+        assert np.array_equal(res["message"][0], out.u_hat[0, passing[0]][code.info])
+        assert res["so"][0] == pytest.approx(reference_select(out, 0, spec)[2])
     assert hits > 100
 
 
@@ -167,26 +196,43 @@ def test_ca_select_batch_matches_scalar_path():
     batch = scl_decode_batch(llr, code, 8)
     res = ca_select_batch(batch, spec)
     for t in range(60):
-        out = batch.trial(t)
-        sel = ca_select(out, spec)
-        if sel is None:
+        ref = reference_select(batch, t, spec)
+        if ref is None:
             assert not res["found"][t]
             assert res["pass_count"][t] == 0
             assert not res["message"][t].any()
         else:
-            cand, so = sel
+            _, window, so, so_forney = ref
             assert res["found"][t]
-            assert np.array_equal(res["message"][t], message_window(cand, code))
+            assert np.array_equal(res["message"][t], window)
             assert res["so"][t] == pytest.approx(so, rel=1e-12)
             # the Forney variant normalises over the CRC passers only
-            pool = [
-                c for c in out.candidates
-                if not crc_syndrome(message_window(c, code), spec).any()
-            ]
-            assert res["so_forney"][t] == pytest.approx(so_forney(cand, pool), rel=1e-12)
+            assert res["so_forney"][t] == pytest.approx(so_forney, rel=1e-12)
 
 
 def test_decode_rejects_wrong_length():
     code = construct_polar(16, 9)
     with pytest.raises(ValueError):
-        scl_decode(np.zeros(8), code, 4)
+        scl_decode_batch(np.zeros(8), code, 4)
+    with pytest.raises(ValueError):
+        scl_decode_batch(np.zeros((3, 8)), code, 4)
+
+
+def test_decode_rejects_nan_and_clips_infinity():
+    code = construct_polar(16, 9)
+    llr = np.random.default_rng(12).normal(0, 2, (3, 16))
+    llr[1, 5] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        scl_decode_batch(llr, code, 4)
+    llr[1, 5] = np.inf
+    clipped = llr.copy()
+    clipped[1, 5] = LLR_LIMIT
+    out, ref = scl_decode_batch(llr, code, 4), scl_decode_batch(clipped, code, 4)
+    assert np.array_equal(out.pm, ref.pm)
+    assert np.array_equal(out.u_hat, ref.u_hat)
+
+
+def test_decode_rejects_stacked_blocks():
+    code = construct_polar(16, 9)
+    with pytest.raises(ValueError, match=r"\(trials, N\)"):
+        scl_decode_batch(np.zeros((2, 3, 16)), code, 4)

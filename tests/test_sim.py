@@ -4,11 +4,16 @@ import json
 import numpy as np
 import pytest
 
-from capolar.polar import CodeDims
+from capolar.channel import (ChannelParams, llr_from_channel, message_rng,
+                             modulate, saturate_llr, transmit)
+from capolar.pipeline import PipelineConfig, cca_scl_decode
+from capolar.polar import CodeDims, ca_encode
 from capolar.sim import (
     CALIBRATION_EDGES,
     SCHEMA_VERSION,
     SimConfig,
+    _plan_for,
+    _trial_wave,
     run_bler_sweep,
     run_calibration,
     run_llr_profile,
@@ -65,6 +70,24 @@ def test_missing_out_dir_fails_before_decoding(tmp_path):
     cfg = small_cfg(tmp_path / "nope", trials=10**9)
     with pytest.raises(FileNotFoundError):
         run_bler_sweep(cfg)
+
+
+def test_bad_pipeline_config_fails_before_any_output(tmp_path):
+    cfg = small_cfg(tmp_path, list_size=0, decoder="ca_scl", out_stem="bad")
+    with pytest.raises(ValueError, match="list_size"):
+        run_bler_sweep(cfg)
+    assert not list(tmp_path.iterdir())
+
+
+def test_trial_wave_rows_do_not_depend_on_grouping(tmp_path):
+    # a trial is a pure function of its index: regenerating any subset in
+    # one wave gives the same rows as the contiguous wave it came from
+    plan = _plan_for(small_cfg(tmp_path))
+    msgs, llr = _trial_wave(plan, 2.0, range(0, 40))
+    picks = [33, 2, 17, 5]
+    sub_msgs, sub_llr = _trial_wave(plan, 2.0, picks)
+    assert np.array_equal(sub_msgs, msgs[picks])
+    assert np.array_equal(sub_llr, llr[picks])
 
 
 def test_noiseless_point_is_error_free(tmp_path):
@@ -237,6 +260,44 @@ def test_uer_retry_only_converts_erasures(tmp_path):
     for a, b in zip(plain, retry):
         assert b.erasures <= a.erasures
         assert b.undetected_errors >= a.undetected_errors
+
+
+@pytest.mark.parametrize("dims, list_size, outer, min_accepted", [
+    (CodeDims(64, 43, 32), 8, "sogrand", 0),
+    (CodeDims(16, 9, 3), 2, "gcd", 1),  # exact outer posteriors: retries win
+])
+def test_uer_sweep_equals_the_full_pipeline_per_epsilon(tmp_path, dims, list_size,
+                                                        outer, min_accepted):
+    # the sweep decodes once, thresholds afterwards and retries lazily; the
+    # counts must equal a complete decode per trial and per epsilon
+    eps_grid = (1e-1, 1e-2, 1e-3)
+    cfg = SimConfig(dims, (3.0,), list_size=list_size, decoder="cca_scl",
+                    outer_decoder=outer, epsilon_grid=eps_grid,
+                    retry_on_threshold_fail=True, trials=256, master_seed=11,
+                    out_dir=str(tmp_path))
+    recs = run_uer_sweep(cfg)
+    code, spec = cfg.build_code(), cfg.crc()
+    params = ChannelParams(3.0, dims.rate)
+    undetected = dict.fromkeys(eps_grid, 0)
+    erased = dict.fromkeys(eps_grid, 0)
+    consulted = accepted = 0  # retries run, and retries that replaced the inner word
+    for t in range(cfg.trials):
+        msg = message_rng(11, t).integers(0, 2, dims.m_msg).astype(np.uint8)
+        y = transmit(modulate(ca_encode(msg, code, spec)), params, 11, t)
+        llr = saturate_llr(llr_from_channel(y, params))
+        for eps in eps_grid:
+            res = cca_scl_decode(llr, PipelineConfig(
+                code, spec, list_size, epsilon=eps, retry_on_threshold_fail=True,
+                outer_decoder=outer))
+            erased[eps] += res.erased
+            undetected[eps] += not res.erased and not np.array_equal(res.message, msg)
+            retry = res.inner_pass_count > 0 and res.outer_queries > 0
+            consulted += retry
+            accepted += retry and not res.erased
+    assert [(r.undetected_errors, r.erasures) for r in recs] == [
+        (undetected[e], erased[e]) for e in eps_grid]
+    assert erased[1e-3] > erased[1e-1] and consulted > 0
+    assert accepted >= min_accepted
 
 
 def test_llr_profile_orders_reliability(tmp_path):
