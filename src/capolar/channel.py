@@ -20,6 +20,7 @@ __all__ = [
     "saturate_llr",
     "noise_rng",
     "message_rng",
+    "message_bits",
 ]
 
 LLR_LIMIT = 40.0
@@ -48,21 +49,68 @@ def modulate(x: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * np.asarray(x, dtype=np.float64)
 
 
+def _streams(seed: int, trials, counter):
+    """One Philox stream per trial index, keyed (seed, trial) from counter.
+
+    Key words are reduced mod 2^64 and built as uint64, so every integer
+    seed and trial maps to one exact key.  A single bit generator, local to
+    the call, is re-keyed in place for each trial by setting its state (key,
+    counter, empty buffer), and the same Generator is yielded each time:
+    draw from it before advancing to the next trial.
+    """
+    keys = np.empty((len(trials), 2), dtype=np.uint64)
+    keys[:, 0] = int(seed) & _U64
+    keys[:, 1] = np.array([int(t) & _U64 for t in trials], dtype=np.uint64)
+    bg = np.random.Philox(key=0)
+    gen = np.random.Generator(bg)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.array(counter, dtype=np.uint64), "key": None},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    for key in keys:
+        state["state"]["key"] = key
+        bg.state = state
+        yield gen
+
+
+_NOISE = (0, 0, 0, 0)
+_MESSAGE = (0, 0, 0, 1)  # far beyond any noise draw of the same key
+
+
 def noise_rng(seed: int, trial: int = 0) -> np.random.Generator:
     """Philox stream for the noise of one trial; a pure function of its key."""
-    return np.random.Generator(np.random.Philox(key=[seed & _U64, trial & _U64]))
+    return next(_streams(seed, [trial], _NOISE))
 
 
 def message_rng(seed: int, trial: int = 0) -> np.random.Generator:
     """Philox stream for message bits, disjoint from the noise stream."""
-    bg = np.random.Philox(key=[seed & _U64, trial & _U64], counter=[0, 0, 0, 1])
-    return np.random.Generator(bg)
+    return next(_streams(seed, [trial], _MESSAGE))
 
 
-def transmit(s: np.ndarray, params: ChannelParams, seed: int, trial: int = 0) -> np.ndarray:
-    """y = s + sigma * z with z drawn from the (seed, trial) noise stream."""
+def message_bits(seed: int, trials, m: int) -> np.ndarray:
+    """(len(trials), m) uint8 messages; row i is drawn as
+    ``message_rng(seed, trials[i]).integers(0, 2, m)``."""
+    msgs = np.empty((len(trials), m), dtype=np.uint8)
+    for row, gen in zip(msgs, _streams(seed, trials, _MESSAGE)):
+        row[:] = gen.integers(0, 2, m)
+    return msgs
+
+
+def transmit(s: np.ndarray, params: ChannelParams, seed: int, trial=0) -> np.ndarray:
+    """y = s + sigma * z with z drawn from the (seed, trial) noise stream.
+
+    ``trial`` is one index, or a 1-D sequence of indices with one row of s
+    per trial: row i then takes its noise from the stream of trial[i].
+    """
     s = np.asarray(s, dtype=np.float64)
-    z = noise_rng(seed, trial).standard_normal(s.shape)
+    if np.ndim(trial) == 0:
+        z = noise_rng(seed, trial).standard_normal(s.shape)
+    else:
+        if s.shape[:1] != (len(trial),):
+            raise ValueError(f"{len(trial)} trial indices for signal shape {s.shape}")
+        z = np.empty_like(s)
+        for row, gen in zip(z.reshape(len(z), -1), _streams(seed, trial, _NOISE)):
+            gen.standard_normal(out=row)
     return s + params.sigma * z
 
 

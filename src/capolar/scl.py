@@ -12,6 +12,18 @@ Every 2L-way prune adds q * 2^(-|frozen positions still ahead|) per discarded
 path to the unvisited-mass estimate, the correction term of the list-SO
 denominators.  Candidate order is deterministic: ties in pm break toward the
 lexicographically smaller input sequence.
+
+Path state is shared, not copied (the lazy copy of Tal and Vardy).  Level
+s = 1..n of the recursion holds N >> s LLRs and N >> s partial sums per
+path, each level in its own array stored flat with one row per (trial,
+path) live when the level was last written.  A row map per level sends each
+live path to its row; doubling and pruning compose these maps with the
+parent index and move no state.  A level is gathered, one take along axis
+0, only when an f/g step or a partial-sum push reads it, and a write leaves
+it in path order again.  Level 0, the channel, is shared by all paths.
+u_hat is not kept per path: each information position logs its kept
+candidates (2 * parent + bit, in the smallest unsigned dtype that holds
+2L), and the final paths are traced back through that log in pm order.
 """
 
 from __future__ import annotations
@@ -77,85 +89,84 @@ def scl_decode_batch(llr: np.ndarray, code: PolarCode, list_size: int) -> BatchS
     frozen_mask = np.zeros(n_code, dtype=bool)
     frozen_mask[code.frozen] = True
     factors = _mass_factors(code)
-
-    # Per-path state lives in two packed arrays so that path duplication and
-    # pruning are single gathers.  Level s of the recursion holds blocks of
-    # N >> s entries; level 0 (the channel) is path-independent and separate.
     width = [n_code >> s for s in range(n + 1)]
-    loff = np.concatenate([[0, 0], np.cumsum(width[1:n])]).astype(int)  # loff[s], s>=1
-    boff = [0] * (n + 1)
-    for s in range(1, n + 1):
-        boff[s] = n_code + loff[s]  # bit levels sit after the N u_hat slots
+    log_dtype = np.min_scalar_type(2 * list_size)
 
+    # per-level state and row maps, as described in the module docstring
     chan = np.clip(-llr, -LLR_LIMIT, LLR_LIMIT)[:, None, :]
-    lpk = np.zeros((n_trials, 1, n_code - 1))
-    bpk = np.zeros((n_trials, 1, 2 * n_code - 1), dtype=np.uint8)
+    llrs, sums = [None] * (n + 1), [None] * (n + 1)
+    llr_row, sum_row = [None] * (n + 1), [None] * (n + 1)
     pm = np.zeros((n_trials, 1))
     mass = np.zeros(n_trials)
-    rows = np.arange(n_trials)[:, None]
+    base = np.arange(n_trials)[:, None]
+    decisions = {}  # info phi -> (trials, paths) kept candidate: 2 * parent + bit
     paths = 1
 
+    def read(store, row, s):
+        data = store[s] if row[s] is None else store[s].take(row[s], axis=0)
+        return data.reshape(n_trials, paths, width[s])
+
     for phi in range(n_code):
-        if phi == 0:
-            lo, hi = 1, n
-        else:
-            tz = (phi & -phi).bit_length() - 1
-            lo, hi = n - tz, n
-        for s in range(lo, hi + 1):
+        lo = 1 if phi == 0 else n - ((phi & -phi).bit_length() - 1)
+        for s in range(lo, n + 1):
             m = width[s]
-            par = chan if s == 1 else lpk[:, :, loff[s - 1]:loff[s - 1] + width[s - 1]]
+            par = chan if s == 1 else read(llrs, llr_row, s - 1)
             a, b = par[:, :, :m], par[:, :, m:]
             if s == lo and phi != 0:
-                sign = 1.0 - 2.0 * bpk[:, :, boff[s]:boff[s] + m]
-                lpk[:, :, loff[s]:loff[s] + m] = sign * a + b
+                lam = (1.0 - 2.0 * read(sums, sum_row, s)) * a + b
             else:
-                lpk[:, :, loff[s]:loff[s] + m] = _boxplus(a, b)
-        lam = lpk[:, :, loff[n]]
+                lam = _boxplus(a, b)
+            if s < n:  # level n is read only here, as the decision LLR
+                llrs[s] = lam.reshape(-1, m)
+                llr_row[s] = None
+        lam = lam[:, :, 0]
 
         if frozen_mask[phi]:
             pm = pm + np.logaddexp(0.0, -lam)
+            word = np.zeros((n_trials, paths, 1), dtype=np.uint8)
         else:
-            pm0 = pm + np.logaddexp(0.0, -lam)
-            pm1 = pm + np.logaddexp(0.0, lam)
+            cand = np.empty((n_trials, 2 * paths))
+            cand[:, 0::2] = pm + np.logaddexp(0.0, -lam)
+            cand[:, 1::2] = pm + np.logaddexp(0.0, lam)
             if 2 * paths <= list_size:
                 # keep both children of every path, interleaved so the list
                 # stays in lexicographic order of the input sequences
-                lpk = np.repeat(lpk, 2, axis=1)
-                bpk = np.repeat(bpk, 2, axis=1)
-                bpk[:, 1::2, phi] = 1
-                pm = np.empty((n_trials, 2 * paths))
-                pm[:, 0::2] = pm0
-                pm[:, 1::2] = pm1
-                paths *= 2
+                keep = np.broadcast_to(np.arange(2 * paths), cand.shape)
+                pm = cand
             else:
-                cand = np.empty((n_trials, 2 * paths))
-                cand[:, 0::2] = pm0
-                cand[:, 1::2] = pm1
                 order = np.argsort(cand, axis=1, kind="stable")
                 keep = np.sort(order[:, :list_size], axis=1)
                 dropped = np.take_along_axis(cand, order[:, list_size:], axis=1)
                 mass += np.exp(-dropped).sum(axis=1) * factors[phi]
-                parent = keep >> 1
-                lpk = lpk[rows, parent]
-                bpk = bpk[rows, parent]
-                bpk[:, :, phi] = keep & 1
                 pm = np.take_along_axis(cand, keep, axis=1)
-                paths = list_size
+            decisions[phi] = keep.astype(log_dtype)
+            parent = (base * paths + (keep >> 1)).ravel()
+            for store, row in ((llrs, llr_row), (sums, sum_row)):
+                for s in range(1, n + 1):
+                    if store[s] is not None:
+                        row[s] = parent if row[s] is None else row[s][parent]
+            paths = keep.shape[1]
+            word = (keep & 1).astype(np.uint8)[:, :, None]
 
         # push partial sums back up while this subtree is complete
-        word = bpk[:, :, phi][:, :, None]
         s, pos = n, phi
         while pos & 1:
-            left = bpk[:, :, boff[s]:boff[s] + width[s]]
-            word = np.concatenate([left ^ word, word], axis=2)
+            word = np.concatenate([read(sums, sum_row, s) ^ word, word], axis=2)
             s -= 1
             pos >>= 1
         if s > 0:
-            bpk[:, :, boff[s]:boff[s] + width[s]] = word
+            sums[s] = word.reshape(-1, width[s])
+            sum_row[s] = None
 
+    # trace each final path back through the logged decisions, in pm order
     order = np.argsort(pm, axis=1, kind="stable")
     pm = np.take_along_axis(pm, order, axis=1)
-    u_hat = bpk[rows, order, :n_code].copy()
+    u_hat = np.zeros((n_trials, paths, n_code), dtype=np.uint8)
+    idx = order
+    for phi in reversed(decisions):
+        kept = np.take_along_axis(decisions[phi], idx, axis=1)
+        u_hat[:, :, phi] = kept & 1
+        idx = kept >> 1
     x_hat = polar_transform(u_hat)
     return BatchSclOutput(
         u_hat=u_hat,

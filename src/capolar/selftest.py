@@ -21,6 +21,7 @@ from .pipeline import PipelineConfig, cca_scl_decode
 from .polar import (CodeDims, ca_encode, construct_polar, encode_systematic,
                     polar_transform)
 from .scl import ca_select_batch, scl_decode_batch
+from .sim import SimConfig, _plan_for, _trial_wave
 
 __all__ = ["run_selftest", "CHECKS"]
 
@@ -73,19 +74,20 @@ def _check_systematic_window():
     return True, "500 words, 5 dims, both constructions"
 
 
+def _wave(dims: CodeDims, snr_db: float, seed: int, trials: int) -> np.ndarray:
+    """Decoder-input LLRs of trials 0..trials-1, generated as a sweep does
+    (5G construction, default CRC for the parity length)."""
+    plan = _plan_for(SimConfig(dims, (snr_db,), master_seed=seed))
+    return _trial_wave(plan, snr_db, range(trials))[1]
+
+
 def _check_scl_exhaustive_ml():
-    dims = CodeDims(16, 8, 2)
     code = construct_polar(16, 8)
     spec = CRC6
-    params = ChannelParams(3.0, dims.rate)
     msgs2 = np.array(list(itertools.product([0, 1], repeat=2)), dtype=np.uint8)
     valid_x = np.stack([ca_encode(m, code, spec) for m in msgs2])
-    seed, trials = 42, 100
-    msgs = np.stack([message_rng(seed, t).integers(0, 2, 2).astype(np.uint8)
-                     for t in range(trials)])
-    s = modulate(ca_encode(msgs, code, spec))
-    y = np.stack([transmit(s[i], params, seed, i) for i in range(trials)])
-    llr = llr_from_channel(y, params)
+    trials = 100
+    llr = _wave(CodeDims(16, 8, 2), 3.0, 42, trials)
     out = scl_decode_batch(llr, code, 256)
     if out.unvisited_mass.any():
         return False, "mass not zero with exhaustive list"
@@ -110,13 +112,8 @@ def _check_scl_exhaustive_ml():
 
 def _check_scl_q_consistency():
     code = construct_polar(64, 43)
-    params = ChannelParams(2.0, 32 / 64)
-    seed, trials = 7, 200
-    msgs = np.stack([message_rng(seed, t).integers(0, 2, 32).astype(np.uint8)
-                     for t in range(trials)])
-    s = modulate(ca_encode(msgs, code, CRC11))
-    y = np.stack([transmit(s[i], params, seed, i) for i in range(trials)])
-    out = scl_decode_batch(llr_from_channel(y, params), code, 8)
+    trials = 200
+    out = scl_decode_batch(_wave(CodeDims(64, 43, 32), 2.0, 7, trials), code, 8)
     if not np.allclose(out.q, np.exp(-out.pm)):
         return False, "q != exp(-pm)"
     if (np.diff(out.pm, axis=1) < -1e-12).any():

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (ChannelParams, llr_from_channel, message_rng, modulate,
+from .channel import (ChannelParams, llr_from_channel, message_bits, modulate,
                       saturate_llr, transmit)
 from .crc import CrcSpec, crc_spec_for
 from .outer import outer_llr
@@ -188,16 +188,9 @@ def _plan_for(cfg: SimConfig) -> _Plan:
 def _trial_wave(plan: _Plan, snr_db: float, trials):
     """Messages and decoder-input LLRs for the given trial indices (ints)."""
     params = ChannelParams(snr_db, plan.dims.rate)
-    m = plan.dims.m_msg
-    msgs = np.stack([
-        message_rng(plan.master_seed, t).integers(0, 2, m).astype(np.uint8)
-        for t in trials
-    ])
+    msgs = message_bits(plan.master_seed, trials, plan.dims.m_msg)
     s = modulate(ca_encode(msgs, plan.pipe.code, plan.pipe.spec))
-    y = np.stack([
-        transmit(s[i], params, plan.master_seed, t)
-        for i, t in enumerate(trials)
-    ])
+    y = transmit(s, params, plan.master_seed, trials)
     return msgs, saturate_llr(llr_from_channel(y, params))
 
 

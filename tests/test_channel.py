@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from capolar.channel import (
     LLR_LIMIT,
     ChannelParams,
     llr_from_channel,
+    message_bits,
     message_rng,
     modulate,
     noise_rng,
@@ -86,3 +89,51 @@ def test_message_rng_determinism():
     m2 = message_rng(11, 2).integers(0, 2, 100)
     assert np.array_equal(m1, m2)
     assert not np.array_equal(m1, message_rng(11, 3).integers(0, 2, 100))
+
+
+def test_streams_keep_the_philox_key_for_nonnegative_words():
+    # seeds and trials in [0, 2^63) key Philox exactly as (seed, trial)
+    for seed, trial in ((0, 0), (1, 5), (2024, 12287), (2**62 + 3, 2**40), (2**63 - 1, 7)):
+        noise = np.random.Generator(np.random.Philox(key=[seed, trial]))
+        msg = np.random.Generator(np.random.Philox(key=[seed, trial], counter=[0, 0, 0, 1]))
+        assert np.array_equal(noise_rng(seed, trial).standard_normal(50),
+                              noise.standard_normal(50))
+        assert np.array_equal(message_rng(seed, trial).integers(0, 2, 50),
+                              msg.integers(0, 2, 50))
+
+
+def test_stream_keys_are_exact_mod_2_64():
+    # key words >= 2^63 once went through float64: -5 and -6 collided, as did
+    # trial -1 and trial 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draw = {(seed, t): noise_rng(seed, t).standard_normal(8)
+                for seed, t in ((-5, 3), (-6, 3), (-1, 3), (2**64 - 1, 3),
+                                (5, -1), (5, 0), (5, 2**64 - 1),
+                                (5, 2**63), (5, 2**63 + 7))}
+        bits = {seed: message_rng(seed, 3).integers(0, 2, 64) for seed in (-5, -6)}
+    assert not np.array_equal(draw[-5, 3], draw[-6, 3])
+    assert not np.array_equal(bits[-5], bits[-6])
+    assert not np.array_equal(draw[5, -1], draw[5, 0])
+    assert not np.array_equal(draw[5, 2**63], draw[5, 2**63 + 7])
+    # the key is the index reduced mod 2^64, by definition
+    assert np.array_equal(draw[-1, 3], draw[2**64 - 1, 3])
+    assert np.array_equal(draw[5, -1], draw[5, 2**64 - 1])
+
+
+def test_batched_draws_equal_per_trial_streams():
+    trials = [9, 2, 2, 2**32 + 5, 0, 2**63 + 1]
+    p = ChannelParams(1.0, 0.5)
+    s = modulate(np.random.default_rng(3).integers(0, 2, (len(trials), 16)))
+    y = transmit(s, p, 77, trials)
+    msgs = message_bits(77, trials, 12)
+    assert msgs.dtype == np.uint8 and msgs.shape == (len(trials), 12)
+    for i, t in enumerate(trials):
+        assert np.array_equal(y[i], transmit(s[i], p, 77, t))
+        assert np.array_equal(msgs[i], message_rng(77, t).integers(0, 2, 12))
+    assert np.array_equal(msgs[1], msgs[2])
+    with pytest.raises(ValueError, match="trial indices"):
+        transmit(s, p, 77, trials[:-1])
+    # one sample per trial: each row is a scalar
+    y1 = transmit(np.ones(3), p, 77, [4, 5, 6])
+    assert [float(v) for v in y1] == [float(transmit(1.0, p, 77, t)) for t in (4, 5, 6)]

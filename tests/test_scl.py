@@ -10,7 +10,7 @@ from capolar.channel import (LLR_LIMIT, ChannelParams, llr_from_channel,
 from capolar.crc import CRC6, CRC11, crc_syndrome
 from capolar.polar import (ca_encode, construct_polar,
                            encode_nonsystematic, polar_transform)
-from capolar.scl import ca_select_batch, scl_decode_batch
+from capolar.scl import _boxplus, _mass_factors, ca_select_batch, scl_decode_batch
 
 
 def llr_arrays(n):
@@ -19,6 +19,93 @@ def llr_arrays(n):
         min_size=n,
         max_size=n,
     ).map(lambda v: np.array(v, dtype=np.float64))
+
+
+def reference_scl(llr, code, list_size):
+    """Full-copy SCL: every path carries its whole state in two packed arrays.
+
+    Each doubling repeats and each prune gathers all of it, u_hat included.
+    Same arithmetic, prune and tie-breaking as scl_decode_batch, so the two
+    must agree bit for bit.  Returns (u_hat, x_hat, pm, q, unvisited_mass).
+    """
+    llr = np.atleast_2d(np.asarray(llr, dtype=np.float64))
+    n_trials, n_code = llr.shape
+    n = code.stages
+    frozen_mask = np.zeros(n_code, dtype=bool)
+    frozen_mask[code.frozen] = True
+    factors = _mass_factors(code)
+    width = [n_code >> s for s in range(n + 1)]
+    loff = np.concatenate([[0, 0], np.cumsum(width[1:n])]).astype(int)
+    boff = [0] + [n_code + loff[s] for s in range(1, n + 1)]
+    chan = np.clip(-llr, -LLR_LIMIT, LLR_LIMIT)[:, None, :]
+    lpk = np.zeros((n_trials, 1, n_code - 1))
+    bpk = np.zeros((n_trials, 1, 2 * n_code - 1), dtype=np.uint8)
+    pm = np.zeros((n_trials, 1))
+    mass = np.zeros(n_trials)
+    rows = np.arange(n_trials)[:, None]
+    paths = 1
+    for phi in range(n_code):
+        lo = 1 if phi == 0 else n - ((phi & -phi).bit_length() - 1)
+        for s in range(lo, n + 1):
+            m = width[s]
+            par = chan if s == 1 else lpk[:, :, loff[s - 1]:loff[s - 1] + width[s - 1]]
+            a, b = par[:, :, :m], par[:, :, m:]
+            if s == lo and phi != 0:
+                sign = 1.0 - 2.0 * bpk[:, :, boff[s]:boff[s] + m]
+                lpk[:, :, loff[s]:loff[s] + m] = sign * a + b
+            else:
+                lpk[:, :, loff[s]:loff[s] + m] = _boxplus(a, b)
+        lam = lpk[:, :, loff[n]]
+        if frozen_mask[phi]:
+            pm = pm + np.logaddexp(0.0, -lam)
+        else:
+            pm0 = pm + np.logaddexp(0.0, -lam)
+            pm1 = pm + np.logaddexp(0.0, lam)
+            if 2 * paths <= list_size:
+                lpk = np.repeat(lpk, 2, axis=1)
+                bpk = np.repeat(bpk, 2, axis=1)
+                bpk[:, 1::2, phi] = 1
+                pm = np.empty((n_trials, 2 * paths))
+                pm[:, 0::2] = pm0
+                pm[:, 1::2] = pm1
+                paths *= 2
+            else:
+                cand = np.empty((n_trials, 2 * paths))
+                cand[:, 0::2] = pm0
+                cand[:, 1::2] = pm1
+                order = np.argsort(cand, axis=1, kind="stable")
+                keep = np.sort(order[:, :list_size], axis=1)
+                dropped = np.take_along_axis(cand, order[:, list_size:], axis=1)
+                mass += np.exp(-dropped).sum(axis=1) * factors[phi]
+                parent = keep >> 1
+                lpk = lpk[rows, parent]
+                bpk = bpk[rows, parent]
+                bpk[:, :, phi] = keep & 1
+                pm = np.take_along_axis(cand, keep, axis=1)
+                paths = list_size
+        word = bpk[:, :, phi][:, :, None]
+        s, pos = n, phi
+        while pos & 1:
+            left = bpk[:, :, boff[s]:boff[s] + width[s]]
+            word = np.concatenate([left ^ word, word], axis=2)
+            s -= 1
+            pos >>= 1
+        if s > 0:
+            bpk[:, :, boff[s]:boff[s] + width[s]] = word
+    order = np.argsort(pm, axis=1, kind="stable")
+    pm = np.take_along_axis(pm, order, axis=1)
+    u_hat = bpk[rows, order, :n_code].copy()
+    return u_hat, polar_transform(u_hat), pm, np.exp(-pm), mass
+
+
+def noisy_llr(code, ebno_db, rows, seed):
+    """Channel LLRs of random codewords of the code at the given Eb/N0."""
+    rng = np.random.default_rng(seed)
+    u = np.zeros((rows, code.n_code), dtype=np.uint8)
+    u[:, code.info] = rng.integers(0, 2, (rows, code.k_crc))
+    p = ChannelParams(ebno_db, code.k_crc / code.n_code)
+    y = modulate(polar_transform(u)) + p.sigma * rng.standard_normal(u.shape)
+    return llr_from_channel(y, p)
 
 
 def log_path_probability(x_hat, llr):
@@ -236,3 +323,43 @@ def test_decode_rejects_stacked_blocks():
     code = construct_polar(16, 9)
     with pytest.raises(ValueError, match=r"\(trials, N\)"):
         scl_decode_batch(np.zeros((2, 3, 16)), code, 4)
+
+
+def _signs(rows, n, seed):
+    return np.random.default_rng(seed).choice([-1.0, 1.0], (rows, n))
+
+
+EXACT_CASES = {
+    "64-43-L8": ((64, 43, False), 8, lambda c: noisy_llr(c, 2.0, 200, 1)),
+    "64-48-L4": ((64, 48, False), 4, lambda c: noisy_llr(c, 3.0, 200, 2)),
+    "64-48-L16-sys": ((64, 48, True), 16, lambda c: noisy_llr(c, 3.0, 200, 3)),
+    "128-114-L8": ((128, 114, False), 8, lambda c: noisy_llr(c, 5.0, 100, 4)),
+    "256-128-L4": ((256, 128, False), 4, lambda c: noisy_llr(c, 2.0, 40, 5)),
+    "64-43-L1": ((64, 43, False), 1, lambda c: noisy_llr(c, 2.0, 200, 6)),
+    "64-43-L3": ((64, 43, False), 3, lambda c: noisy_llr(c, 2.0, 200, 7)),
+    "32-20-L3": ((32, 20, False), 3, lambda c: noisy_llr(c, 1.0, 200, 8)),
+    "zeros-L8": ((64, 43, False), 8, lambda c: np.zeros((20, 64))),
+    "zeros-L3-sys": ((64, 48, True), 3, lambda c: np.zeros((20, 64))),
+    "inf-L8": ((64, 43, False), 8, lambda c: np.inf * _signs(30, 64, 9)),
+    "40-L8": ((64, 43, False), 8, lambda c: 40.0 * _signs(30, 64, 10)),
+    "mixed-inf-L4": ((64, 48, False), 4,
+                     lambda c: np.where(_signs(30, 64, 11) > 0, np.inf, 1.0)
+                     * noisy_llr(c, 2.0, 30, 12)),
+    "one-row-L8": ((64, 43, False), 8, lambda c: noisy_llr(c, 2.0, 1, 13)),
+    "600-rows-L8": ((64, 43, False), 8, lambda c: noisy_llr(c, 2.0, 600, 14)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_CASES))
+def test_decoder_matches_full_copy_reference(case):
+    (n, k, systematic), list_size, make = EXACT_CASES[case]
+    code = construct_polar(n, k, systematic=systematic)
+    llr = make(code)
+    out = scl_decode_batch(llr, code, list_size)
+    u_hat, x_hat, pm, q, mass = reference_scl(llr, code, list_size)
+    assert out.u_hat.shape == (len(llr), min(list_size, 2**k), n)
+    assert np.array_equal(out.u_hat, u_hat)
+    assert np.array_equal(out.x_hat, x_hat)
+    assert np.array_equal(out.pm, pm)
+    assert np.array_equal(out.q, q)
+    assert np.array_equal(out.unvisited_mass, mass)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from capolar.channel import (ChannelParams, llr_from_channel, message_rng,
-                             modulate, saturate_llr, transmit)
+                             modulate, noise_rng, saturate_llr, transmit)
 from capolar.pipeline import PipelineConfig, cca_scl_decode
 from capolar.polar import CodeDims, ca_encode
 from capolar.sim import (
@@ -88,6 +88,44 @@ def test_trial_wave_rows_do_not_depend_on_grouping(tmp_path):
     sub_msgs, sub_llr = _trial_wave(plan, 2.0, picks)
     assert np.array_equal(sub_msgs, msgs[picks])
     assert np.array_equal(sub_llr, llr[picks])
+
+
+def per_trial_wave(plan, snr_db, trials):
+    """_trial_wave written one trial at a time, each with its own streams."""
+    params = ChannelParams(snr_db, plan.dims.rate)
+    seed, m = plan.master_seed, plan.dims.m_msg
+    msgs = np.stack([message_rng(seed, t).integers(0, 2, m).astype(np.uint8)
+                     for t in trials])
+    s = modulate(ca_encode(msgs, plan.pipe.code, plan.pipe.spec))
+    y = np.stack([transmit(s[i], params, seed, t) for i, t in enumerate(trials)])
+    return msgs, saturate_llr(llr_from_channel(y, params))
+
+
+@pytest.mark.parametrize("trials", [
+    range(0, 40),
+    [33, 2, 17, 5, 0],
+    [7, 7, 3, 7],
+    [2**32, 2**32 + 1, 2**40 + 9, 2**63 + 5, 2**64 - 1, 1],
+])
+def test_trial_wave_equals_per_trial_streams(tmp_path, trials):
+    plan = _plan_for(small_cfg(tmp_path, dims=CodeDims(64, 43, 32), master_seed=-3))
+    msgs, llr = _trial_wave(plan, 2.0, trials)
+    ref_msgs, ref_llr = per_trial_wave(plan, 2.0, trials)
+    assert msgs.dtype == ref_msgs.dtype and llr.dtype == ref_llr.dtype
+    assert np.array_equal(msgs, ref_msgs)
+    assert np.array_equal(llr, ref_llr)
+
+
+def test_trial_waves_share_no_stream_state(tmp_path):
+    # a draw from another stream between two waves leaves the second alone
+    plan = _plan_for(small_cfg(tmp_path))
+    first = _trial_wave(plan, 2.0, [4, 9, 1])
+    again = _trial_wave(plan, 2.0, [4, 9, 1])
+    noise_rng(plan.master_seed, 9).standard_normal(5)
+    message_rng(plan.master_seed, 4).integers(0, 2, 3)
+    after = _trial_wave(plan, 2.0, [4, 9, 1])
+    for a, b, c in zip(first, again, after):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
 
 
 def test_noiseless_point_is_error_free(tmp_path):
