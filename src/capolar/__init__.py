@@ -1,19 +1,21 @@
 """CRC-aided polar coding with complete decoding and blockwise soft output.
 
 Layering: codes (crc, polar, reliability) -> channel -> scl -> outer ->
-pipeline -> sim/cli, with oracle providing brute-force references for the
-test suite and selftest.
+pipeline -> sim/cli, with oracle providing brute-force references and
+analysis the probability-domain views of the outer code, both for the test
+suite and selftest.
 """
 
 from .channel import (ChannelParams, LLR_LIMIT, llr_from_channel, message_rng,
                       modulate, noise_rng, saturate_llr, transmit)
 from .crc import (CRC6, CRC11, CRC24C, CrcSpec, crc_encode, crc_spec_for,
                   crc_syndrome)
-from .outer import (OuterDecodeOutput, bit_prob, convert_llr, gcd_decode,
+from .analysis import bit_prob, convert_llr, pair_covariance
+from .outer import (OuterDecodeOutput, gcd_decode, gcd_decode_block,
                     hard_decision, orbgrand_schedule, outer_llr,
-                    pair_covariance, sogrand_decode)
+                    sogrand_decode, sogrand_decode_block)
 from .pipeline import (DecodeResult, PipelineConfig, cca_scl_decode,
-                       resolve_decision, threshold_test)
+                       outer_decisions, resolve_decision, threshold_test)
 from .polar import (CodeDims, PolarCode, ca_encode, construct_polar,
                     encode_nonsystematic, encode_systematic, polar_transform)
 from .reliability import bhattacharyya_order, sequence_for
@@ -29,11 +31,11 @@ __all__ = [
     "modulate", "noise_rng", "saturate_llr", "transmit",
     "CRC6", "CRC11", "CRC24C", "CrcSpec", "crc_encode", "crc_spec_for",
     "crc_syndrome",
-    "OuterDecodeOutput", "bit_prob", "convert_llr", "hard_decision",
-    "orbgrand_schedule", "outer_llr", "pair_covariance", "sogrand_decode",
-    "gcd_decode",
-    "DecodeResult", "PipelineConfig", "cca_scl_decode", "resolve_decision",
-    "threshold_test",
+    "bit_prob", "convert_llr", "pair_covariance",
+    "OuterDecodeOutput", "hard_decision", "orbgrand_schedule", "outer_llr",
+    "sogrand_decode", "sogrand_decode_block", "gcd_decode", "gcd_decode_block",
+    "DecodeResult", "PipelineConfig", "cca_scl_decode", "outer_decisions",
+    "resolve_decision", "threshold_test",
     "CodeDims", "PolarCode", "ca_encode", "construct_polar",
     "encode_nonsystematic", "encode_systematic", "polar_transform",
     "bhattacharyya_order", "sequence_for",

@@ -12,7 +12,9 @@ The outer decoder is a soft-input GRAND: guess error patterns around the
 hard decision in decreasing plausibility (logistic-weight order over
 reliability ranks), keep the ones whose syndrome vanishes, and report a soft
 output whose denominator charges the unqueried patterns with the expected
-mass of codewords hiding among them.
+mass of codewords hiding among them.  Both guessers decode a block of
+trials at once (``*_decode_block``); ``sogrand_decode`` and ``gcd_decode``
+are one-row blocks.
 """
 
 from __future__ import annotations
@@ -26,14 +28,13 @@ from .polar import PolarCode
 from .scl import _boxplus
 
 __all__ = [
-    "bit_prob",
     "hard_decision",
-    "convert_llr",
     "outer_llr",
-    "pair_covariance",
     "orbgrand_schedule",
     "sogrand_decode",
+    "sogrand_decode_block",
     "gcd_decode",
+    "gcd_decode_block",
     "OuterDecodeOutput",
 ]
 
@@ -41,17 +42,6 @@ __all__ = [
 def hard_decision(llr):
     """Bitwise decision for the convention where positive LLR favours 1."""
     return (np.asarray(llr) > 0).astype(np.uint8)
-
-
-def bit_prob(llr):
-    """P(bit = 1) from an LLR in the package convention (logistic)."""
-    llr = np.asarray(llr, dtype=np.float64)
-    out = np.empty_like(llr)
-    pos = llr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-llr[pos]))
-    ex = np.exp(llr[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def _soft_xor_butterfly(vals, combine):
@@ -66,26 +56,11 @@ def _soft_xor_butterfly(vals, combine):
     return out
 
 
-def convert_llr(b: np.ndarray, code: PolarCode) -> np.ndarray:
-    """Flip probabilities of the K CRC-word bits from channel flip probs.
-
-    Evaluates the per-column products through the XOR butterfly in the
-    1 - 2B domain, where the soft XOR is a plain multiplication.
-    """
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape[-1] != code.n_code:
-        raise ValueError(f"expected {code.n_code} probabilities, got {b.shape[-1]}")
-    if np.any(b < 0.0) or np.any(b > 1.0):
-        raise ValueError("flip probabilities must lie in [0, 1]")
-    d = _soft_xor_butterfly(1.0 - 2.0 * b, np.multiply)
-    return (0.5 - 0.5 * d)[..., code.info]
-
-
 def outer_llr(llr_in: np.ndarray, code: PolarCode) -> np.ndarray:
     """LLRs of the K CRC-word bits seen by the outer decoder.
 
     Systematic: restriction of the channel LLRs to the information positions.
-    Non-systematic: the convert_llr butterfly carried out directly in the LLR
+    Non-systematic: the butterfly of ``analysis.convert_llr`` carried out directly in the LLR
     domain, which stays exact for saturated inputs where probabilities would
     round to 0 or 1.
     """
@@ -96,37 +71,6 @@ def outer_llr(llr_in: np.ndarray, code: PolarCode) -> np.ndarray:
         return llr_in[..., code.info]
     # the inner decoder's boxplus, negated: positive LLRs favour 1 here
     return _soft_xor_butterfly(llr_in, lambda a, b: -_boxplus(a, b))[..., code.info]
-
-
-def _column_support(code: PolarCode, msg_index: int) -> np.ndarray:
-    """Support of the F^(x)n column feeding CRC-word bit msg_index."""
-    col = int(code.info[msg_index])
-    s = np.arange(code.n_code)
-    return s[(s & col) == col]
-
-
-def _parity_flip_prob(b: np.ndarray, support: np.ndarray) -> float:
-    if len(support) == 0:
-        return 0.0
-    return 0.5 - 0.5 * float(np.prod(1.0 - 2.0 * b[support]))
-
-
-def pair_covariance(i: int, j: int, b: np.ndarray, code: PolarCode) -> float:
-    """Covariance of CRC-word bits i and j under independent channel flips.
-
-    Bits sharing channel positions are correlated; with S = X_i ^ X_j the
-    closed form is p_S (1 - p_S) (1 - 2 p_{i minus j}) (1 - 2 p_{j minus i}).
-    Disjoint supports give zero.
-    """
-    b = np.asarray(b, dtype=np.float64)
-    xi, xj = _column_support(code, i), _column_support(code, j)
-    shared = np.intersect1d(xi, xj)
-    if len(shared) == 0:
-        return 0.0
-    p_shared = _parity_flip_prob(b, shared)
-    p_i_only = _parity_flip_prob(b, np.setdiff1d(xi, xj))
-    p_j_only = _parity_flip_prob(b, np.setdiff1d(xj, xi))
-    return p_shared * (1.0 - p_shared) * (1.0 - 2.0 * p_i_only) * (1.0 - 2.0 * p_j_only)
 
 
 @dataclass(frozen=True)
@@ -214,55 +158,63 @@ def _schedule(k: int, rows: int) -> _Schedule:
 def _byte_tables(values: np.ndarray, combine) -> np.ndarray:
     """Per byte of ranks, ``values`` folded over each of its 256 subsets.
 
-    Entry v of row b combines values[8b + j] over the set bits j of v, low
-    bits first, so one gather per byte plane maps a batch of rank sets to
-    their per-byte shares.
+    Entry v of byte b combines values[..., 8b + j] over the set bits j of v,
+    low bits first, so one gather per byte plane maps a batch of rank sets to
+    their per-byte shares.  Leading axes (one per trial) carry through: the
+    tables have shape ``values.shape[:-1] + (bytes, 256)``.
     """
-    n = (len(values) + 7) // 8
-    padded = np.zeros(8 * n, dtype=values.dtype)
-    padded[:len(values)] = values
-    padded = padded.reshape(n, 8)
-    tab = np.zeros((n, 256), dtype=values.dtype)
+    lead, width = values.shape[:-1], values.shape[-1]
+    n = (width + 7) // 8
+    padded = np.zeros(lead + (8 * n,), dtype=values.dtype)
+    padded[..., :width] = values
+    padded = padded.reshape(lead + (n, 8))
+    tab = np.zeros(lead + (n, 256), dtype=values.dtype)
     for j in range(8):
-        tab[:, 1 << j:2 << j] = combine(tab[:, :1 << j], padded[:, j:j + 1])
+        tab[..., 1 << j:2 << j] = combine(tab[..., :1 << j], padded[..., j:j + 1])
     return tab
 
 
-def _gather(tab: np.ndarray, index, combine) -> np.ndarray:
-    """Per pattern, the combined table entries its byte planes pick.
+def _gather(tab: np.ndarray, index, combine, out: np.ndarray,
+            tmp: np.ndarray) -> np.ndarray:
+    """The evaluation core of both guessers: per rank set, the combined table
+    entries its byte planes pick, written into ``out``.
 
-    ``index`` holds the planes as intp: numpy gathers through intp indices
-    several times faster than through the uint8 planes themselves.
+    ``tab`` holds (..., bytes, 256) tables, one set per leading row of
+    ``out``.  ``index`` holds the planes as intp: numpy gathers through intp
+    indices several times faster than through the uint8 planes themselves.
     """
-    out = tab[0][index[0]]
+    np.take(tab[..., 0, :], index[0], axis=-1, out=out, mode="clip")
     for b in range(1, len(index)):
-        combine(out, tab[b][index[b]], out=out)
+        np.take(tab[..., b, :], index[b], axis=-1, out=tmp, mode="clip")
+        combine(out, tmp, out=out)
     return out
 
 
-def _int_planes(x: np.ndarray, n_bytes: int) -> list[np.ndarray]:
-    """The low ``n_bytes`` bytes of each integer in x, as intp index planes."""
-    return [(x >> np.uint64(8 * b)).astype(np.uint8).astype(np.intp)
-            for b in range(n_bytes)]
+def _checked_block(llr, spec: CrcSpec, max_queries: int, list_size: int,
+                   max_weight: int | None, name: str) -> np.ndarray:
+    """The argument checks both guessers share; NaN LLRs are refused.
+
+    The block comes back C-ordered, so a sum over one of its rows adds the
+    same numbers in the same order as a sum over that row alone.
+    """
+    llr = np.ascontiguousarray(llr, dtype=np.float64)
+    if llr.ndim != 2:
+        raise ValueError(f"{name} takes a (trials, K) block of LLRs")
+    if llr.shape[1] <= spec.degree:
+        raise ValueError(f"{llr.shape[1]} bits cannot carry {spec.degree} parity bits")
+    if max_queries < 1 or list_size < 1:
+        raise ValueError("max_queries and list_size must be >= 1")
+    _check_max_weight(max_weight)
+    if np.isnan(llr).any():
+        raise ValueError(f"{name} got NaN LLRs")
+    return llr
 
 
-def _xor_and_sum(planes: np.ndarray, xor_tab: np.ndarray,
-                 sum_tab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The evaluation core of both guessers: for each rank set in a slice of
-    schedule planes, the XOR of one per-rank integer (a syndrome column, or
-    the parity solve of one) and the sum of one per-rank float (a
-    reliability magnitude), from their byte tables."""
-    index = planes.astype(np.intp)
-    return _gather(xor_tab, index, np.bitwise_xor), _gather(sum_tab, index, np.add)
-
-
-def _syndromes(spec: CrcSpec, hard: np.ndarray) -> tuple[np.ndarray, np.uint64]:
-    """Parity-check columns packed into integers, and the hard decision's
-    syndrome: the syndrome of a flip pattern is the XOR of the columns it
-    touches."""
-    tab = spec.parity_check(len(hard))
-    cols = (tab.T.astype(np.uint64) << np.arange(spec.degree, dtype=np.uint64)).sum(axis=1)
-    return cols, np.bitwise_xor.reduce(cols[hard.astype(bool)])
+def _one_row(llr, name: str) -> np.ndarray:
+    llr = np.asarray(llr, dtype=np.float64)
+    if llr.ndim != 1:
+        raise ValueError(f"{name} takes a single LLR vector")
+    return llr[None]
 
 
 def _check_max_weight(max_weight: int | None):
@@ -270,20 +222,20 @@ def _check_max_weight(max_weight: int | None):
         raise ValueError("max_weight must be >= 0")
 
 
-def _checked_llr(llr, spec: CrcSpec, max_queries: int, list_size: int,
-                 max_weight: int | None, name: str) -> np.ndarray:
-    """The argument checks both guessers share; NaN LLRs are refused."""
-    llr = np.asarray(llr, dtype=np.float64)
-    if llr.ndim != 1:
-        raise ValueError(f"{name} takes a single LLR vector")
-    if len(llr) <= spec.degree:
-        raise ValueError(f"{len(llr)} bits cannot carry {spec.degree} parity bits")
-    if max_queries < 1 or list_size < 1:
-        raise ValueError("max_queries and list_size must be >= 1")
-    _check_max_weight(max_weight)
-    if np.isnan(llr).any():
-        raise ValueError(f"{name} got NaN LLRs")
-    return llr
+def _reliability(llr: np.ndarray, spec: CrcSpec):
+    """Per row of a block: hard decision, magnitudes, positions least reliable
+    first, log P(hard decision right) and the hard decision's syndrome; and
+    the parity-check columns packed into integers (bit i for check i), so
+    that the syndrome of a flip pattern is the XOR of the columns it
+    touches."""
+    hard = hard_decision(llr)
+    mag = np.abs(llr)
+    order = np.argsort(mag, axis=1, kind="stable")
+    log_keep = -np.logaddexp(0.0, -mag).sum(axis=1)
+    tab = spec.parity_check(llr.shape[1])
+    cols = (tab.T.astype(np.int64) << np.arange(spec.degree, dtype=np.int64)).sum(axis=1)
+    syn_hard = np.bitwise_xor.reduce(np.where(hard.astype(bool), cols, 0), axis=1)
+    return hard, mag, order, log_keep, cols, syn_hard
 
 
 def orbgrand_schedule(order: np.ndarray, max_weight: int | None = None):
@@ -325,6 +277,11 @@ class OuterDecodeOutput:
     found: bool
 
 
+# patterns x rows that sogrand_decode_block gathers at once: each temporary
+# stays within 512 KB however many rows are still searching
+_GATHER_CELLS = 1 << 16
+
+
 def sogrand_decode(llr: np.ndarray, spec: CrcSpec,
                    max_queries: int = 1 << 16, list_size: int = 1,
                    max_weight: int | None = None) -> OuterDecodeOutput:
@@ -335,50 +292,82 @@ def sogrand_decode(llr: np.ndarray, spec: CrcSpec,
     over the list + R), where phi is the pattern likelihood and R estimates
     the codeword mass left in the unqueried patterns: the leftover pattern
     mass times the fraction of unqueried patterns expected to be codewords.
+    A block of one row: see ``sogrand_decode_block``.
     """
-    llr = _checked_llr(llr, spec, max_queries, list_size, max_weight, "sogrand_decode")
-    k = len(llr)
+    return sogrand_decode_block(_one_row(llr, "sogrand_decode"), spec, max_queries,
+                                list_size, max_weight)[0]
 
-    hard = hard_decision(llr)
-    mag = np.abs(llr)
-    order = np.argsort(mag, kind="stable")  # least reliable first
-    log_keep = -np.logaddexp(0.0, -mag).sum()
 
+def sogrand_decode_block(llr: np.ndarray, spec: CrcSpec,
+                         max_queries: int = 1 << 16, list_size: int = 1,
+                         max_weight: int | None = None) -> list[OuterDecodeOutput]:
+    """``sogrand_decode`` of every row of a (trials, K) block.
+
+    Rows still searching have all made the same number of queries, so they
+    share each round's window of the schedule, whose byte planes are
+    gathered once for all of them; a row leaves at its ``list_size``-th hit.
+    Returns one output per row, equal to ``sogrand_decode`` of that row.
+    """
+    llr = _checked_block(llr, spec, max_queries, list_size, max_weight,
+                         "sogrand_decode_block")
+    n, k = llr.shape
+    hard, mag, order, log_keep, cols, syn_hard = _reliability(llr, spec)
     # a hit is a pattern whose syndrome cancels the hard decision's
-    col_bits, syn_hard = _syndromes(spec, hard)
-    syn_tab = _byte_tables(col_bits[order], np.bitwise_xor)
-    cost_tab = _byte_tables(mag[order], np.add)
+    syn_tab = _byte_tables(cols[order], np.bitwise_xor)
+    cost_tab = _byte_tables(np.take_along_axis(mag, order, axis=1), np.add)
 
-    cands: list[np.ndarray] = []
-    log_phi: list[float] = []
-    queried_mass = 0.0
+    cands: list[list[np.ndarray]] = [[] for _ in range(n)]
+    log_phi: list[list[float]] = [[] for _ in range(n)]
+    queried_mass = [0.0] * n
+    used = [0] * n
+    searching = list(range(n))
     queries = 0
-    while len(cands) < list_size:
+    while searching:
         # the schedule grows with the deepest query so far, not the budget
         sched = _schedule(k, min(max_queries, max(4 * queries, 256)))
         end = min(max_queries, sched.limit(max_weight)[0])
         if queries >= end:
             break
         # query whole weight classes, at least doubling the queries so far,
-        # and stop right after the list_size-th hit in schedule order
+        # and stop each row right after its list_size-th hit in schedule order
         nxt = np.searchsorted(sched.ends, max(2 * queries, 64))
         stop = min(end, int(sched.ends[nxt]) if nxt < len(sched.ends) else end)
         planes = sched.planes[:, queries:stop]
-        syn, cost = _xor_and_sum(planes, syn_tab, cost_tab)
-        lp = log_keep - cost
-        needed = list_size - len(cands)
-        hits = np.flatnonzero(syn == syn_hard)[:needed]
-        take = int(hits[-1]) + 1 if len(hits) == needed else stop - queries
-        queried_mass += float(np.exp(lp[:take]).sum())
-        for h in hits.tolist():
-            flips = np.unpackbits(planes[:, h], bitorder="little")[:k]
-            word = hard.copy()
-            word[order[flips.astype(bool)]] ^= 1
-            cands.append(word)
-            log_phi.append(float(lp[h]))
-        queries += take
+        index = planes.astype(np.intp)
+        width = stop - queries
+        group = max(1, _GATHER_CELLS // width)
+        still = []
+        for first in range(0, len(searching), group):
+            rows = np.array(searching[first:first + group])
+            shape = (len(rows), width)
+            syn = _gather(syn_tab[rows], index, np.bitwise_xor,
+                          np.empty(shape, np.int64), np.empty(shape, np.int64))
+            cost = _gather(cost_tab[rows], index, np.add, np.empty(shape), np.empty(shape))
+            lp = log_keep[rows, None] - cost
+            hit = syn == syn_hard[rows, None]
+            for i, t in enumerate(rows.tolist()):
+                needed = list_size - len(cands[t])
+                hits = np.flatnonzero(hit[i])[:needed]
+                take = int(hits[-1]) + 1 if len(hits) == needed else width
+                queried_mass[t] += float(np.exp(lp[i, :take]).sum())
+                for h in hits.tolist():
+                    flips = np.unpackbits(planes[:, h], bitorder="little")[:k]
+                    word = hard[t].copy()
+                    word[order[t, flips.astype(bool)]] ^= 1
+                    cands[t].append(word)
+                    log_phi[t].append(float(lp[i, h]))
+                used[t] = queries + take
+                if len(hits) < needed:
+                    still.append(t)
+        searching, queries = still, stop
+    return [_sogrand_output(cands[t], log_phi[t], queried_mass[t], used[t], k,
+                            spec.degree) for t in range(n)]
 
-    n_codewords = 2.0 ** (k - spec.degree)
+
+def _sogrand_output(cands: list[np.ndarray], log_phi: list[float],
+                    queried_mass: float, queries: int, k: int,
+                    r: int) -> OuterDecodeOutput:
+    n_codewords = 2.0 ** (k - r)
     n_patterns = 2.0 ** k
     remaining = max(0.0, 1.0 - queried_mass)
     if n_patterns > queries:
@@ -411,71 +400,121 @@ def gcd_decode(llr: np.ndarray, spec: CrcSpec,
     ``list_size`` highest-likelihood completions; their soft output divides
     phi(c) by the phi mass of all queried codewords plus the guessed-part
     pattern mass left unqueried, which never exceeds the mass of the missed
-    codewords, so the quoted posteriors are conservative.
+    codewords, so the quoted posteriors are conservative.  A block of one
+    row: see ``gcd_decode_block``.
     """
-    llr = _checked_llr(llr, spec, max_queries, list_size, max_weight, "gcd_decode")
-    k = len(llr)
+    return gcd_decode_block(_one_row(llr, "gcd_decode"), spec, max_queries,
+                            list_size, max_weight)[0]
 
-    hard = hard_decision(llr)
-    mag = np.abs(llr)
-    order = np.argsort(mag, kind="stable")  # least reliable first
+
+def _parity_split(cols: np.ndarray, syn: np.ndarray, order: np.ndarray, r: int):
+    """Solved and guessed positions per row, and the parity solve of each
+    guessed column and of the hard decision's syndrome.
+
+    One Gauss-Jordan elimination over GF(2) for the whole block: each row's
+    parity-check columns (``cols``, one integer per column, bit i for check
+    i) are scanned in that row's reliability order, with the syndrome carried
+    along as one more column.  The pivot columns are the first ``r``
+    positions whose columns are independent of the ones before: the solved
+    part P, in that order; the other positions form the guessed part S.
+    Each pivot owns one check; after the elimination a column c reads E c,
+    E the row operations, and the bit of E c at the k-th pivot's check is
+    bit k of the P combination whose columns XOR to c.
+    """
+    n, k = cols.shape
+    m = np.concatenate((cols, syn[:, None]), axis=1)
+    free = np.full(n, (1 << r) - 1, dtype=np.int64)  # checks owning no pivot yet
+    owner = np.zeros((n, r), dtype=np.int64)  # the k-th pivot's check, one-hot
+    n_pivots = np.zeros(n, dtype=np.int64)
+    is_pivot = np.zeros((n, k), dtype=bool)
+    rows = np.arange(n)
+    for j in range(k):
+        if not free.any():
+            break
+        cand = m[:, j] & free
+        low = cand & -cand  # lowest free check of column j, 0 when dependent
+        hit = low != 0
+        is_pivot[:, j] = hit
+        owner[rows[hit], n_pivots[hit]] = low[hit]
+        n_pivots += hit
+        free ^= low
+        # clear column j from every other check: XOR the pivot's check row
+        # into theirs, in every column that has the pivot's check set
+        m ^= np.where((m & low[:, None]) != 0, (m[:, j] ^ low)[:, None], 0)
+    solved = order[is_pivot].reshape(n, r)
+    guessed = order[~is_pivot].reshape(n, k - r)
+    reduced = np.concatenate((m[:, :k][~is_pivot].reshape(n, k - r), m[:, k:]), axis=1)
+    comb = np.zeros_like(reduced)
+    for i in range(r):
+        comb |= ((reduced & owner[:, i:i + 1]) != 0).astype(np.int64) << i
+    return solved, guessed, comb[:, :-1], comb[:, -1]
+
+
+def _byte_planes(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The low ``len(out)`` bytes of each int64 in x, as intp index planes;
+    x must lie below 256 ** len(out)."""
+    np.bitwise_and(x, 255, out=out[0])
+    for b in range(1, len(out)):
+        np.right_shift(x, 8 * b, out=out[b])
+        if b < len(out) - 1:
+            np.bitwise_and(out[b], 255, out=out[b])
+    return out
+
+
+def _merge_best(best, lp: np.ndarray, lo: int, list_size: int):
+    """Fold a slice of lp (schedule rows from ``lo``) into ``best``, a pair
+    (lp values, rows) of the ``list_size`` highest so far, ties to the earlier
+    row: what a stable argsort of -lp over the whole budget would pick."""
+    if list_size == 1:
+        j = int(np.argmax(lp))
+        if best is None or lp[j] > best[0][0]:
+            return lp[j:j + 1].copy(), np.array([lo + j])
+        return best
+    pick = np.argsort(-lp, kind="stable")[:list_size]
+    vals, rows = lp[pick], lo + pick
+    if best is not None:
+        vals, rows = np.concatenate((best[0], vals)), np.concatenate((best[1], rows))
+        keep = np.lexsort((rows, -vals))[:list_size]
+        vals, rows = vals[keep], rows[keep]
+    return vals, rows
+
+
+def gcd_decode_block(llr: np.ndarray, spec: CrcSpec,
+                     max_queries: int = 1 << 16, list_size: int = 1,
+                     max_weight: int | None = None) -> list[OuterDecodeOutput]:
+    """``gcd_decode`` of every row of a (trials, K) block.
+
+    The split into solved and guessed parts is one GF(2) elimination over
+    the block.  The schedule over the guessed part depends only on its
+    length, so each slice of it is converted to index planes once and
+    scored for every row in turn.  Returns one output per row, equal to
+    ``gcd_decode`` of that row.
+    """
+    llr = _checked_block(llr, spec, max_queries, list_size, max_weight,
+                         "gcd_decode_block")
+    n, k = llr.shape
+    if n == 0:
+        return []
     r = spec.degree
-
-    col_bits, syn_hard = _syndromes(spec, hard)
-
-    # greedy basis over the reliability order: the first ``degree`` positions
-    # with independent columns become the solved part P, everything else the
-    # guessed part S; each basis row remembers which P columns built it so a
-    # syndrome can be traced back to the P flips that cancel it
-    solved: list[int] = []
-    guessed: list[int] = []
-    basis: list[tuple[int, int, int]] = []  # (pivot bit, reduced column, P combination)
-    for pos in order.tolist():
-        if len(solved) < r:
-            vec = int(col_bits[pos])
-            comb = 1 << len(solved)
-            for pivot, b_vec, b_comb in basis:
-                if (vec >> pivot) & 1:
-                    vec ^= b_vec
-                    comb ^= b_comb
-            if vec:
-                basis.append((vec.bit_length() - 1, vec, comb))
-                solved.append(pos)
-                continue
-        guessed.append(pos)
-    solved_idx = np.array(solved, dtype=np.int64)
-    guessed_idx = np.array(guessed, dtype=np.int64)
     sm = k - r
-
-    mag_s = mag[guessed_idx]
-    mag_p = mag[solved_idx]
-    cols_s = col_bits[guessed_idx]
-    log_keep = -np.logaddexp(0.0, -mag).sum()
-    log_keep_s = -np.logaddexp(0.0, -mag_s).sum()
+    hard, mag, order, log_keep, cols, syn_hard = _reliability(llr, spec)
+    solved, guessed, comb_s, comb_hard = _parity_split(cols[order], syn_hard, order, r)
+    mag_s = np.take_along_axis(mag, guessed, axis=1)
+    mag_p = np.take_along_axis(mag, solved, axis=1)
+    log_keep_s = -np.logaddexp(0.0, -mag_s).sum(axis=1)
 
     # the P flips are a linear image of the syndrome, so each S flip maps to
     # the P combination that cancels its column and a query's P flips are
     # those of the hard decision XOR those of its S flips: tabulated per byte
-    # of S ranks, the solve costs no more lookups than the syndrome would
-    unit = np.zeros(r, dtype=np.uint64)
-    for i in range(r):
-        t, e = 1 << i, 0
-        for pivot, b_vec, b_comb in basis:
-            if (t >> pivot) & 1:
-                t ^= b_vec
-                e ^= b_comb
-        unit[i] = e
-    n_bytes = (r + 7) // 8
-    solve_tab = _byte_tables(unit, np.bitwise_xor)
-    combs = _gather(solve_tab, _int_planes(np.append(cols_s, syn_hard), n_bytes),
-                    np.bitwise_xor)
-    comb_s, comb_hard = combs[:-1], combs[-1]
+    # of S ranks, the solve costs no more lookups than the syndrome would.
+    # The hard decision's share rides in plane 0's table (XOR is exact).
     comb_tab = _byte_tables(comb_s, np.bitwise_xor)
+    comb_tab[:, 0] ^= comb_hard[:, None]
     cost_s_tab = _byte_tables(mag_s, np.add)
     cost_p_tab = _byte_tables(mag_p, np.add)
 
-    # the whole budget prefix of the schedule over S in one pass; slices of
-    # _CHUNK rows keep the temporaries in cache
+    # the whole budget prefix of the schedule over S, in slices of _CHUNK
+    # rows that keep the temporaries in cache
     budget = max_queries
     if max_weight is not None:
         # build no deeper than the last weight class allowed
@@ -483,38 +522,45 @@ def gcd_decode(llr: np.ndarray, spec: CrcSpec,
         budget = min(budget, int(_class_sizes(sm, top, budget).sum()))
     sched = _schedule(sm, budget)
     queries = min(budget, sched.limit(max_weight)[0])
-    lp = np.empty(queries)
-    phi_sum = psi_sum = 0.0
+    size = min(queries, _CHUNK)
+    comb, tmp_i = np.empty(size, np.int64), np.empty(size, np.int64)
+    p_index = np.empty(((r + 7) // 8, size), np.intp)
+    cost_s, cost_p, lp, tmp = (np.empty(size) for _ in range(4))
+    phi_sum, psi_sum = [0.0] * n, [0.0] * n
+    best = [None] * n
     for lo in range(0, queries, _CHUNK):
-        hi = min(queries, lo + _CHUNK)
-        comb, cost_s = _xor_and_sum(sched.planes[:, lo:hi], comb_tab, cost_s_tab)
-        cost_p = _gather(cost_p_tab, _int_planes(comb_hard ^ comb, n_bytes), np.add)
-        lp[lo:hi] = log_keep - cost_s - cost_p
-        phi_sum += float(np.exp(lp[lo:hi]).sum())
-        psi_sum += float(np.exp(log_keep_s - cost_s).sum())
-    # best first; ties keep schedule order
-    if list_size == 1:
-        best = [int(np.argmax(lp))]
-    else:
-        best = np.argsort(-lp, kind="stable")[:list_size].tolist()
+        c = min(queries, lo + _CHUNK) - lo
+        index = sched.planes[:, lo:lo + c].astype(np.intp)
+        for t in range(n):
+            _gather(comb_tab[t], index, np.bitwise_xor, comb[:c], tmp_i[:c])
+            _gather(cost_s_tab[t], index, np.add, cost_s[:c], tmp[:c])
+            _gather(cost_p_tab[t], _byte_planes(comb[:c], p_index[:, :c]), np.add,
+                    cost_p[:c], tmp[:c])
+            np.subtract(log_keep[t], cost_s[:c], out=lp[:c])
+            np.subtract(lp[:c], cost_p[:c], out=lp[:c])
+            phi_sum[t] += float(np.exp(lp[:c], out=tmp[:c]).sum())
+            np.subtract(log_keep_s[t], cost_s[:c], out=tmp[:c])
+            psi_sum[t] += float(np.exp(tmp[:c], out=tmp[:c]).sum())
+            best[t] = _merge_best(best[t], lp[:c], lo, list_size)
 
-    cands = []
-    for row in best:
-        word = hard.copy()
-        s_flips = np.unpackbits(sched.planes[:, row], bitorder="little")[:sm].astype(bool)
-        word[guessed_idx[s_flips]] ^= 1
-        p_comb = int(comb_hard ^ np.bitwise_xor.reduce(comb_s[s_flips]))
-        for j in range(r):
-            if (p_comb >> j) & 1:
-                word[solved_idx[j]] ^= 1
-        cands.append(word)
-    log_phi = lp[best]
-    r_term = max(0.0, 1.0 - psi_sum)
-    denom = phi_sum + r_term
-    so = np.exp(log_phi) / denom if denom > 0.0 and cands else np.zeros(len(cands))
-    return OuterDecodeOutput(
-        candidates=tuple(cands),
-        so=tuple(float(v) for v in so),
-        queries_used=queries,
-        found=bool(cands),
-    )
+    outs = []
+    for t in range(n):
+        log_phi, rows = best[t]
+        cands = []
+        for row in rows.tolist():
+            word = hard[t].copy()
+            s_flips = np.unpackbits(sched.planes[:, row], bitorder="little")[:sm].astype(bool)
+            word[guessed[t, s_flips]] ^= 1
+            p_comb = int(comb_hard[t] ^ np.bitwise_xor.reduce(comb_s[t, s_flips]))
+            word[solved[t, ((p_comb >> np.arange(r)) & 1).astype(bool)]] ^= 1
+            cands.append(word)
+        r_term = max(0.0, 1.0 - psi_sum[t])
+        denom = phi_sum[t] + r_term
+        so = np.exp(log_phi) / denom if denom > 0.0 else np.zeros(len(cands))
+        outs.append(OuterDecodeOutput(
+            candidates=tuple(cands),
+            so=tuple(float(v) for v in so),
+            queries_used=queries,
+            found=bool(cands),
+        ))
+    return outs

@@ -6,7 +6,9 @@ and the guessing decoder takes over; if even that finds nothing, the hard
 decision of the outer LLRs is emitted with zero confidence.  An optional
 threshold on the blockwise soft output turns low-confidence decisions into
 flagged erasures, with an optional single retry through the outer decoder
-when the inner decision is the one that failed the test.
+when the inner decision is the one that failed the test.  ``outer_decisions``
+runs the outer stage on a block of trials at once; ``resolve_decision``
+hands it a block of one.
 """
 
 from __future__ import annotations
@@ -16,12 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crc import CrcSpec
-from .outer import gcd_decode, hard_decision, outer_llr, sogrand_decode
+from .outer import gcd_decode_block, hard_decision, outer_llr, sogrand_decode_block
 from .polar import PolarCode
 from .scl import ca_select_batch, scl_decode_batch
 
 __all__ = ["PipelineConfig", "DecodeResult", "threshold_test", "cca_scl_decode",
-           "resolve_decision", "InnerDecision"]
+           "resolve_decision", "outer_decisions", "InnerDecision"]
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,8 @@ class PipelineConfig:
             raise ValueError("epsilon must lie in [0, 1)")
         if self.outer_max_queries < 1 or self.outer_list_size < 1:
             raise ValueError("outer budget and list size must be >= 1")
+        if self.outer_max_weight is not None and self.outer_max_weight < 0:
+            raise ValueError("outer_max_weight must be >= 0")
         if self.outer_decoder not in ("sogrand", "gcd"):
             raise ValueError(f"unknown outer decoder {self.outer_decoder!r}")
 
@@ -89,15 +93,21 @@ def threshold_test(so: float, epsilon: float) -> bool:
     return so > 1.0 - epsilon
 
 
-def _outer_decision(lo: np.ndarray, cfg: PipelineConfig):
-    decode = gcd_decode if cfg.outer_decoder == "gcd" else sogrand_decode
-    out = decode(lo, cfg.spec, max_queries=cfg.outer_max_queries,
-                 list_size=cfg.outer_list_size,
-                 max_weight=cfg.outer_max_weight)
+def outer_decisions(lo: np.ndarray, cfg: PipelineConfig) -> list[tuple]:
+    """The outer decoder's decision for each row of a (trials, K) block of
+    outer LLRs, all rows decoded together.
+
+    Each row gives (message, so, origin, queries): the best candidate's
+    message bits, or the hard decision with zero confidence ("fallback")
+    when the guesser found nothing within its budget.
+    """
+    decode = gcd_decode_block if cfg.outer_decoder == "gcd" else sogrand_decode_block
+    outs = decode(lo, cfg.spec, max_queries=cfg.outer_max_queries,
+                  list_size=cfg.outer_list_size, max_weight=cfg.outer_max_weight)
     m = cfg.m_msg
-    if out.found:
-        return out.candidates[0][:m], out.so[0], "outer", out.queries_used
-    return hard_decision(lo)[:m], 0.0, "fallback", out.queries_used
+    return [(out.candidates[0][:m], out.so[0], "outer", out.queries_used) if out.found
+            else (hard_decision(row)[:m], 0.0, "fallback", out.queries_used)
+            for row, out in zip(lo, outs)]
 
 
 def resolve_decision(lo: np.ndarray, inner: InnerDecision | None,
@@ -111,12 +121,13 @@ def resolve_decision(lo: np.ndarray, inner: InnerDecision | None,
     k = len(cfg.code.info)
     if np.shape(lo) != (k,):
         raise ValueError(f"expected the {k} outer LLRs of one trial, got shape {np.shape(lo)}")
+    block = np.asarray(lo, dtype=np.float64)[None]
     m = cfg.m_msg
     if inner is not None:
         message, so, origin = inner.window[:m].copy(), inner.so, "inner"
         pass_count, queries = inner.pass_count, 0
     else:
-        message, so, origin, queries = _outer_decision(lo, cfg)
+        message, so, origin, queries = outer_decisions(block, cfg)[0]
         pass_count = 0
 
     if cfg.epsilon is None:
@@ -124,7 +135,7 @@ def resolve_decision(lo: np.ndarray, inner: InnerDecision | None,
     if threshold_test(so, cfg.epsilon):
         return DecodeResult(message, so, origin, False, pass_count, queries)
     if cfg.retry_on_threshold_fail and origin == "inner":
-        alt_msg, alt_so, alt_origin, queries = _outer_decision(lo, cfg)
+        alt_msg, alt_so, alt_origin, queries = outer_decisions(block, cfg)[0]
         if threshold_test(alt_so, cfg.epsilon):
             return DecodeResult(alt_msg, alt_so, alt_origin, False, pass_count, queries)
         if alt_so > so:

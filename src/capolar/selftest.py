@@ -15,8 +15,8 @@ import numpy as np
 from . import oracle
 from .channel import ChannelParams, llr_from_channel, message_rng, modulate, transmit
 from .crc import CRC6, CRC11, CRC24C, crc_encode, crc_syndrome
-from .outer import (gcd_decode, orbgrand_schedule, outer_llr, pair_covariance,
-                    sogrand_decode)
+from .analysis import pair_covariance
+from .outer import gcd_decode, orbgrand_schedule, outer_llr, sogrand_decode
 from .pipeline import PipelineConfig, cca_scl_decode
 from .polar import (CodeDims, ca_encode, construct_polar, encode_systematic,
                     polar_transform)

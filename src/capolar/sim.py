@@ -22,7 +22,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from .channel import (ChannelParams, llr_from_channel, message_bits, modulate,
                       saturate_llr, transmit)
 from .crc import CrcSpec, crc_spec_for
 from .outer import outer_llr
-from .pipeline import PipelineConfig, resolve_decision
+from .pipeline import PipelineConfig, outer_decisions
 from .polar import CodeDims, PolarCode, construct_polar, ca_encode
 from .scl import ca_select_batch, scl_decode_batch
 
@@ -174,6 +174,9 @@ class _Plan:
     pipe: PipelineConfig
     decoder: str
     master_seed: int
+    # with --retry: inner decisions with so <= this could fail some threshold
+    # of the grid, so their batch also decodes them through the outer stage
+    retry_below: float | None
 
 
 def _plan_for(cfg: SimConfig) -> _Plan:
@@ -182,7 +185,8 @@ def _plan_for(cfg: SimConfig) -> _Plan:
                           outer_list_size=cfg.outer_list_size,
                           outer_max_weight=cfg.outer_max_weight,
                           outer_decoder=cfg.outer_decoder)
-    return _Plan(cfg.dims, pipe, cfg.decoder, cfg.master_seed)
+    retry_below = 1.0 - min(cfg.epsilon_grid) if cfg.retry_on_threshold_fail else None
+    return _Plan(cfg.dims, pipe, cfg.decoder, cfg.master_seed, retry_below)
 
 
 def _trial_wave(plan: _Plan, snr_db: float, trials):
@@ -203,7 +207,11 @@ def _decide_batch(args):
     """Per-trial decisions for one batch: the common engine for all sweeps.
 
     Returns (msgs-correct flags, so, origin codes, outer queries, pass
-    counts, found flags, so_forney).
+    counts, found flags, so_forney, retry so, retry-correct flags).  Under
+    ``cca_scl`` the outer stage decodes, in one block, every trial whose
+    list held no CRC passer and every inner decision at or below the plan's
+    retry threshold; a retry's outcome goes only to the retry columns,
+    which read 0 / False for trials not retried.
     """
     plan, snr_db, start, count = args
     msgs, llr = _trial_wave(plan, snr_db, range(start, start + count))
@@ -216,22 +224,29 @@ def _decide_batch(args):
     correct = inner_ok.copy()
     origin = np.zeros(count, dtype=np.uint8)
     queries = np.zeros(count, dtype=np.int64)
+    alt_so = np.zeros(count)
+    alt_ok = np.zeros(count, dtype=bool)
     if plan.decoder == "cca_scl":
-        fail = np.flatnonzero(~found)
-        lo = outer_llr(llr[fail], plan.pipe.code)
-        for i, t in enumerate(fail):
-            res = resolve_decision(lo[i], None, plan.pipe)
-            so[t] = res.so
-            correct[t] = np.array_equal(res.message, msgs[t])
-            origin[t] = _ORIGIN_CODES[res.origin]
-            queries[t] = res.outer_queries
+        need = ~found
+        if plan.retry_below is not None:
+            need |= found & (so <= plan.retry_below)
+        rows = np.flatnonzero(need)
+        decisions = outer_decisions(outer_llr(llr[rows], plan.pipe.code), plan.pipe)
+        for t, (message, so_t, origin_t, queries_t) in zip(rows.tolist(), decisions):
+            ok = np.array_equal(message, msgs[t])
+            if found[t]:
+                alt_so[t], alt_ok[t] = so_t, ok
+            else:
+                so[t], correct[t] = so_t, ok
+                origin[t], queries[t] = _ORIGIN_CODES[origin_t], queries_t
     else:
         origin[~found] = _ORIGIN_CODES["fallback"]  # no decision emitted
-    return correct, so, origin, queries, sel["pass_count"], found, sel["so_forney"]
+    return (correct, so, origin, queries, sel["pass_count"], found, sel["so_forney"],
+            alt_so, alt_ok)
 
 
 def _bler_batch(args):
-    correct, so, origin, queries, _, found, _ = _decide_batch(args)
+    correct, so, origin, queries, _, found, *_ = _decide_batch(args)
     plan = args[0]
     n = len(correct)
     inner_fail = int((~found).sum())
@@ -314,7 +329,8 @@ def _rounds(cfg: SimConfig, runner: _Runner, plan: _Plan, snr_db: float,
 
 def run_bler_sweep(cfg: SimConfig):
     """Block-error tallies per SNR point; writes CSV + JSON sidecar."""
-    plan = _plan_for(cfg)
+    # the tallies read no retry, so none is decoded
+    plan = replace(_plan_for(cfg), retry_below=None)
     paths = _open_outputs(cfg, "bler")
     runner = _Runner(cfg.workers)
     records = []
@@ -398,10 +414,11 @@ def run_uer_sweep(cfg: SimConfig):
     """Per-(snr, epsilon) undetected-error and erasure tallies.
 
     Decodes each trial once; the threshold grid is applied afterwards to the
-    stored soft outputs.  With retry enabled, threshold-failing inner trials
-    get their one outer attempt lazily (the outer decision is a pure function
-    of the trial's LLRs, so this matches running the full pipeline per
-    epsilon).  Runs exactly cfg.trials trials per SNR point.
+    stored soft outputs.  With retry enabled, every inner decision that fails
+    the widest threshold of the grid also gets its one outer attempt, in its
+    batch's outer block; the outer decision is a pure function of the
+    trial's LLRs, so this matches running the full pipeline per epsilon.
+    Runs exactly cfg.trials trials per SNR point.
     """
     if cfg.epsilon_grid is None:
         raise ValueError("run_uer_sweep needs an epsilon grid")
@@ -413,39 +430,27 @@ def run_uer_sweep(cfg: SimConfig):
     records = []
     try:
         for snr in cfg.snr_grid_db:
-            parts = {"correct": [], "so": [], "origin": [], "queries": []}
+            keys = ("correct", "so", "origin", "queries", "alt_so", "alt_ok")
+            parts = {key: [] for key in keys}
 
             def fold(part):
-                correct, so, origin, queries = part[:4]
-                parts["correct"].append(correct)
-                parts["so"].append(so)
-                parts["origin"].append(origin)
-                parts["queries"].append(queries)
+                for key, col in zip(keys, part[:4] + part[7:]):
+                    parts[key].append(col)
 
             t0 = time.perf_counter()
             _rounds(cfg, runner, plan, snr, _decide_batch, fold, stop=lambda: False)
-            correct = np.concatenate(parts["correct"])
-            so = np.concatenate(parts["so"])
-            origin = np.concatenate(parts["origin"])
-            queries = np.concatenate(parts["queries"])
+            correct, so, origin, queries, alt_so, alt_ok = (
+                np.concatenate(parts[key]) for key in keys)
             n = len(correct)
-
-            retry = {}
-            if cfg.retry_on_threshold_fail:
-                retry = _retry_decisions(cfg, plan, snr, so, origin)
             wall = time.perf_counter() - t0
 
             for eps in cfg.epsilon_grid:
                 acc = so > 1.0 - eps
-                undetected = acc & ~correct
-                erased = ~acc
-                if retry:
-                    for t, (alt_so, alt_ok) in retry.items():
-                        if acc[t] or origin[t] != 0:
-                            continue
-                        if alt_so > 1.0 - eps:
-                            undetected[t] = not alt_ok
-                            erased[t] = False
+                # a retried inner decision whose outer decision passes
+                # replaces the erasure (only inner trials are ever retried)
+                alt = ~acc & (alt_so > 1.0 - eps)
+                undetected = (acc & ~correct) | (alt & ~alt_ok)
+                erased = ~acc & ~alt
                 records.append(SimRecord(
                     snr_db=snr, trials=n, block_errors=int((~correct).sum()),
                     undetected_errors=int(undetected.sum()),
@@ -459,23 +464,6 @@ def run_uer_sweep(cfg: SimConfig):
         runner.close()
     _write_uer_csv(paths, records, cfg)
     return records
-
-
-def _retry_decisions(cfg: SimConfig, plan: _Plan, snr: float,
-                     so: np.ndarray, origin: np.ndarray):
-    """Outer decisions for inner trials that could fail some grid threshold."""
-    widest = 1.0 - min(cfg.epsilon_grid)
-    need = np.flatnonzero((origin == 0) & (so <= widest)).tolist()
-    out = {}
-    # one wave per round's worth of trials keeps the regenerated LLRs small
-    for first in range(0, len(need), cfg.round_trials):
-        wave = need[first:first + cfg.round_trials]
-        msgs, llr = _trial_wave(plan, snr, wave)
-        lo = outer_llr(llr, plan.pipe.code)
-        for i, t in enumerate(wave):
-            res = resolve_decision(lo[i], None, plan.pipe)
-            out[t] = (res.so, bool(np.array_equal(res.message, msgs[i])))
-    return out
 
 
 def run_llr_profile(cfg: SimConfig):

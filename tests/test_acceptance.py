@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 
 from capolar import oracle
+from capolar.analysis import pair_covariance
 from capolar.channel import (ChannelParams, llr_from_channel, message_rng,
                              modulate, saturate_llr, transmit)
 from capolar.crc import crc_spec_for, crc_syndrome
-from capolar.outer import outer_llr, pair_covariance
+from capolar.outer import outer_llr
 from capolar.polar import CodeDims, ca_encode, construct_polar
 from capolar.scl import ca_select_batch, scl_decode_batch
 from capolar.selftest import run_selftest

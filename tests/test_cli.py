@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import capolar
 
 from capolar.cli import (
     _parse_bool,
@@ -144,3 +150,15 @@ def test_diag_llr_subcommand(tmp_path, capsys):
     assert rc == 0
     assert "median |LLR|" in capsys.readouterr().out
     assert (tmp_path / "d.csv").exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # python -m capolar works without the installed console script
+    env = dict(os.environ, PYTHONPATH=str(Path(capolar.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-m", "capolar", "bler"] + SMALL
+        + ["--out", str(tmp_path), "--stem", "m"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "snr 3 dB" in done.stdout
+    assert (tmp_path / "m.csv").exists()

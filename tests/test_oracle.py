@@ -5,7 +5,7 @@ import pytest
 
 from capolar import oracle
 from capolar.crc import CRC6, CRC11, CRC24C, crc_encode, crc_syndrome
-from capolar.outer import pair_covariance
+from capolar.analysis import pair_covariance
 from capolar.polar import construct_polar
 from capolar.scl import scl_decode_batch
 

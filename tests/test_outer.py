@@ -6,18 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capolar import outer
+from capolar.analysis import bit_prob, convert_llr, pair_covariance
 from capolar.channel import (ChannelParams, llr_from_channel, message_rng,
                              modulate, saturate_llr, transmit)
-from capolar.crc import CRC6, CRC24C, crc_encode, crc_syndrome
+from capolar.crc import CRC6, CRC11, CRC24C, crc_encode, crc_syndrome
 from capolar.outer import (
-    bit_prob,
-    convert_llr,
     gcd_decode,
+    gcd_decode_block,
     hard_decision,
     orbgrand_schedule,
     outer_llr,
-    pair_covariance,
     sogrand_decode,
+    sogrand_decode_block,
 )
 from capolar.polar import PolarCode, ca_encode, construct_polar, polar_transform
 from capolar.scl import _boxplus, ca_select_batch, scl_decode_batch
@@ -277,7 +277,7 @@ def test_orbgrand_schedule_rejects_non_permutation():
         list(orbgrand_schedule(np.array([0, 0, 1])))
 
 
-def reference_sogrand(llr, spec, max_queries, list_size):
+def reference_sogrand(llr, spec, max_queries, list_size, max_weight=None):
     # pattern-at-a-time rerun of the documented query procedure
     k = len(llr)
     hard = (llr > 0).astype(np.uint8)
@@ -287,7 +287,7 @@ def reference_sogrand(llr, spec, max_queries, list_size):
     cands, lphi = [], []
     qmass = 0.0
     queries = 0
-    for mask in oracle_schedule(order):
+    for mask in oracle_schedule(order, max_weight):
         if queries >= max_queries or len(cands) >= list_size:
             break
         queries += 1
@@ -386,7 +386,7 @@ def gf2_reduce(m):
     return m, pivots
 
 
-def reference_gcd(llr, spec, max_queries, list_size):
+def reference_gcd(llr, spec, max_queries, list_size, max_weight=None):
     # query-at-a-time rerun: split by reliability with GF(2) rank tests on the
     # parity-check matrix, walk the recursive oracle schedule over the
     # guessed part, and solve each query through the inverse of the solved
@@ -410,7 +410,7 @@ def reference_gcd(llr, spec, max_queries, list_size):
     log_keep_s = -np.logaddexp(0, -mag[guessed]).sum()
 
     scored, phi_sum, psi_sum, queries = [], 0.0, 0.0, 0
-    for mask in oracle_schedule(np.arange(len(guessed))):
+    for mask in oracle_schedule(np.arange(len(guessed)), max_weight):
         if queries >= max_queries:
             break
         queries += 1
@@ -436,18 +436,21 @@ def reference_gcd(llr, spec, max_queries, list_size):
             [float(np.exp(lp) / denom) for lp, _, _ in scored], queries)
 
 
-def crc_failing_outer_llrs(count):
-    """Outer LLRs of [64,48,24] L=4 trials at 5 dB whose list holds no CRC
-    passer: the words the complete decoder hands to its outer guesser."""
-    code = construct_polar(64, 48)
-    params = ChannelParams(5.0, 24 / 64)
+def crc_failing_outer_llrs(count, dims=(64, 48, 24), snr_db=5.0, list_size=4,
+                           spec=CRC24C, systematic=False):
+    """Outer LLRs of trials whose list holds no CRC passer: the words the
+    complete decoder hands to its outer guesser.  The default is [64,48,24]
+    L=4 at 5 dB."""
+    n, k, m = dims
+    code = construct_polar(n, k, systematic=systematic)
+    params = ChannelParams(snr_db, m / n)
     seed, trials = 31, 512
-    msgs = np.stack([message_rng(seed, t).integers(0, 2, 24).astype(np.uint8)
+    msgs = np.stack([message_rng(seed, t).integers(0, 2, m).astype(np.uint8)
                      for t in range(trials)])
-    s = modulate(ca_encode(msgs, code, CRC24C))
+    s = modulate(ca_encode(msgs, code, spec))
     y = np.stack([transmit(s[t], params, seed, t) for t in range(trials)])
     llr = saturate_llr(llr_from_channel(y, params))
-    found = ca_select_batch(scl_decode_batch(llr, code, 4), CRC24C)["found"]
+    found = ca_select_batch(scl_decode_batch(llr, code, list_size), spec)["found"]
     fails = np.flatnonzero(~found)[:count]
     assert len(fails) == count
     return outer_llr(llr[fails], code)
@@ -570,3 +573,90 @@ def test_outer_decoders_refuse_nan(decode):
     llr[3] = np.inf  # infinite reliability is a valid input
     out = decode(llr, CRC6)
     assert out.found and 0.0 < out.so[0] <= 1.0
+
+
+def same_output(a, b):
+    """Equal decoder outputs: candidates, queries and soft outputs exact."""
+    return (a.queries_used == b.queries_used and a.found == b.found
+            and len(a.candidates) == len(b.candidates)
+            and all(np.array_equal(x, y) for x, y in zip(a.candidates, b.candidates))
+            and np.array_equal(np.array(a.so), np.array(b.so)))
+
+
+@pytest.fixture(scope="module")
+def block_cases():
+    """(name, spec, outer LLR block) triples the block tests decode."""
+    rng = np.random.default_rng(27)
+    small = rng.normal(rng.choice([-2.0, 0.0, 2.0], (24, 1)), 2.0, (24, 12))
+    small[3, 4], small[5, [0, 7]] = np.inf, (-np.inf, np.inf)  # infinite reliability
+    return [
+        ("crc6", CRC6, small),
+        ("64-48-5dB", CRC24C, crc_failing_outer_llrs(6)),
+        ("64-43-3dB", CRC11, crc_failing_outer_llrs(6, (64, 43, 32), 3.0, 8, CRC11)),
+        ("64-48-sys", CRC24C, crc_failing_outer_llrs(6, snr_db=4.5, systematic=True)),
+    ]
+
+
+BLOCK_DECODERS = [(gcd_decode_block, gcd_decode, reference_gcd),
+                  (sogrand_decode_block, sogrand_decode, reference_sogrand)]
+
+
+@pytest.mark.parametrize("block, single, reference", BLOCK_DECODERS)
+@pytest.mark.parametrize("kwargs", [
+    dict(max_queries=2048), dict(max_queries=256, list_size=3),
+    dict(max_queries=1), dict(max_queries=4096, max_weight=9),
+])
+def test_block_decoders_match_reference_and_single_rows(block, single, reference,
+                                                        kwargs, block_cases):
+    # every row of a block decodes exactly as that row alone, soft outputs
+    # bit for bit, and as the query-at-a-time reference; an F-ordered block
+    # (outer_llr's own output is not C-ordered) gives the same rows
+    for name, spec, lo in block_cases:
+        got = block(lo, spec, **kwargs)
+        assert len(got) == len(lo)
+        for out_f, out in zip(block(np.asfortranarray(lo), spec, **kwargs), got):
+            assert same_output(out_f, out), name
+        for t, row in enumerate(lo):
+            assert same_output(got[t], single(row, spec, **kwargs)), (name, t)
+            want_c, want_so, want_q = reference(
+                row, spec, kwargs["max_queries"], kwargs.get("list_size", 1),
+                kwargs.get("max_weight"))
+            assert got[t].queries_used == want_q, (name, t)
+            assert [tuple(c) for c in got[t].candidates] == want_c, (name, t)
+            assert np.allclose(got[t].so, want_so, rtol=1e-9, atol=1e-300), (name, t)
+
+
+@pytest.mark.parametrize("block, single", [d[:2] for d in BLOCK_DECODERS])
+def test_block_of_one_and_of_none(block, single):
+    lo = crc_failing_outer_llrs(1, (64, 43, 32), 3.0, 8, CRC11)
+    (out,) = block(lo, CRC11)
+    assert same_output(out, single(lo[0], CRC11))
+    assert block(np.zeros((0, 43)), CRC11) == []
+
+
+@pytest.mark.parametrize("block", [d[0] for d in BLOCK_DECODERS])
+def test_block_decoders_refuse_bad_blocks(block):
+    lo = np.random.default_rng(28).normal(0, 3, (5, 16))
+    lo[4, 9] = np.nan  # in the last row only
+    with pytest.raises(ValueError, match="NaN"):
+        block(lo, CRC6)
+    for bad in (np.zeros((3, 6)), np.zeros(16), np.zeros((2, 3, 16))):
+        with pytest.raises(ValueError):
+            block(bad, CRC6)
+    for kwargs in (dict(max_queries=0), dict(list_size=0), dict(max_weight=-1)):
+        with pytest.raises(ValueError):
+            block(np.zeros((2, 16)), CRC6, **kwargs)
+
+
+@pytest.mark.parametrize("list_size", [1, 3])
+def test_gcd_slices_keep_the_first_of_tied_codewords(monkeypatch, list_size):
+    # equal magnitudes tie many codewords; scored in slices of 4 queries,
+    # the best must still be the first in schedule order, as in one pass
+    llr = 2.0 * np.array([-1, 1, 1, -1, 1, 1, 1, -1, -1, 1, -1, 1.0])
+    block = np.stack([llr, -llr, np.roll(llr, 5)])
+    whole = gcd_decode_block(block, CRC6, max_queries=64, list_size=list_size)
+    monkeypatch.setattr(outer, "_CHUNK", 4)
+    sliced = gcd_decode_block(block, CRC6, max_queries=64, list_size=list_size)
+    for a, b in zip(sliced, whole):
+        assert [tuple(c) for c in a.candidates] == [tuple(c) for c in b.candidates]
+        assert np.allclose(a.so, b.so, rtol=1e-12, atol=0.0)

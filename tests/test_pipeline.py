@@ -40,6 +40,9 @@ def test_config_validation():
         PipelineConfig(CODE, SPEC, 4, outer_list_size=0)
     with pytest.raises(ValueError, match="outer"):
         PipelineConfig(CODE, SPEC, 4, outer_decoder="grand")
+    with pytest.raises(ValueError, match="outer_max_weight"):
+        PipelineConfig(CODE, SPEC, 4, outer_max_weight=-3)
+    assert PipelineConfig(CODE, SPEC, 4, outer_max_weight=0).outer_max_weight == 0
     assert PipelineConfig(CODE, SPEC, 4).m_msg == 24
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -6,12 +7,16 @@ import pytest
 
 from capolar.channel import (ChannelParams, llr_from_channel, message_rng,
                              modulate, noise_rng, saturate_llr, transmit)
-from capolar.pipeline import PipelineConfig, cca_scl_decode
+from capolar.outer import outer_llr
+from capolar.pipeline import (InnerDecision, PipelineConfig, cca_scl_decode,
+                              resolve_decision)
 from capolar.polar import CodeDims, ca_encode
+from capolar.scl import ca_select_batch, scl_decode_batch
 from capolar.sim import (
     CALIBRATION_EDGES,
     SCHEMA_VERSION,
     SimConfig,
+    _decide_batch,
     _plan_for,
     _trial_wave,
     run_bler_sweep,
@@ -77,6 +82,48 @@ def test_bad_pipeline_config_fails_before_any_output(tmp_path):
     with pytest.raises(ValueError, match="list_size"):
         run_bler_sweep(cfg)
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("decoder", ["ca_scl", "cca_scl"])
+def test_negative_outer_max_weight_fails_before_any_output(tmp_path, decoder):
+    cfg = small_cfg(tmp_path, outer_decoder="gcd", outer_max_weight=-1,
+                    decoder=decoder, out_stem="bad")
+    with pytest.raises(ValueError, match="outer_max_weight"):
+        run_bler_sweep(cfg)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("outer", ["sogrand", "gcd"])
+def test_decide_batch_equals_per_trial_resolve_decision(tmp_path, outer):
+    # the batch decodes its CRC failures and its retries in one outer block;
+    # each trial must come out as resolve_decision makes it alone
+    cfg = small_cfg(tmp_path, outer_decoder=outer, outer_list_size=2,
+                    epsilon_grid=(1e-1, 1e-3), retry_on_threshold_fail=True)
+    plan = _plan_for(cfg)
+    assert plan.retry_below == 1.0 - 1e-3
+    correct, so, origin, queries, passes, found, _, alt_so, alt_ok = _decide_batch(
+        (plan, 2.0, 300, 200))
+    msgs, llr = _trial_wave(plan, 2.0, range(300, 500))
+    sel = ca_select_batch(scl_decode_batch(llr, plan.pipe.code, 2), plan.pipe.spec)
+    lo = outer_llr(llr, plan.pipe.code)
+    codes = {"inner": 0, "outer": 1, "fallback": 2}
+    retried = 0
+    for t in range(200):
+        inner = None
+        if sel["found"][t]:
+            inner = InnerDecision(sel["message"][t], float(sel["so"][t]),
+                                  int(sel["pass_count"][t]))
+        res = resolve_decision(lo[t], inner, plan.pipe)
+        assert (correct[t], so[t], origin[t], queries[t], passes[t]) == (
+            np.array_equal(res.message, msgs[t]), res.so, codes[res.origin],
+            res.outer_queries, res.inner_pass_count), t
+        want_so, want_ok = 0.0, False
+        if inner is not None and inner.so <= plan.retry_below:
+            alt = resolve_decision(lo[t], None, plan.pipe)
+            want_so, want_ok = alt.so, np.array_equal(alt.message, msgs[t])
+            retried += 1
+        assert (alt_so[t], alt_ok[t]) == (want_so, want_ok), t
+    assert retried and (~found).any() and alt_ok.any()
 
 
 def test_trial_wave_rows_do_not_depend_on_grouping(tmp_path):
@@ -306,14 +353,17 @@ def test_uer_retry_only_converts_erasures(tmp_path):
 ])
 def test_uer_sweep_equals_the_full_pipeline_per_epsilon(tmp_path, dims, list_size,
                                                         outer, min_accepted):
-    # the sweep decodes once, thresholds afterwards and retries lazily; the
-    # counts must equal a complete decode per trial and per epsilon
+    # the sweep decodes once, thresholds afterwards and decodes the retries
+    # in their batch's outer block; the counts must equal a complete decode
+    # per trial and per epsilon, in one batch or in several
     eps_grid = (1e-1, 1e-2, 1e-3)
     cfg = SimConfig(dims, (3.0,), list_size=list_size, decoder="cca_scl",
                     outer_decoder=outer, epsilon_grid=eps_grid,
                     retry_on_threshold_fail=True, trials=256, master_seed=11,
                     out_dir=str(tmp_path))
     recs = run_uer_sweep(cfg)
+    small = run_uer_sweep(dataclasses.replace(cfg, batch_size=40, round_trials=80,
+                                              out_stem="small"))
     code, spec = cfg.build_code(), cfg.crc()
     params = ChannelParams(3.0, dims.rate)
     undetected = dict.fromkeys(eps_grid, 0)
@@ -333,6 +383,8 @@ def test_uer_sweep_equals_the_full_pipeline_per_epsilon(tmp_path, dims, list_siz
             consulted += retry
             accepted += retry and not res.erased
     assert [(r.undetected_errors, r.erasures) for r in recs] == [
+        (undetected[e], erased[e]) for e in eps_grid]
+    assert [(r.undetected_errors, r.erasures) for r in small] == [
         (undetected[e], erased[e]) for e in eps_grid]
     assert erased[1e-3] > erased[1e-1] and consulted > 0
     assert accepted >= min_accepted
