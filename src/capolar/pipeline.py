@@ -20,7 +20,7 @@ import numpy as np
 from .crc import CrcSpec
 from .outer import gcd_decode_block, hard_decision, outer_llr, sogrand_decode_block
 from .polar import PolarCode
-from .scl import ca_select_batch, scl_decode_batch
+from .scl import _checked_list_size, ca_select_batch, scl_decode_batch
 
 __all__ = ["PipelineConfig", "DecodeResult", "threshold_test", "cca_scl_decode",
            "resolve_decision", "outer_decisions", "InnerDecision"]
@@ -41,8 +41,7 @@ class PipelineConfig:
     outer_decoder: str = "sogrand"  # pattern guessing | "gcd" codeword guessing
 
     def __post_init__(self):
-        if self.list_size < 1:
-            raise ValueError("list_size must be >= 1")
+        _checked_list_size(self.list_size)
         k = len(self.code.info)
         if self.spec.degree >= k:
             raise ValueError(

@@ -13,28 +13,41 @@ path to the unvisited-mass estimate, the correction term of the list-SO
 denominators.  Candidate order is deterministic: ties in pm break toward the
 lexicographically smaller input sequence.
 
+Both children of a path share one penalty evaluation: the child that
+follows the decision LLR pays logaddexp(0, -|lam|), the other |lam| more,
+which is what logaddexp(0, -+lam) returns bit for bit.  A prune sorts the
+candidate values and keeps those at or below the L-th; only rows where the
+L-th and (L+1)-th values tie are re-sorted stably, because only there can
+the order of equal values change which candidates survive.  The dropped
+mass is summed from the sorted values, which is the same sequence either
+way.
+
 Path state is shared, not copied (the lazy copy of Tal and Vardy).  Level
 s = 1..n of the recursion holds N >> s LLRs and N >> s partial sums per
 path, each level in its own array stored flat with one row per (trial,
 path) live when the level was last written.  A row map per level sends each
-live path to its row; doubling and pruning compose these maps with the
-parent index and move no state.  A level is gathered, one take along axis
-0, only when an f/g step or a partial-sum push reads it, and a write leaves
-it in path order again.  Level 0, the channel, is shared by all paths.
-u_hat is not kept per path: each information position logs its kept
-candidates (2 * parent + bit, in the smallest unsigned dtype that holds
-2L), and the final paths are traced back through that log in pm order.
+live path to its row; a prune composes the live maps with the parent index,
+once per distinct map, and moves no state.  A level is gathered, one take
+along axis 0, only when an f/g step or a partial-sum push reads it, and a
+write leaves it in path order again; a level is dropped after its last
+read.  Level 0, the channel, is shared by all paths.  The last
+partial-sum push reaches level 0, where it holds every path's codeword:
+that is x_hat.  u_hat is not kept per path: each pruning information
+position logs its kept candidates (2 * parent + bit, in the smallest
+unsigned dtype that holds 2L), and the final paths are traced back through
+that log in pm order.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import LLR_LIMIT
 from .crc import CrcSpec, crc_syndrome
-from .polar import PolarCode, polar_transform
+from .polar import PolarCode
 
 __all__ = ["BatchSclOutput", "scl_decode_batch", "ca_select_batch"]
 
@@ -51,13 +64,41 @@ class BatchSclOutput:
     code: PolarCode
 
 
-def _boxplus(a, b):
-    """Exact LLR combine for the XOR of two independent bits (stable form)."""
-    return (
-        np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-        + np.log1p(np.exp(-np.abs(a + b)))
-        - np.log1p(np.exp(-np.abs(a - b)))
-    )
+def _boxplus(a, b, tmp=None):
+    """Exact LLR combine for the XOR of two independent bits (stable form).
+
+    sign(a) sign(b) min(|a|, |b|) + log1p(e^-|a+b|) - log1p(e^-|a-b|),
+    summed in that order.  The first term is formed as copysign(min, a b),
+    which can differ only in the sign of a zero; adding the log1p term,
+    never -0, gives the same bits either way.  ``tmp``, scratch of the
+    broadcast shape, saves one allocation per call.
+    """
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)))
+    if tmp is None:
+        tmp = np.empty_like(out)
+    np.abs(a, out=tmp)
+    np.abs(b, out=out)
+    np.minimum(tmp, out, out=out)
+    np.copysign(out, np.multiply(a, b, out=tmp), out=out)
+    for op in (np.add, np.subtract):
+        op(a, b, out=tmp)
+        np.abs(tmp, out=tmp)
+        np.negative(tmp, out=tmp)
+        np.exp(tmp, out=tmp)
+        np.log1p(tmp, out=tmp)
+        op(out, tmp, out=out)
+    return out
+
+
+def _checked_list_size(list_size) -> int:
+    """The list size as an int: integral and >= 1, or an error naming it."""
+    try:
+        list_size = operator.index(list_size)
+    except TypeError:
+        raise TypeError(f"list_size must be an integer, got {list_size!r}") from None
+    if list_size < 1:
+        raise ValueError("list_size must be >= 1")
+    return list_size
 
 
 def _mass_factors(code: PolarCode) -> np.ndarray:
@@ -83,8 +124,7 @@ def scl_decode_batch(llr: np.ndarray, code: PolarCode, list_size: int) -> BatchS
     n_trials, n_code = llr.shape
     if n_code != code.n_code:
         raise ValueError(f"got {n_code} LLRs for a length-{code.n_code} code")
-    if list_size < 1:
-        raise ValueError("list size must be >= 1")
+    list_size = _checked_list_size(list_size)
     n = code.stages
     frozen_mask = np.zeros(n_code, dtype=bool)
     frozen_mask[code.frozen] = True
@@ -99,23 +139,42 @@ def scl_decode_batch(llr: np.ndarray, code: PolarCode, list_size: int) -> BatchS
     pm = np.zeros((n_trials, 1))
     mass = np.zeros(n_trials)
     base = np.arange(n_trials)[:, None]
-    decisions = {}  # info phi -> (trials, paths) kept candidate: 2 * parent + bit
+    kept_log = {}  # info phi -> (trials, paths) kept 2 * parent + bit, or None: all
     paths = 1
 
-    def read(store, row, s):
-        data = store[s] if row[s] is None else store[s].take(row[s], axis=0)
+    # two scratch buffers, for gathered parent LLRs and for f/g temporaries,
+    # reused across steps: fresh arrays of this size cost page faults
+    scratch = [np.empty(0), np.empty(0)]
+
+    def shaped(i, w):
+        size = n_trials * paths * w
+        if scratch[i].size < size:
+            scratch[i] = np.empty(size)
+        return scratch[i][:size].reshape(n_trials, paths, w)
+
+    def read(store, row, s, out=None):
+        if row[s] is None:
+            data = store[s]
+        else:  # row maps are in range; "clip" lets take write straight into out
+            data = store[s].take(row[s], axis=0, mode="clip",
+                                 out=None if out is None else out.reshape(-1, width[s]))
         return data.reshape(n_trials, paths, width[s])
 
     for phi in range(n_code):
         lo = 1 if phi == 0 else n - ((phi & -phi).bit_length() - 1)
         for s in range(lo, n + 1):
             m = width[s]
-            par = chan if s == 1 else read(llrs, llr_row, s - 1)
+            par = chan if s == 1 else read(llrs, llr_row, s - 1, shaped(0, width[s - 1]))
             a, b = par[:, :, :m], par[:, :, m:]
+            tmp = shaped(1, m)
             if s == lo and phi != 0:
-                lam = (1.0 - 2.0 * read(sums, sum_row, s)) * a + b
+                # (1 - 2u) a + b
+                np.multiply(2.0, read(sums, sum_row, s), out=tmp)
+                np.subtract(1.0, tmp, out=tmp)
+                lam = np.multiply(tmp, a, out=tmp) + b
+                llrs[s - 1] = None  # the parent level's last read
             else:
-                lam = _boxplus(a, b)
+                lam = _boxplus(a, b, tmp)
             if s < n:  # level n is read only here, as the decision LLR
                 llrs[s] = lam.reshape(-1, m)
                 llr_row[s] = None
@@ -125,49 +184,78 @@ def scl_decode_batch(llr: np.ndarray, code: PolarCode, list_size: int) -> BatchS
             pm = pm + np.logaddexp(0.0, -lam)
             word = np.zeros((n_trials, paths, 1), dtype=np.uint8)
         else:
+            # logaddexp(0, -+lam) as max(-+lam, 0) + logaddexp(0, -|lam|):
+            # the same bits from one logaddexp instead of two
+            t = np.logaddexp(0.0, -np.abs(lam))
             cand = np.empty((n_trials, 2 * paths))
-            cand[:, 0::2] = pm + np.logaddexp(0.0, -lam)
-            cand[:, 1::2] = pm + np.logaddexp(0.0, lam)
+            cand[:, 0::2] = pm + (np.maximum(-lam, 0.0) + t)
+            cand[:, 1::2] = pm + (np.maximum(lam, 0.0) + t)
             if 2 * paths <= list_size:
                 # keep both children of every path, interleaved so the list
                 # stays in lexicographic order of the input sequences
-                keep = np.broadcast_to(np.arange(2 * paths), cand.shape)
+                kept = None
                 pm = cand
+                parent = np.arange(cand.size) >> 1
+                bits = np.tile(np.array([0, 1], dtype=np.uint8), n_trials * paths)
             else:
-                order = np.argsort(cand, axis=1, kind="stable")
-                keep = np.sort(order[:, :list_size], axis=1)
-                dropped = np.take_along_axis(cand, order[:, list_size:], axis=1)
-                mass += np.exp(-dropped).sum(axis=1) * factors[phi]
-                pm = np.take_along_axis(cand, keep, axis=1)
-            decisions[phi] = keep.astype(log_dtype)
-            parent = (base * paths + (keep >> 1)).ravel()
+                # the list_size smallest; only a tie across the boundary
+                # makes the choice depend on the sort, and those rows take
+                # the stable order, toward the smaller input sequence
+                srt = np.sort(cand, axis=1)
+                mask = cand <= srt[:, list_size - 1:list_size]
+                tie = np.flatnonzero(srt[:, list_size - 1] == srt[:, list_size])
+                if tie.size:
+                    order = np.argsort(cand[tie], axis=1, kind="stable")
+                    mask[tie] = False
+                    mask[tie[:, None], order[:, :list_size]] = True
+                mass += np.exp(-srt[:, list_size:]).sum(axis=1) * factors[phi]
+                kept = np.flatnonzero(mask)  # trial * 2 * paths + 2 * parent + bit
+                pm = cand.take(kept).reshape(n_trials, list_size)
+                parent = kept >> 1
+                bits = (kept & 1).astype(np.uint8)
+                kept = (kept.reshape(n_trials, list_size) - 2 * paths * base).astype(log_dtype)
+            kept_log[phi] = kept
+            # compose each distinct live row map once: levels written in
+            # one descent share theirs (id -> (old map, composed map))
+            composed = {}
             for store, row in ((llrs, llr_row), (sums, sum_row)):
                 for s in range(1, n + 1):
                     if store[s] is not None:
-                        row[s] = parent if row[s] is None else row[s][parent]
-            paths = keep.shape[1]
-            word = (keep & 1).astype(np.uint8)[:, :, None]
+                        old = row[s]
+                        if id(old) not in composed:
+                            composed[id(old)] = (old, parent if old is None else old.take(parent))
+                        row[s] = composed[id(old)][1]
+            paths = pm.shape[1]
+            word = bits.reshape(n_trials, paths, 1)
 
         # push partial sums back up while this subtree is complete
         s, pos = n, phi
         while pos & 1:
-            word = np.concatenate([read(sums, sum_row, s) ^ word, word], axis=2)
+            # each row of width[s] bytes moves as one void item: a byte-wise
+            # concatenation of short rows is many times slower
+            row_t = np.dtype((np.void, width[s]))
+            word = np.concatenate([(read(sums, sum_row, s) ^ word).view(row_t),
+                                   word.view(row_t)], axis=2).view(np.uint8)
+            sums[s] = None
             s -= 1
             pos >>= 1
         if s > 0:
             sums[s] = word.reshape(-1, width[s])
             sum_row[s] = None
 
-    # trace each final path back through the logged decisions, in pm order
+    # the last push ends at level 0 with every path's codeword; trace the
+    # final paths back through the kept log, in pm order
     order = np.argsort(pm, axis=1, kind="stable")
     pm = np.take_along_axis(pm, order, axis=1)
+    x_hat = word.reshape(-1, n_code).take(order + paths * base, axis=0)
     u_hat = np.zeros((n_trials, paths, n_code), dtype=np.uint8)
     idx = order
-    for phi in reversed(decisions):
-        kept = np.take_along_axis(decisions[phi], idx, axis=1)
-        u_hat[:, :, phi] = kept & 1
-        idx = kept >> 1
-    x_hat = polar_transform(u_hat)
+    for phi in reversed(kept_log):
+        kept = kept_log[phi]
+        if kept is not None:
+            idx = kept.take(idx + kept.shape[1] * base)
+        u_hat[:, :, phi] = idx & 1
+        idx = idx >> 1
     return BatchSclOutput(
         u_hat=u_hat,
         x_hat=x_hat,

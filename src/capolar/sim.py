@@ -91,6 +91,8 @@ class SimConfig:
             raise ValueError("trials must be >= 1")
         if len(self.snr_grid_db) == 0:
             raise ValueError("snr grid must be nonempty")
+        if not all(math.isfinite(snr) for snr in self.snr_grid_db):
+            raise ValueError(f"snr grid points must be finite, got {self.snr_grid_db}")
         if self.decoder not in ("ca_scl", "cca_scl"):
             raise ValueError(f"unknown decoder {self.decoder!r}")
         if self.outer_decoder not in ("sogrand", "gcd"):

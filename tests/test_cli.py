@@ -96,6 +96,15 @@ def test_invalid_dims_names_the_invariant(capsys):
     assert err.startswith("error:") and "power of two" in err
 
 
+@pytest.mark.parametrize("snr", ["nan", "inf", "-inf"])
+def test_non_finite_snr_exits_2_before_any_output(tmp_path, capsys, snr):
+    rc = main(["bler"] + DIMS + [f"--snr=3,{snr}", "--trials", "64",
+               "--out", str(tmp_path), "--stem", "t"])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_unknown_flag_exits_with_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bler", "--frobnicate", "1"])

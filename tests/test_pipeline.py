@@ -34,6 +34,10 @@ def test_config_validation():
         PipelineConfig(CODE, SPEC, 4, epsilon=1.0)
     with pytest.raises(ValueError):
         PipelineConfig(CODE, SPEC, 0)
+    for size in (2.5, 4.0, "4"):
+        with pytest.raises(TypeError, match="list_size must be an integer"):
+            PipelineConfig(CODE, SPEC, size)
+    assert PipelineConfig(CODE, SPEC, np.int64(4)).list_size == 4
     with pytest.raises(ValueError, match="parity"):
         PipelineConfig(construct_polar(16, 8), crc_spec_for(11), 4)
     with pytest.raises(ValueError):

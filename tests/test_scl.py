@@ -325,6 +325,38 @@ def test_decode_rejects_stacked_blocks():
         scl_decode_batch(np.zeros((2, 3, 16)), code, 4)
 
 
+def test_decode_rejects_non_integral_list_size():
+    code = construct_polar(16, 9)
+    llr = np.random.default_rng(14).normal(0, 2, (3, 16))
+    for size in (2.5, 4.0):
+        with pytest.raises(TypeError, match="list_size must be an integer"):
+            scl_decode_batch(llr, code, size)
+    with pytest.raises(ValueError, match="list_size"):
+        scl_decode_batch(llr, code, 0)
+    out, ref = scl_decode_batch(llr, code, np.int64(4)), scl_decode_batch(llr, code, 4)
+    assert np.array_equal(out.pm, ref.pm)
+
+
+def test_shared_penalty_equals_both_logaddexp_lines():
+    # the candidate build pays max(-+lam, 0) + logaddexp(0, -|lam|) in place
+    # of logaddexp(0, -+lam); the two must agree bit for bit
+    rng = np.random.default_rng(15)
+    tiny = np.finfo(np.float64).tiny
+    lam = np.concatenate([
+        rng.normal(0, 4, 200_000),
+        rng.normal(0, 400, 20_000),
+        [0.0, -0.0, 1.0, -1.0, 40.0, -40.0, 745.0, -745.0, 800.0, -800.0],
+        np.clip([np.inf, -np.inf], -LLR_LIMIT, LLR_LIMIT) * 2.0 ** np.arange(11)[:, None],
+        tiny * rng.uniform(-1, 1, 1000),  # subnormal
+        [5e-324, -5e-324, tiny, -tiny],
+    ], axis=None)
+    t = np.logaddexp(0.0, -np.abs(lam))
+    for side in (-lam, lam):
+        shared = np.maximum(side, 0.0) + t
+        assert np.array_equal(shared.view(np.uint64),
+                              np.logaddexp(0.0, side).view(np.uint64))
+
+
 def _signs(rows, n, seed):
     return np.random.default_rng(seed).choice([-1.0, 1.0], (rows, n))
 
@@ -347,6 +379,13 @@ EXACT_CASES = {
                      * noisy_llr(c, 2.0, 30, 12)),
     "one-row-L8": ((64, 43, False), 8, lambda c: noisy_llr(c, 2.0, 1, 13)),
     "600-rows-L8": ((64, 43, False), 8, lambda c: noisy_llr(c, 2.0, 600, 14)),
+    # noisy rows never tie across the prune boundary, all-zero and +-40 rows
+    # do, so each prune of this block takes both the sorted and the stable path
+    "tie-and-noisy-rows-L8": ((64, 43, False), 8, lambda c: np.concatenate(
+        [noisy_llr(c, 2.0, 40, 15), np.zeros((10, 64)), 40.0 * _signs(10, 64, 16),
+         noisy_llr(c, 2.0, 40, 17)])),
+    "64-43-L16": ((64, 43, False), 16, lambda c: noisy_llr(c, 2.0, 200, 18)),
+    "1024-35-L8": ((1024, 35, False), 8, lambda c: noisy_llr(c, 1.0, 6, 19)),
 }
 
 

@@ -71,6 +71,13 @@ def test_config_validation():
         SimConfig(DIMS, (3.0,), retry_on_threshold_fail=True)
 
 
+@pytest.mark.parametrize("snr", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_snr_point_is_refused(tmp_path, snr):
+    with pytest.raises(ValueError, match="finite"):
+        small_cfg(tmp_path, snr_grid_db=(3.0, snr))
+    assert not list(tmp_path.iterdir())
+
+
 def test_missing_out_dir_fails_before_decoding(tmp_path):
     cfg = small_cfg(tmp_path / "nope", trials=10**9)
     with pytest.raises(FileNotFoundError):
