@@ -14,8 +14,8 @@ from .analysis import bit_prob, convert_llr, pair_covariance
 from .outer import (OuterDecodeOutput, gcd_decode, gcd_decode_block,
                     hard_decision, orbgrand_schedule, outer_llr,
                     sogrand_decode, sogrand_decode_block)
-from .pipeline import (DecodeResult, PipelineConfig, cca_scl_decode,
-                       outer_decisions, resolve_decision, threshold_test)
+from .pipeline import (ORIGINS, DecodeResult, PipelineConfig, apply_threshold,
+                       cca_scl_decode, decide_block, threshold_test)
 from .polar import (CodeDims, PolarCode, ca_encode, construct_polar,
                     encode_nonsystematic, encode_systematic, polar_transform)
 from .reliability import bhattacharyya_order, sequence_for
@@ -34,8 +34,8 @@ __all__ = [
     "bit_prob", "convert_llr", "pair_covariance",
     "OuterDecodeOutput", "hard_decision", "orbgrand_schedule", "outer_llr",
     "sogrand_decode", "sogrand_decode_block", "gcd_decode", "gcd_decode_block",
-    "DecodeResult", "PipelineConfig", "cca_scl_decode", "outer_decisions",
-    "resolve_decision", "threshold_test",
+    "DecodeResult", "PipelineConfig", "ORIGINS", "apply_threshold",
+    "cca_scl_decode", "decide_block", "threshold_test",
     "CodeDims", "PolarCode", "ca_encode", "construct_polar",
     "encode_nonsystematic", "encode_systematic", "polar_transform",
     "bhattacharyya_order", "sequence_for",

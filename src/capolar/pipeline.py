@@ -6,24 +6,31 @@ and the guessing decoder takes over; if even that finds nothing, the hard
 decision of the outer LLRs is emitted with zero confidence.  An optional
 threshold on the blockwise soft output turns low-confidence decisions into
 flagged erasures, with an optional single retry through the outer decoder
-when the inner decision is the one that failed the test.  ``outer_decisions``
-runs the outer stage on a block of trials at once; ``resolve_decision``
-hands it a block of one.
+when the inner decision is the one that failed the test.
+
+``decide_block`` decides a block of trials whose inner stage already ran,
+in one outer block; ``apply_threshold`` is the threshold rule on its
+columns.  Every sweep decides, and the UER sweep thresholds, through them;
+``cca_scl_decode`` is both on one row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .crc import CrcSpec
 from .outer import gcd_decode_block, hard_decision, outer_llr, sogrand_decode_block
 from .polar import PolarCode
-from .scl import _checked_list_size, ca_select_batch, scl_decode_batch
+from .scl import _checked_int, ca_select_batch, scl_decode_batch
 
-__all__ = ["PipelineConfig", "DecodeResult", "threshold_test", "cca_scl_decode",
-           "resolve_decision", "outer_decisions", "InnerDecision"]
+__all__ = ["PipelineConfig", "DecodeResult", "ORIGINS", "threshold_test",
+           "apply_threshold", "decide_block", "cca_scl_decode"]
+
+# the origin column's codes: ORIGINS[code] names the stage that decided
+ORIGINS = ("inner", "outer", "fallback")
+INNER, OUTER, FALLBACK = range(len(ORIGINS))
 
 
 @dataclass(frozen=True)
@@ -41,7 +48,7 @@ class PipelineConfig:
     outer_decoder: str = "sogrand"  # pattern guessing | "gcd" codeword guessing
 
     def __post_init__(self):
-        _checked_list_size(self.list_size)
+        _checked_int(self.list_size, "list_size")
         k = len(self.code.info)
         if self.spec.degree >= k:
             raise ValueError(
@@ -52,10 +59,10 @@ class PipelineConfig:
                 raise ValueError("retry_on_threshold_fail needs a threshold epsilon")
         elif not 0.0 <= self.epsilon < 1.0:
             raise ValueError("epsilon must lie in [0, 1)")
-        if self.outer_max_queries < 1 or self.outer_list_size < 1:
-            raise ValueError("outer budget and list size must be >= 1")
-        if self.outer_max_weight is not None and self.outer_max_weight < 0:
-            raise ValueError("outer_max_weight must be >= 0")
+        _checked_int(self.outer_max_queries, "outer_max_queries")
+        _checked_int(self.outer_list_size, "outer_list_size")
+        if self.outer_max_weight is not None:
+            _checked_int(self.outer_max_weight, "outer_max_weight", low=0)
         if self.outer_decoder not in ("sogrand", "gcd"):
             raise ValueError(f"unknown outer decoder {self.outer_decoder!r}")
 
@@ -70,87 +77,107 @@ class DecodeResult:
 
     message: np.ndarray
     so: float
-    origin: str  # "inner" | "outer" | "fallback"
+    origin: str  # one of ORIGINS
     erased: bool
     inner_pass_count: int
     outer_queries: int
 
 
-@dataclass(frozen=True)
-class InnerDecision:
-    """CRC-passing inner selection handed to resolve_decision."""
-
-    window: np.ndarray  # K-bit CRC word at the information positions
-    so: float
-    pass_count: int
-
-
-def threshold_test(so: float, epsilon: float) -> bool:
-    """Accept a decision: strictly above 1 - epsilon."""
+def threshold_test(so, epsilon: float):
+    """Accept a decision: SO strictly above 1 - epsilon, elementwise."""
     if not 0.0 <= epsilon < 1.0:
         raise ValueError("epsilon must lie in [0, 1)")
-    return so > 1.0 - epsilon
+    return np.greater(so, 1.0 - epsilon)
 
 
-def outer_decisions(lo: np.ndarray, cfg: PipelineConfig) -> list[tuple]:
-    """The outer decoder's decision for each row of a (trials, K) block of
-    outer LLRs, all rows decoded together.
+def apply_threshold(cols: dict, epsilon: float):
+    """Accept, else take the retry, else erase: the (accepted, retry taken)
+    masks over ``decide_block`` columns.  A row not retried has alt_so 0,
+    which no threshold accepts."""
+    accepted = threshold_test(cols["so"], epsilon)
+    return accepted, ~accepted & threshold_test(cols["alt_so"], epsilon)
 
-    Each row gives (message, so, origin, queries): the best candidate's
-    message bits, or the hard decision with zero confidence ("fallback")
-    when the guesser found nothing within its budget.
+
+def decide_block(sel: dict, llr: np.ndarray | None, cfg: PipelineConfig,
+                 retry_below: float | None = None) -> dict:
+    """Decide each trial of a block whose inner stage already ran.
+
+    ``sel`` is ``ca_select_batch`` of the block, ``llr`` its (trials, N)
+    channel LLRs, or None for plain CA-SCL (no outer stage: a CRC failure
+    is no decision).  The CRC failures and, given ``retry_below``, the
+    inner decisions with SO at or below it are outer decoded in one block.
+
+    Returns per-row columns: ``message``, ``so``, ``origin`` (ORIGINS
+    codes) and ``queries`` of the decision; ``retried`` and the retry's
+    ``alt_message``, ``alt_so`` and ``alt_queries`` (zero if not retried);
+    ``found``, ``pass_count`` and ``so_forney`` from ``sel``.  A retry is
+    taken only over an SO >= 0, so it is always an outer decision.
     """
+    m = cfg.m_msg
+    found = sel["found"]
+    n = len(found)
+    cols = {"message": sel["message"][:, :m].copy(), "so": sel["so"].copy(),
+            "origin": np.where(found, INNER, FALLBACK).astype(np.uint8),
+            "queries": np.zeros(n, dtype=np.int64), "retried": np.zeros(n, dtype=bool),
+            "alt_message": np.zeros((n, m), dtype=np.uint8), "alt_so": np.zeros(n),
+            "alt_queries": np.zeros(n, dtype=np.int64), "found": found,
+            "pass_count": sel["pass_count"], "so_forney": sel["so_forney"]}
+    if llr is None:
+        return cols
+    llr = np.asarray(llr, dtype=np.float64)
+    if llr.shape != (n, cfg.code.n_code):
+        raise ValueError(f"expected the ({n}, {cfg.code.n_code}) channel LLRs of the "
+                         f"selection's trials, got shape {llr.shape}")
+    if retry_below is not None:
+        cols["retried"] = found & (cols["so"] <= retry_below)
+    rows = np.flatnonzero(~found | cols["retried"])
+
+    lo = outer_llr(llr[rows], cfg.code)
     decode = gcd_decode_block if cfg.outer_decoder == "gcd" else sogrand_decode_block
     outs = decode(lo, cfg.spec, max_queries=cfg.outer_max_queries,
                   list_size=cfg.outer_list_size, max_weight=cfg.outer_max_weight)
-    m = cfg.m_msg
-    return [(out.candidates[0][:m], out.so[0], "outer", out.queries_used) if out.found
-            else (hard_decision(row)[:m], 0.0, "fallback", out.queries_used)
-            for row, out in zip(lo, outs)]
+    # the best candidate, or the hard decision with zero confidence
+    # ("fallback") when the guesser found nothing within its budget
+    hit = np.array([out.found for out in outs], dtype=bool)
+    message = hard_decision(lo)[:, :m]
+    for i in np.flatnonzero(hit).tolist():
+        message[i] = outs[i].candidates[0][:m]
+    so = np.array([out.so[0] if out.found else 0.0 for out in outs])
+    queries = np.array([out.queries_used for out in outs], dtype=np.int64)
 
-
-def resolve_decision(lo: np.ndarray, inner: InnerDecision | None,
-                     cfg: PipelineConfig) -> DecodeResult:
-    """Finish a trial whose inner stage already ran.
-
-    ``lo`` holds the trial's outer LLRs (``outer_llr`` of its channel LLRs);
-    the outer decoder reads nothing else.  ``inner`` carries the CRC-passing
-    selection, or None when no list candidate passed.
-    """
-    k = len(cfg.code.info)
-    if np.shape(lo) != (k,):
-        raise ValueError(f"expected the {k} outer LLRs of one trial, got shape {np.shape(lo)}")
-    block = np.asarray(lo, dtype=np.float64)[None]
-    m = cfg.m_msg
-    if inner is not None:
-        message, so, origin = inner.window[:m].copy(), inner.so, "inner"
-        pass_count, queries = inner.pass_count, 0
-    else:
-        message, so, origin, queries = outer_decisions(block, cfg)[0]
-        pass_count = 0
-
-    if cfg.epsilon is None:
-        return DecodeResult(message, so, origin, False, pass_count, queries)
-    if threshold_test(so, cfg.epsilon):
-        return DecodeResult(message, so, origin, False, pass_count, queries)
-    if cfg.retry_on_threshold_fail and origin == "inner":
-        alt_msg, alt_so, alt_origin, queries = outer_decisions(block, cfg)[0]
-        if threshold_test(alt_so, cfg.epsilon):
-            return DecodeResult(alt_msg, alt_so, alt_origin, False, pass_count, queries)
-        if alt_so > so:
-            return DecodeResult(alt_msg, alt_so, alt_origin, True, pass_count, queries)
-    return DecodeResult(message, so, origin, True, pass_count, queries)
+    # a CRC failure takes the outer decision, a retry its alt columns
+    again = found[rows]
+    for mask, prefix in ((~again, ""), (again, "alt_")):
+        for key, col in (("message", message), ("so", so), ("queries", queries)):
+            cols[prefix + key][rows[mask]] = col[mask]
+    cols["origin"][rows[~again]] = np.where(hit[~again], OUTER, FALLBACK)
+    return cols
 
 
 def cca_scl_decode(llr: np.ndarray, cfg: PipelineConfig) -> DecodeResult:
-    """Decode one word end to end: the batch inner path on a single row.
+    """Decode one word end to end: ``decide_block`` and ``apply_threshold``
+    on a single row.
 
-    Never raises on a valid config and LLRs without NaN.
+    Never raises on a valid config and N LLRs without NaN.
     """
     llr = np.asarray(llr, dtype=np.float64)
+    if llr.ndim != 1:
+        raise ValueError(f"cca_scl_decode takes one word of channel LLRs, got shape {llr.shape}")
     sel = ca_select_batch(scl_decode_batch(llr, cfg.code, cfg.list_size), cfg.spec)
-    inner = None
-    if sel["found"][0]:
-        inner = InnerDecision(sel["message"][0], float(sel["so"][0]),
-                              int(sel["pass_count"][0]))
-    return resolve_decision(outer_llr(llr, cfg.code), inner, cfg)
+    retry_below = 1.0 - cfg.epsilon if cfg.retry_on_threshold_fail else None
+    cols = decide_block(sel, llr[None], cfg, retry_below)
+    row = {key: col[0] for key, col in cols.items()}
+    pass_count = int(row["pass_count"])
+    queries = int(row["queries"] + row["alt_queries"])
+    own = DecodeResult(row["message"], float(row["so"]), ORIGINS[row["origin"]], False,
+                       pass_count, queries)
+    if cfg.epsilon is None:
+        return own
+    accepted, retry_taken = (bool(mask[0]) for mask in apply_threshold(cols, cfg.epsilon))
+    if accepted:
+        return own
+    if retry_taken or row["alt_so"] > row["so"]:
+        # an erased retry still shows the better of the two words
+        return DecodeResult(row["alt_message"], float(row["alt_so"]), "outer",
+                            not retry_taken, pass_count, queries)
+    return replace(own, erased=True)

@@ -90,15 +90,15 @@ def _boxplus(a, b, tmp=None):
     return out
 
 
-def _checked_list_size(list_size) -> int:
-    """The list size as an int: integral and >= 1, or an error naming it."""
+def _checked_int(value, name: str, low: int | None = 1) -> int:
+    """``value`` as an int >= ``low`` (unless None), or an error naming it."""
     try:
-        list_size = operator.index(list_size)
+        value = operator.index(value)
     except TypeError:
-        raise TypeError(f"list_size must be an integer, got {list_size!r}") from None
-    if list_size < 1:
-        raise ValueError("list_size must be >= 1")
-    return list_size
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return value
 
 
 def _mass_factors(code: PolarCode) -> np.ndarray:
@@ -124,7 +124,7 @@ def scl_decode_batch(llr: np.ndarray, code: PolarCode, list_size: int) -> BatchS
     n_trials, n_code = llr.shape
     if n_code != code.n_code:
         raise ValueError(f"got {n_code} LLRs for a length-{code.n_code} code")
-    list_size = _checked_list_size(list_size)
+    list_size = _checked_int(list_size, "list_size")
     n = code.stages
     frozen_mask = np.zeros(n_code, dtype=bool)
     frozen_mask[code.frozen] = True

@@ -31,9 +31,9 @@ from .channel import (ChannelParams, llr_from_channel, message_bits, modulate,
                       saturate_llr, transmit)
 from .crc import CrcSpec, crc_spec_for
 from .outer import outer_llr
-from .pipeline import PipelineConfig, outer_decisions
+from .pipeline import INNER, PipelineConfig, apply_threshold, decide_block
 from .polar import CodeDims, PolarCode, construct_polar, ca_encode
-from .scl import ca_select_batch, scl_decode_batch
+from .scl import _checked_int, ca_select_batch, scl_decode_batch
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -55,9 +55,6 @@ OUT_DIR_ENV = "CAPOLAR_OUT_DIR"
 # ascending predicted-error edges 10^-5 .. 10^0; samples below 10^-5 land in
 # an extra underflow bin so overconfident estimators stay visible
 CALIBRATION_EDGES = tuple(10.0 ** (-0.5 * i) for i in reversed(range(11)))
-
-_ORIGIN_CODES = {"inner": 0, "outer": 1, "fallback": 2}
-_ORIGIN_NAMES = {v: k for k, v in _ORIGIN_CODES.items()}
 
 
 @dataclass(frozen=True)
@@ -87,8 +84,10 @@ class SimConfig:
     emit_plot: bool = False
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        # stored as plain ints, so the JSON sidecar can write them
+        for name, low in (("trials", 1), ("min_errors", 1), ("batch_size", 1),
+                          ("round_trials", 1), ("workers", 1), ("master_seed", None)):
+            object.__setattr__(self, name, _checked_int(getattr(self, name), name, low))
         if len(self.snr_grid_db) == 0:
             raise ValueError("snr grid must be nonempty")
         if not all(math.isfinite(snr) for snr in self.snr_grid_db):
@@ -97,13 +96,11 @@ class SimConfig:
             raise ValueError(f"unknown decoder {self.decoder!r}")
         if self.outer_decoder not in ("sogrand", "gcd"):
             raise ValueError(f"unknown outer decoder {self.outer_decoder!r}")
-        if self.min_errors < 1:
-            raise ValueError("min_errors must be >= 1")
-        if self.batch_size < 1 or self.round_trials < self.batch_size:
-            raise ValueError("need batch_size >= 1 and round_trials >= batch_size")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if self.round_trials < self.batch_size:
+            raise ValueError("need round_trials >= batch_size")
         if self.epsilon_grid is not None:
+            if len(self.epsilon_grid) == 0:
+                raise ValueError("epsilon grid must be nonempty")
             for eps in self.epsilon_grid:
                 if not 0.0 <= eps < 1.0:
                     raise ValueError("epsilon values must lie in [0, 1)")
@@ -206,49 +203,25 @@ def _inner_pass(plan: _Plan, llr: np.ndarray):
 
 
 def _decide_batch(args):
-    """Per-trial decisions for one batch: the common engine for all sweeps.
+    """Per-trial decision columns for one batch: the engine of all sweeps.
 
-    Returns (msgs-correct flags, so, origin codes, outer queries, pass
-    counts, found flags, so_forney, retry so, retry-correct flags).  Under
-    ``cca_scl`` the outer stage decodes, in one block, every trial whose
-    list held no CRC passer and every inner decision at or below the plan's
-    retry threshold; a retry's outcome goes only to the retry columns,
-    which read 0 / False for trials not retried.
+    ``decide_block``'s columns plus ``correct`` and ``alt_correct``, whether
+    the decision and the retry equal the sent message.  Under ``ca_scl`` no
+    outer stage runs and a CRC failure, no decision, is never correct.
     """
     plan, snr_db, start, count = args
     msgs, llr = _trial_wave(plan, snr_db, range(start, start + count))
     sel = _inner_pass(plan, llr)
-    m = plan.dims.m_msg
-    found = sel["found"]
-    inner_ok = found & (sel["message"][:, :m] == msgs).all(axis=1)
-
-    so = sel["so"].copy()
-    correct = inner_ok.copy()
-    origin = np.zeros(count, dtype=np.uint8)
-    queries = np.zeros(count, dtype=np.int64)
-    alt_so = np.zeros(count)
-    alt_ok = np.zeros(count, dtype=bool)
-    if plan.decoder == "cca_scl":
-        need = ~found
-        if plan.retry_below is not None:
-            need |= found & (so <= plan.retry_below)
-        rows = np.flatnonzero(need)
-        decisions = outer_decisions(outer_llr(llr[rows], plan.pipe.code), plan.pipe)
-        for t, (message, so_t, origin_t, queries_t) in zip(rows.tolist(), decisions):
-            ok = np.array_equal(message, msgs[t])
-            if found[t]:
-                alt_so[t], alt_ok[t] = so_t, ok
-            else:
-                so[t], correct[t] = so_t, ok
-                origin[t], queries[t] = _ORIGIN_CODES[origin_t], queries_t
-    else:
-        origin[~found] = _ORIGIN_CODES["fallback"]  # no decision emitted
-    return (correct, so, origin, queries, sel["pass_count"], found, sel["so_forney"],
-            alt_so, alt_ok)
+    outer = plan.decoder == "cca_scl"
+    cols = decide_block(sel, llr if outer else None, plan.pipe, plan.retry_below)
+    cols["correct"] = (cols["message"] == msgs).all(axis=1) & (cols["found"] | outer)
+    cols["alt_correct"] = (cols["alt_message"] == msgs).all(axis=1) & cols["retried"]
+    return cols
 
 
 def _bler_batch(args):
-    correct, so, origin, queries, _, found, *_ = _decide_batch(args)
+    cols = _decide_batch(args)
+    correct, found, origin = cols["correct"], cols["found"], cols["origin"]
     plan = args[0]
     n = len(correct)
     inner_fail = int((~found).sum())
@@ -262,29 +235,26 @@ def _bler_batch(args):
         undetected = block_errors  # every trial emits a decision
         erasures = 0
         rescues = int((~found & correct).sum())
-        outer_n = int((origin != 0).sum())
+        outer_n = int((origin != INNER).sum())
     return (n, block_errors, undetected, erasures, inner_fail, rescues,
-            int(queries.sum()), outer_n)
+            int(cols["queries"].sum()), outer_n)
 
 
 def _calibrate_batch(args, edges=CALIBRATION_EDGES):
-    plan, snr_db, start, count = args
-    msgs, llr = _trial_wave(plan, snr_db, range(start, start + count))
-    sel = _inner_pass(plan, llr)
-    m = plan.dims.m_msg
-    found = sel["found"]
-    wrong = found & ~(sel["message"][:, :m] == msgs).all(axis=1)
+    cols = _decide_batch(args)
+    found = cols["found"]
+    wrong = found & ~cols["correct"]
     edge_arr = np.array(edges)
     nbins = len(edges)  # one bin per edge pair plus the underflow bin
     out = []
     for key in ("so", "so_forney"):
-        pred = np.clip(1.0 - sel[key][found], 0.0, 1.0)
+        pred = np.clip(1.0 - cols[key][found], 0.0, 1.0)
         idx = np.searchsorted(edge_arr, pred, side="left")
         counts = np.bincount(idx, minlength=nbins)
         errs = np.bincount(idx[wrong[found]], minlength=nbins)
         sums = np.bincount(idx, weights=pred, minlength=nbins)
         out.append((counts, errs, sums))
-    return count, int(found.sum()), out
+    return len(found), int(found.sum()), out
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +339,8 @@ def run_calibration(cfg: SimConfig, edges=None):
     edges = CALIBRATION_EDGES if edges is None else tuple(float(e) for e in edges)
     if list(edges) != sorted(set(edges)) or edges[0] <= 0.0 or edges[-1] > 1.0:
         raise ValueError("edges must be strictly ascending within (0, 1]")
-    plan = _plan_for(cfg)
+    # the bins read the inner soft outputs only, so no outer stage runs
+    plan = replace(_plan_for(cfg), decoder="ca_scl", retry_below=None)
     paths = _open_outputs(cfg, "calibrate")
     runner = _Runner(cfg.workers)
     snr = cfg.snr_grid_db[0]
@@ -432,35 +403,32 @@ def run_uer_sweep(cfg: SimConfig):
     records = []
     try:
         for snr in cfg.snr_grid_db:
-            keys = ("correct", "so", "origin", "queries", "alt_so", "alt_ok")
+            keys = ("correct", "so", "origin", "queries", "alt_so", "alt_correct")
             parts = {key: [] for key in keys}
 
             def fold(part):
-                for key, col in zip(keys, part[:4] + part[7:]):
-                    parts[key].append(col)
+                for key in keys:
+                    parts[key].append(part[key])
 
             t0 = time.perf_counter()
             _rounds(cfg, runner, plan, snr, _decide_batch, fold, stop=lambda: False)
-            correct, so, origin, queries, alt_so, alt_ok = (
-                np.concatenate(parts[key]) for key in keys)
-            n = len(correct)
+            cols = {key: np.concatenate(parts[key]) for key in keys}
+            correct, outer = cols["correct"], cols["origin"] != INNER
             wall = time.perf_counter() - t0
 
             for eps in cfg.epsilon_grid:
-                acc = so > 1.0 - eps
-                # a retried inner decision whose outer decision passes
-                # replaces the erasure (only inner trials are ever retried)
-                alt = ~acc & (alt_so > 1.0 - eps)
-                undetected = (acc & ~correct) | (alt & ~alt_ok)
-                erased = ~acc & ~alt
+                accepted, retry_taken = apply_threshold(cols, eps)
+                undetected = ((accepted & ~correct)
+                              | (retry_taken & ~cols["alt_correct"]))
                 records.append(SimRecord(
-                    snr_db=snr, trials=n, block_errors=int((~correct).sum()),
+                    snr_db=snr, trials=len(correct),
+                    block_errors=int((~correct).sum()),
                     undetected_errors=int(undetected.sum()),
-                    erasures=int(erased.sum()),
-                    inner_crc_failures=int((origin != 0).sum()),
-                    outer_rescues=int(((origin != 0) & correct).sum()),
-                    mean_outer_queries=float(queries[origin != 0].mean())
-                    if (origin != 0).any() else 0.0,
+                    erasures=int((~accepted & ~retry_taken).sum()),
+                    inner_crc_failures=int(outer.sum()),
+                    outer_rescues=int((outer & correct).sum()),
+                    mean_outer_queries=float(cols["queries"][outer].mean())
+                    if outer.any() else 0.0,
                     epsilon=eps, wall_time=wall))
     finally:
         runner.close()

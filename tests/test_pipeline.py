@@ -4,14 +4,15 @@ import pytest
 from capolar.channel import ChannelParams, llr_from_channel, message_rng, modulate, transmit
 from capolar.crc import crc_spec_for
 from capolar.pipeline import (
+    INNER,
     DecodeResult,
-    InnerDecision,
     PipelineConfig,
+    apply_threshold,
     cca_scl_decode,
-    resolve_decision,
+    decide_block,
     threshold_test,
 )
-from capolar.outer import outer_llr
+from capolar.outer import outer_llr, sogrand_decode
 from capolar.polar import CodeDims, ca_encode, construct_polar
 from capolar.scl import ca_select_batch, scl_decode_batch
 
@@ -57,6 +58,16 @@ def test_threshold_is_strict():
     assert not threshold_test(0.9, 0.1)
     with pytest.raises(ValueError):
         threshold_test(0.5, 1.0)
+    # elementwise on arrays, with the same strict boundary
+    so = np.array([0.0, 0.9, np.nextafter(0.9, 1.0), 1.0])
+    assert threshold_test(so, 0.1).tolist() == [False, False, True, True]
+    assert not threshold_test(so, 0.0).any()
+    # the rule over decision columns: accept, else take the retry, else erase
+    cols = {"so": np.array([0.995, 0.5, 0.5, 0.5, 0.0]),
+            "alt_so": np.array([0.999, 0.995, 0.99, 0.0, 0.0])}
+    accepted, retry_taken = apply_threshold(cols, 1e-2)
+    assert accepted.tolist() == [True, False, False, False, False]
+    assert retry_taken.tolist() == [False, True, False, False, False]
 
 
 def test_noiseless_inner_decision():
@@ -180,29 +191,47 @@ def test_retry_reaches_outer_decoder():
     assert saw_retry
 
 
+def low_so_selection(so):
+    """A synthetic one-row ca_select_batch output: an all-zero inner word
+    that passed the CRC with soft output ``so``."""
+    return {"found": np.array([True]), "pass_count": np.array([1]),
+            "message": np.zeros((1, 48), np.uint8), "so": np.array([so]),
+            "so_forney": np.array([so])}
+
+
 def test_retry_keeps_better_decision():
-    # resolve_decision with a synthetic low-confidence inner decision: the
-    # retry may replace it only with a strictly higher-confidence candidate
-    msg, llr = noisy_llr(31, 0)
-    cfg = PipelineConfig(CODE, SPEC, 4, epsilon=1e-9, retry_on_threshold_fail=True)
-    inner = InnerDecision(window=np.zeros(48, np.uint8), so=0.4, pass_count=1)
-    res = resolve_decision(outer_llr(llr, CODE), inner, cfg)
-    if res.origin == "inner":
-        assert res.so == 0.4
-    else:
-        assert res.so > 0.4 or not res.erased
+    # a low-confidence inner decision at or below the retry bound goes
+    # through the outer decoder; the retry fills only the alt columns and
+    # replaces the inner word only where the threshold rule takes it
+    msg, llr = noisy_llr(31, 0, params=ChannelParams(6.0, DIMS.rate))
+    cfg = PipelineConfig(CODE, SPEC, 4)
+    out = sogrand_decode(outer_llr(llr, CODE), SPEC)
+    for epsilon, taken in ((0.5, True), (1e-9, False)):
+        cols = decide_block(low_so_selection(0.4), llr[None], cfg, retry_below=1.0 - epsilon)
+        assert cols["retried"][0] and cols["origin"][0] == INNER
+        assert cols["so"][0] == 0.4 and not cols["message"].any() and cols["queries"][0] == 0
+        assert np.array_equal(cols["alt_message"][0], out.candidates[0][:24])
+        assert np.array_equal(cols["alt_message"][0], msg)
+        assert (cols["alt_so"][0], cols["alt_queries"][0]) == (out.so[0], out.queries_used)
+        accepted, retry_taken = apply_threshold(cols, epsilon)
+        assert (accepted[0], retry_taken[0]) == (False, taken)
+    # above the retry bound the inner decision stands alone
+    kept = decide_block(low_so_selection(0.4), llr[None], cfg, retry_below=0.3)
+    assert not kept["retried"][0] and kept["alt_so"][0] == 0.0
+    assert kept["alt_queries"][0] == 0 and not kept["alt_message"].any()
 
 
-def test_resolve_decision_refuses_channel_llrs():
-    # the N channel LLRs are not a K-bit outer word; guessing on them would
-    # return a wrong message without complaint
+def test_decide_block_refuses_mismatched_llrs():
+    # the selection's rows and the channel LLRs must be the same trials, N
+    # wide: the K outer LLRs, or another block, would decode without complaint
     _, llr = noisy_llr(31, 0)
     cfg = PipelineConfig(CODE, SPEC, 4)
-    inner = InnerDecision(window=np.zeros(48, np.uint8), so=0.9, pass_count=1)
-    for bad in (llr, outer_llr(llr, CODE)[None, :]):
-        for decision in (None, inner):
-            with pytest.raises(ValueError, match="outer LLRs"):
-                resolve_decision(bad, decision, cfg)
+    sel = ca_select_batch(scl_decode_batch(np.stack([llr, llr]), CODE, 4), SPEC)
+    for bad in (llr, llr[None], np.stack([llr] * 3), outer_llr(np.stack([llr, llr]), CODE)):
+        with pytest.raises(ValueError, match="channel LLRs"):
+            decide_block(sel, bad, cfg)
+    with pytest.raises(ValueError, match="one word"):
+        cca_scl_decode(np.stack([llr, llr]), cfg)
 
 
 def test_nan_llr_is_refused_not_decoded():

@@ -7,9 +7,9 @@ import pytest
 
 from capolar.channel import (ChannelParams, llr_from_channel, message_rng,
                              modulate, noise_rng, saturate_llr, transmit)
-from capolar.outer import outer_llr
-from capolar.pipeline import (InnerDecision, PipelineConfig, cca_scl_decode,
-                              resolve_decision)
+from capolar.outer import gcd_decode, hard_decision, outer_llr, sogrand_decode
+from capolar.pipeline import (ORIGINS, DecodeResult, PipelineConfig,
+                              cca_scl_decode)
 from capolar.polar import CodeDims, ca_encode
 from capolar.scl import ca_select_batch, scl_decode_batch
 from capolar.sim import (
@@ -100,37 +100,80 @@ def test_negative_outer_max_weight_fails_before_any_output(tmp_path, decoder):
     assert not list(tmp_path.iterdir())
 
 
+def reference_outer(lo, cfg):
+    """One trial's outer decision: (message, so, origin, queries)."""
+    decode = gcd_decode if cfg.outer_decoder == "gcd" else sogrand_decode
+    out = decode(lo, cfg.spec, max_queries=cfg.outer_max_queries,
+                 list_size=cfg.outer_list_size, max_weight=cfg.outer_max_weight)
+    if out.found:
+        return out.candidates[0][:cfg.m_msg], out.so[0], "outer", out.queries_used
+    return hard_decision(lo)[:cfg.m_msg], 0.0, "fallback", out.queries_used
+
+
+def reference_resolve(lo, inner, cfg):
+    """The complete-decoding rule written out for one trial, one outer call
+    at a time.  ``lo`` holds the trial's outer LLRs; ``inner`` is the
+    CRC-passing selection as (K-bit window, so, pass count), or None."""
+    if inner is not None:
+        window, so, pass_count = inner
+        message, origin, queries = window[:cfg.m_msg], "inner", 0
+    else:
+        message, so, origin, queries = reference_outer(lo, cfg)
+        pass_count = 0
+    if cfg.epsilon is None or so > 1.0 - cfg.epsilon:
+        return DecodeResult(message, so, origin, False, pass_count, queries)
+    if cfg.retry_on_threshold_fail and origin == "inner":
+        alt_msg, alt_so, alt_origin, queries = reference_outer(lo, cfg)
+        if alt_so > 1.0 - cfg.epsilon:
+            return DecodeResult(alt_msg, alt_so, alt_origin, False, pass_count, queries)
+        if alt_so > so:
+            return DecodeResult(alt_msg, alt_so, alt_origin, True, pass_count, queries)
+    return DecodeResult(message, so, origin, True, pass_count, queries)
+
+
+def same_result(a, b):
+    return (np.array_equal(a.message, b.message) and a.message.dtype == b.message.dtype
+            and (a.so, a.origin, a.erased, a.inner_pass_count, a.outer_queries)
+            == (b.so, b.origin, b.erased, b.inner_pass_count, b.outer_queries))
+
+
 @pytest.mark.parametrize("outer", ["sogrand", "gcd"])
-def test_decide_batch_equals_per_trial_resolve_decision(tmp_path, outer):
-    # the batch decodes its CRC failures and its retries in one outer block;
-    # each trial must come out as resolve_decision makes it alone
+def test_decide_batch_equals_reference_resolve(tmp_path, outer):
+    # the batch decodes its CRC failures and its retries in one outer block
+    # and applies one threshold rule afterwards; each trial must come out as
+    # the per-trial rule makes it alone, and so must cca_scl_decode
+    eps_grid = (1e-1, 1e-3)
     cfg = small_cfg(tmp_path, outer_decoder=outer, outer_list_size=2,
-                    epsilon_grid=(1e-1, 1e-3), retry_on_threshold_fail=True)
+                    epsilon_grid=eps_grid, retry_on_threshold_fail=True)
     plan = _plan_for(cfg)
     assert plan.retry_below == 1.0 - 1e-3
-    correct, so, origin, queries, passes, found, _, alt_so, alt_ok = _decide_batch(
-        (plan, 2.0, 300, 200))
+    cols = _decide_batch((plan, 2.0, 300, 200))
     msgs, llr = _trial_wave(plan, 2.0, range(300, 500))
     sel = ca_select_batch(scl_decode_batch(llr, plan.pipe.code, 2), plan.pipe.spec)
     lo = outer_llr(llr, plan.pipe.code)
-    codes = {"inner": 0, "outer": 1, "fallback": 2}
-    retried = 0
+    retried = erased_retry = 0
     for t in range(200):
         inner = None
         if sel["found"][t]:
-            inner = InnerDecision(sel["message"][t], float(sel["so"][t]),
-                                  int(sel["pass_count"][t]))
-        res = resolve_decision(lo[t], inner, plan.pipe)
-        assert (correct[t], so[t], origin[t], queries[t], passes[t]) == (
-            np.array_equal(res.message, msgs[t]), res.so, codes[res.origin],
+            inner = (sel["message"][t], float(sel["so"][t]), int(sel["pass_count"][t]))
+        res = reference_resolve(lo[t], inner, plan.pipe)
+        assert (cols["correct"][t], cols["so"][t], ORIGINS[cols["origin"][t]],
+                cols["queries"][t], cols["pass_count"][t]) == (
+            np.array_equal(res.message, msgs[t]), res.so, res.origin,
             res.outer_queries, res.inner_pass_count), t
         want_so, want_ok = 0.0, False
-        if inner is not None and inner.so <= plan.retry_below:
-            alt = resolve_decision(lo[t], None, plan.pipe)
+        if inner is not None and inner[1] <= plan.retry_below:
+            alt = reference_resolve(lo[t], None, plan.pipe)
             want_so, want_ok = alt.so, np.array_equal(alt.message, msgs[t])
             retried += 1
-        assert (alt_so[t], alt_ok[t]) == (want_so, want_ok), t
-    assert retried and (~found).any() and alt_ok.any()
+        assert (cols["alt_so"][t], cols["alt_correct"][t]) == (want_so, want_ok), t
+        for eps in eps_grid:
+            pipe = dataclasses.replace(plan.pipe, epsilon=eps, retry_on_threshold_fail=True)
+            want = reference_resolve(lo[t], inner, pipe)
+            assert same_result(cca_scl_decode(llr[t], pipe), want), (t, eps)
+            erased_retry += want.erased and want.origin == "outer" and inner is not None
+    assert retried and (~cols["found"]).any() and cols["alt_correct"].any()
+    assert erased_retry
 
 
 def test_trial_wave_rows_do_not_depend_on_grouping(tmp_path):
@@ -200,11 +243,28 @@ def test_stop_rule_rounds_off_early(tmp_path):
 
 
 def test_worker_count_never_changes_the_csv(tmp_path):
+    retry = {"epsilon_grid": (1e-1, 1e-3), "retry_on_threshold_fail": True}
+    for sweep, kw in ((run_bler_sweep, {}), (run_calibration, {}), (run_uer_sweep, retry)):
+        outs = []
+        for w in (1, 2):
+            stem = f"{sweep.__name__}-{w}"
+            sweep(small_cfg(tmp_path, workers=w, out_stem=stem, **kw))
+            outs.append((tmp_path / f"{stem}.csv").read_bytes())
+        assert outs[0] == outs[1], sweep.__name__
+
+
+def test_calibration_never_runs_the_outer_stage(tmp_path, monkeypatch):
+    # the bins read the inner soft outputs only, so the complete decoder's
+    # calibration runs no outer stage and writes the plain decoder's CSV
+    def no_outer(*args):
+        raise AssertionError("calibration ran the outer stage")
+
+    monkeypatch.setattr("capolar.pipeline.outer_llr", no_outer)
     outs = []
-    for w, stem in ((1, "a"), (2, "b")):
-        cfg = small_cfg(tmp_path, workers=w, out_stem=stem)
-        run_bler_sweep(cfg)
-        outs.append((tmp_path / f"{stem}.csv").read_bytes())
+    for decoder in ("ca_scl", "cca_scl"):
+        run_calibration(small_cfg(tmp_path, snr_grid_db=(1.0,), decoder=decoder,
+                                  out_stem=decoder))
+        outs.append((tmp_path / f"{decoder}.csv").read_bytes())
     assert outs[0] == outs[1]
 
 
@@ -332,6 +392,35 @@ def test_uer_sidecar_wall_time_per_snr_in_grid_order(tmp_path, monkeypatch):
         (snr, e) for snr in (3.0, 25.0) for e in eps]
     assert [r.wall_time for r in recs] == [9] * 3 + [5] * 3
     assert (tmp_path / "w.csv").read_bytes() == plain
+
+
+def test_empty_epsilon_grid_is_refused_before_any_output(tmp_path):
+    with pytest.raises(ValueError, match="epsilon grid"):
+        small_cfg(tmp_path, epsilon_grid=())
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("trials", 64.0), ("min_errors", 10.0), ("batch_size", 32.0),
+    ("round_trials", 512.0), ("workers", 1.0), ("master_seed", 5.0),
+    ("outer_max_queries", 256.0), ("outer_list_size", 1.0),
+    ("outer_max_weight", 2.0),
+])
+def test_non_integer_count_is_refused_before_any_output(tmp_path, field, value):
+    # SimConfig checks its own counts; the outer decoder's are checked by
+    # PipelineConfig, which every sweep builds before opening its outputs
+    with pytest.raises(TypeError, match=f"{field} must be an integer"):
+        run_bler_sweep(small_cfg(tmp_path, **{field: value}))
+    assert not list(tmp_path.iterdir())
+
+
+def test_numpy_integer_counts_are_accepted(tmp_path):
+    cfg = small_cfg(tmp_path, trials=np.int64(64), master_seed=np.int64(-5),
+                    batch_size=np.int32(32), out_stem="np")
+    assert type(cfg.trials) is int and cfg.master_seed == -5
+    (rec,) = run_bler_sweep(cfg)
+    assert rec.trials == 64
+    assert json.loads((tmp_path / "np.json").read_text())["config"]["trials"] == 64
 
 
 def test_uer_needs_grid_and_complete_decoder(tmp_path):
