@@ -11,9 +11,8 @@ from .channel import (ChannelParams, LLR_LIMIT, llr_from_channel, message_rng,
 from .crc import (CRC6, CRC11, CRC24C, CrcSpec, crc_encode, crc_spec_for,
                   crc_syndrome)
 from .analysis import bit_prob, convert_llr, pair_covariance
-from .outer import (OuterDecodeOutput, gcd_decode, gcd_decode_block,
-                    hard_decision, orbgrand_schedule, outer_llr,
-                    sogrand_decode, sogrand_decode_block)
+from .outer import (gcd_decode_block, hard_decision, orbgrand_schedule,
+                    outer_llr, sogrand_decode_block)
 from .pipeline import (ORIGINS, DecodeResult, PipelineConfig, apply_threshold,
                        cca_scl_decode, decide_block, threshold_test)
 from .polar import (CodeDims, PolarCode, ca_encode, construct_polar,
@@ -32,8 +31,8 @@ __all__ = [
     "CRC6", "CRC11", "CRC24C", "CrcSpec", "crc_encode", "crc_spec_for",
     "crc_syndrome",
     "bit_prob", "convert_llr", "pair_covariance",
-    "OuterDecodeOutput", "hard_decision", "orbgrand_schedule", "outer_llr",
-    "sogrand_decode", "sogrand_decode_block", "gcd_decode", "gcd_decode_block",
+    "hard_decision", "orbgrand_schedule", "outer_llr", "sogrand_decode_block",
+    "gcd_decode_block",
     "DecodeResult", "PipelineConfig", "ORIGINS", "apply_threshold",
     "cca_scl_decode", "decide_block", "threshold_test",
     "CodeDims", "PolarCode", "ca_encode", "construct_polar",

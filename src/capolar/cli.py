@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -83,86 +84,59 @@ def _read_config(path: str) -> dict[str, str]:
     return out
 
 
-# one row per SimConfig field: flag/config key, parser, default
-_FIELDS = {
-    "dims": _parse_dims,
-    "snr": _parse_grid,
-    "systematic": _parse_bool,
-    "list": int,
-    "decoder": str,
-    "epsilon": _parse_grid,
-    "trials": _parse_count,
-    "min_errors": int,
-    "seed": int,
-    "method": str,
-    "outer": str,
-    "outer_budget": _parse_count,
-    "outer_list": int,
-    "outer_max_weight": int,
-    "retry": _parse_bool,
-    "workers": int,
-    "batch_size": int,
-    "round_trials": int,
-    "out": str,
-    "stem": str,
-}
+class _Setting(NamedTuple):
+    """One experiment setting, reachable as ``--key`` (underscores as
+    dashes) and as a ``key = value`` config-file line."""
 
-_TO_SIMCONFIG = {
-    "dims": "dims",
-    "snr": "snr_grid_db",
-    "systematic": "systematic",
-    "list": "list_size",
-    "decoder": "decoder",
-    "epsilon": "epsilon_grid",
-    "trials": "trials",
-    "min_errors": "min_errors",
-    "seed": "master_seed",
-    "method": "method",
-    "outer": "outer_decoder",
-    "outer_budget": "outer_max_queries",
-    "outer_list": "outer_list_size",
-    "outer_max_weight": "outer_max_weight",
-    "retry": "retry_on_threshold_fail",
-    "workers": "workers",
-    "batch_size": "batch_size",
-    "round_trials": "round_trials",
-    "out": "out_dir",
-    "stem": "out_stem",
+    field: str  # the SimConfig field it sets
+    parse: Callable[[str], object]  # flag and config-file text to value
+    help: str
+    choices: tuple[str, ...] | None = None
+
+
+# every SimConfig field but emit_plot, in flag order
+_SETTINGS = {
+    "dims": _Setting("dims", _parse_dims, "code dimensions N,K,M (e.g. 64,48,24)"),
+    "snr": _Setting("snr_grid_db", _parse_grid,
+                    "Eb/N0 grid in dB: start:step:stop or comma list"),
+    "systematic": _Setting("systematic", _parse_bool, "systematic inner code"),
+    "list": _Setting("list_size", int, "inner list size L"),
+    "decoder": _Setting("decoder", str, "plain list decoding or the complete pipeline",
+                        ("ca_scl", "cca_scl")),
+    "epsilon": _Setting("epsilon_grid", _parse_grid,
+                        "threshold grid (uer); accepts 10^-1.5 forms"),
+    "trials": _Setting("trials", _parse_count, "trial budget per point; accepts 1e6 forms"),
+    "min_errors": _Setting("min_errors", int,
+                           "stop a point early after this many block errors"),
+    "seed": _Setting("master_seed", int, "master seed for the per-trial RNG keys"),
+    "method": _Setting("method", str, "information-set construction", ("5g", "bhattacharyya")),
+    "outer": _Setting("outer_decoder", str,
+                      "outer decoder: pattern guessing or codeword guessing",
+                      ("sogrand", "gcd")),
+    "outer_budget": _Setting("outer_max_queries", _parse_count,
+                             "max outer-decoder pattern queries"),
+    "outer_list": _Setting("outer_list_size", int, "outer-decoder list size"),
+    "outer_max_weight": _Setting("outer_max_weight", int,
+                                 "cap on the outer pattern logistic weight"),
+    "retry": _Setting("retry_on_threshold_fail", _parse_bool,
+                      "retry threshold failures through the outer decoder"),
+    "workers": _Setting("workers", int, "process pool width (results do not depend on it)"),
+    "batch_size": _Setting("batch_size", int, "trials per batch"),
+    "round_trials": _Setting("round_trials", int, "trials per stop-rule round"),
+    "out": _Setting("out_dir", str, "output directory (default $CAPOLAR_OUT_DIR or .)"),
+    "stem": _Setting("out_stem", str, "output file stem"),
 }
 
 
 def _add_sim_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="key=value file supplying flag defaults")
-    p.add_argument("--dims", help="code dimensions N,K,M (e.g. 64,48,24)")
-    p.add_argument("--snr", help="Eb/N0 grid in dB: start:step:stop or comma list")
-    p.add_argument("--systematic", action=argparse.BooleanOptionalAction,
-                   default=None, help="systematic inner code")
-    p.add_argument("--list", help="inner list size L")
-    p.add_argument("--decoder", choices=["ca_scl", "cca_scl"],
-                   help="plain list decoding or the complete pipeline")
-    p.add_argument("--epsilon", help="threshold grid (uer); accepts 10^-1.5 forms")
-    p.add_argument("--trials", help="trial budget per point; accepts 1e6 forms")
-    p.add_argument("--min-errors", dest="min_errors",
-                   help="stop a point early after this many block errors")
-    p.add_argument("--seed", help="master seed for the per-trial RNG keys")
-    p.add_argument("--method", choices=["5g", "bhattacharyya"],
-                   help="information-set construction")
-    p.add_argument("--outer", choices=["sogrand", "gcd"],
-                   help="outer decoder: pattern guessing or codeword guessing")
-    p.add_argument("--outer-budget", dest="outer_budget",
-                   help="max outer-decoder pattern queries")
-    p.add_argument("--outer-list", dest="outer_list",
-                   help="outer-decoder list size")
-    p.add_argument("--outer-max-weight", dest="outer_max_weight",
-                   help="cap on the outer pattern logistic weight")
-    p.add_argument("--retry", action=argparse.BooleanOptionalAction, default=None,
-                   help="retry threshold failures through the outer decoder")
-    p.add_argument("--workers", help="process pool width (results do not depend on it)")
-    p.add_argument("--batch-size", dest="batch_size", help="trials per batch")
-    p.add_argument("--round-trials", dest="round_trials",
-                   help="trials per stop-rule round")
-    p.add_argument("--out", help="output directory (default $CAPOLAR_OUT_DIR or .)")
-    p.add_argument("--stem", help="output file stem")
+    for key, setting in _SETTINGS.items():
+        flag = "--" + key.replace("_", "-")
+        if setting.parse is _parse_bool:
+            p.add_argument(flag, action=argparse.BooleanOptionalAction, default=None,
+                           help=setting.help)
+        else:
+            p.add_argument(flag, choices=setting.choices, help=setting.help)
     p.add_argument("--emit", choices=["plot"],
                    help="also write gnuplot-ready .dat columns")
 
@@ -186,20 +160,20 @@ def _build_simconfig(args: argparse.Namespace, need: tuple[str, ...],
     values = dict(defaults)
     if args.config:
         file_cfg = _read_config(args.config)
-        unknown = set(file_cfg) - set(_FIELDS)
+        unknown = set(file_cfg) - set(_SETTINGS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, raw in file_cfg.items():
-            values[key] = _FIELDS[key](raw)
-    for key in _FIELDS:
+            values[key] = _SETTINGS[key].parse(raw)
+    for key, setting in _SETTINGS.items():
         given = getattr(args, key, None)
         if given is None:
             continue
-        values[key] = _FIELDS[key](given) if isinstance(given, str) else given
+        values[key] = setting.parse(given) if isinstance(given, str) else given
     for key in need:
         if values.get(key) is None:
             raise ValueError(f"missing required setting {key!r} (flag --{key.replace('_', '-')})")
-    kwargs = {_TO_SIMCONFIG[k]: v for k, v in values.items() if v is not None}
+    kwargs = {_SETTINGS[k].field: v for k, v in values.items() if v is not None}
     kwargs["emit_plot"] = args.emit == "plot"
     return SimConfig(**kwargs)
 

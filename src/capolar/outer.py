@@ -12,9 +12,17 @@ The outer decoder is a soft-input GRAND: guess error patterns around the
 hard decision in decreasing plausibility (logistic-weight order over
 reliability ranks), keep the ones whose syndrome vanishes, and report a soft
 output whose denominator charges the unqueried patterns with the expected
-mass of codewords hiding among them.  Both guessers decode a block of
-trials at once (``*_decode_block``); ``sogrand_decode`` and ``gcd_decode``
-are one-row blocks.
+mass of codewords hiding among them.  Both guessers decode a (trials, K)
+block at once (``*_decode_block``) and return a dict of per-row columns,
+lists best first along an axis of width w = max(1, longest list in the
+block):
+
+- ``count`` (n,) int: candidates found; 0 means none within the budget;
+- ``candidates`` (n, w, K) uint8: the CRC codewords, zero past ``count``;
+- ``so`` (n, w) float64: their soft outputs, zero past ``count``;
+- ``queries`` (n,) int64: pattern queries made.
+
+A row comes out bit for bit as it does in a block of that row alone.
 """
 
 from __future__ import annotations
@@ -25,17 +33,14 @@ import numpy as np
 
 from .crc import CrcSpec
 from .polar import PolarCode
-from .scl import _boxplus
+from .scl import _boxplus, _checked_int
 
 __all__ = [
     "hard_decision",
     "outer_llr",
     "orbgrand_schedule",
-    "sogrand_decode",
     "sogrand_decode_block",
-    "gcd_decode",
     "gcd_decode_block",
-    "OuterDecodeOutput",
 ]
 
 
@@ -137,7 +142,7 @@ def _build_schedule(k: int, rows: int) -> _Schedule:
                      complete=len(table) == 2 ** k)
 
 
-# rows per slice when gcd_decode evaluates its budget: temporaries of this
+# rows per slice when gcd_decode_block evaluates its budget: temporaries of this
 # many float64s stay in a core's cache
 _CHUNK = 8192
 
@@ -191,35 +196,25 @@ def _gather(tab: np.ndarray, index, combine, out: np.ndarray,
 
 
 def _checked_block(llr, spec: CrcSpec, max_queries: int, list_size: int,
-                   max_weight: int | None, name: str) -> np.ndarray:
+                   max_weight: int | None, name: str):
     """The argument checks both guessers share; NaN LLRs are refused.
 
-    The block comes back C-ordered, so a sum over one of its rows adds the
-    same numbers in the same order as a sum over that row alone.
+    Returns the block C-ordered, so a sum over one of its rows adds the same
+    numbers in the same order as a sum over that row alone, and the three
+    counts as plain ints.
     """
     llr = np.ascontiguousarray(llr, dtype=np.float64)
     if llr.ndim != 2:
         raise ValueError(f"{name} takes a (trials, K) block of LLRs")
     if llr.shape[1] <= spec.degree:
         raise ValueError(f"{llr.shape[1]} bits cannot carry {spec.degree} parity bits")
-    if max_queries < 1 or list_size < 1:
-        raise ValueError("max_queries and list_size must be >= 1")
-    _check_max_weight(max_weight)
+    max_queries = _checked_int(max_queries, "max_queries")
+    list_size = _checked_int(list_size, "list_size")
+    if max_weight is not None:
+        max_weight = _checked_int(max_weight, "max_weight", low=0)
     if np.isnan(llr).any():
         raise ValueError(f"{name} got NaN LLRs")
-    return llr
-
-
-def _one_row(llr, name: str) -> np.ndarray:
-    llr = np.asarray(llr, dtype=np.float64)
-    if llr.ndim != 1:
-        raise ValueError(f"{name} takes a single LLR vector")
-    return llr[None]
-
-
-def _check_max_weight(max_weight: int | None):
-    if max_weight is not None and max_weight < 0:
-        raise ValueError("max_weight must be >= 0")
+    return llr, max_queries, list_size, max_weight
 
 
 def _reliability(llr: np.ndarray, spec: CrcSpec):
@@ -252,7 +247,8 @@ def orbgrand_schedule(order: np.ndarray, max_weight: int | None = None):
     k = len(order)
     if sorted(order.tolist()) != list(range(k)):
         raise ValueError("order must be a permutation of 0..K-1")
-    _check_max_weight(max_weight)
+    if max_weight is not None:
+        max_weight = _checked_int(max_weight, "max_weight", low=0)
     done, want = 0, 256
     while True:
         sched = _schedule(k, want)
@@ -267,14 +263,22 @@ def orbgrand_schedule(order: np.ndarray, max_weight: int | None = None):
         done, want = stop, 4 * sched.rows
 
 
-@dataclass(frozen=True)
-class OuterDecodeOutput:
-    """Codebook candidates found by guessing, best first."""
+def _flip_masks(sched: _Schedule, at: np.ndarray, k: int) -> np.ndarray:
+    """The rank flips of schedule rows ``at``: uint8, shape at.shape + (k,)."""
+    bits = np.unpackbits(sched.planes[:, at], axis=0, bitorder="little")[:k]
+    return np.moveaxis(bits, 0, -1)
 
-    candidates: tuple[np.ndarray, ...]
-    so: tuple[float, ...]
-    queries_used: int
-    found: bool
+
+def _columns(hard: np.ndarray, perm: np.ndarray, flips: np.ndarray,
+             count: np.ndarray, so: np.ndarray, queries: np.ndarray) -> dict:
+    """The guessers' per-row columns.  Candidate j of row t is that row's
+    hard decision with position perm[t, i] flipped wherever flips[t, j, i]
+    is set; candidates and soft outputs past ``count`` read 0."""
+    mask = np.zeros_like(flips)
+    np.put_along_axis(mask, np.broadcast_to(perm[:, None, :], flips.shape), flips, axis=2)
+    words = hard[:, None, :] ^ mask
+    words[np.arange(flips.shape[1]) >= count[:, None]] = 0
+    return {"count": count, "candidates": words, "so": so, "queries": queries}
 
 
 # patterns x rows that sogrand_decode_block gathers at once: each temporary
@@ -282,44 +286,42 @@ class OuterDecodeOutput:
 _GATHER_CELLS = 1 << 16
 
 
-def sogrand_decode(llr: np.ndarray, spec: CrcSpec,
-                   max_queries: int = 1 << 16, list_size: int = 1,
-                   max_weight: int | None = None) -> OuterDecodeOutput:
-    """Guess error patterns around the hard decision of ``llr``.
-
-    Stops after ``list_size`` syndrome-zero candidates or ``max_queries``
-    pattern queries.  Each candidate's soft output is phi(c) / (sum of phi
-    over the list + R), where phi is the pattern likelihood and R estimates
-    the codeword mass left in the unqueried patterns: the leftover pattern
-    mass times the fraction of unqueried patterns expected to be codewords.
-    A block of one row: see ``sogrand_decode_block``.
-    """
-    return sogrand_decode_block(_one_row(llr, "sogrand_decode"), spec, max_queries,
-                                list_size, max_weight)[0]
-
-
 def sogrand_decode_block(llr: np.ndarray, spec: CrcSpec,
                          max_queries: int = 1 << 16, list_size: int = 1,
-                         max_weight: int | None = None) -> list[OuterDecodeOutput]:
-    """``sogrand_decode`` of every row of a (trials, K) block.
+                         max_weight: int | None = None) -> dict:
+    """Guess error patterns around the hard decision of each row of a
+    (trials, K) block.
+
+    A row stops after ``list_size`` syndrome-zero candidates or
+    ``max_queries`` pattern queries.  Each candidate's soft output is
+    phi(c) / (sum of phi over the list + R), where phi is the pattern
+    likelihood and R estimates the codeword mass left in the unqueried
+    patterns: the leftover pattern mass times the fraction of unqueried
+    patterns expected to be codewords.
 
     Rows still searching have all made the same number of queries, so they
     share each round's window of the schedule, whose byte planes are
     gathered once for all of them; a row leaves at its ``list_size``-th hit.
-    Returns one output per row, equal to ``sogrand_decode`` of that row.
+    Returns the per-row columns of the module docstring; each row is what a
+    block of that row alone gives.
     """
-    llr = _checked_block(llr, spec, max_queries, list_size, max_weight,
-                         "sogrand_decode_block")
+    llr, max_queries, list_size, max_weight = _checked_block(
+        llr, spec, max_queries, list_size, max_weight, "sogrand_decode_block")
     n, k = llr.shape
     hard, mag, order, log_keep, cols, syn_hard = _reliability(llr, spec)
     # a hit is a pattern whose syndrome cancels the hard decision's
     syn_tab = _byte_tables(cols[order], np.bitwise_xor)
     cost_tab = _byte_tables(np.take_along_axis(mag, order, axis=1), np.add)
 
-    cands: list[list[np.ndarray]] = [[] for _ in range(n)]
-    log_phi: list[list[float]] = [[] for _ in range(n)]
-    queried_mass = [0.0] * n
-    used = [0] * n
+    # every hit as (row, its place in that row's list, schedule row,
+    # log phi), in the order found
+    hit_row: list[int] = []
+    hit_slot: list[int] = []
+    hit_at: list[int] = []
+    hit_lp: list[float] = []
+    n_hits = [0] * n
+    queried_mass = np.zeros(n)
+    used = np.zeros(n, dtype=np.int64)
     searching = list(range(n))
     queries = 0
     while searching:
@@ -332,8 +334,7 @@ def sogrand_decode_block(llr: np.ndarray, spec: CrcSpec,
         # and stop each row right after its list_size-th hit in schedule order
         nxt = np.searchsorted(sched.ends, max(2 * queries, 64))
         stop = min(end, int(sched.ends[nxt]) if nxt < len(sched.ends) else end)
-        planes = sched.planes[:, queries:stop]
-        index = planes.astype(np.intp)
+        index = sched.planes[:, queries:stop].astype(np.intp)
         width = stop - queries
         group = max(1, _GATHER_CELLS // width)
         still = []
@@ -346,65 +347,50 @@ def sogrand_decode_block(llr: np.ndarray, spec: CrcSpec,
             lp = log_keep[rows, None] - cost
             hit = syn == syn_hard[rows, None]
             for i, t in enumerate(rows.tolist()):
-                needed = list_size - len(cands[t])
+                needed = list_size - n_hits[t]
                 hits = np.flatnonzero(hit[i])[:needed]
                 take = int(hits[-1]) + 1 if len(hits) == needed else width
                 queried_mass[t] += float(np.exp(lp[i, :take]).sum())
-                for h in hits.tolist():
-                    flips = np.unpackbits(planes[:, h], bitorder="little")[:k]
-                    word = hard[t].copy()
-                    word[order[t, flips.astype(bool)]] ^= 1
-                    cands[t].append(word)
-                    log_phi[t].append(float(lp[i, h]))
+                hit_row += [t] * len(hits)
+                hit_slot += range(n_hits[t], n_hits[t] + len(hits))
+                hit_at += (queries + hits).tolist()
+                hit_lp += lp[i, hits].tolist()
+                n_hits[t] += len(hits)
                 used[t] = queries + take
                 if len(hits) < needed:
                     still.append(t)
         searching, queries = still, stop
-    return [_sogrand_output(cands[t], log_phi[t], queried_mass[t], used[t], k,
-                            spec.degree) for t in range(n)]
 
+    # (n, w) tables of each row's hits in the order found, zero-padded
+    count = np.array(n_hits, dtype=np.int64)
+    w = max(1, max(n_hits, default=0))
+    phi = np.zeros((n, w))
+    phi[hit_row, hit_slot] = np.exp(hit_lp)
+    at = np.zeros((n, w), dtype=np.intp)
+    at[hit_row, hit_slot] = hit_at
 
-def _sogrand_output(cands: list[np.ndarray], log_phi: list[float],
-                    queried_mass: float, queries: int, k: int,
-                    r: int) -> OuterDecodeOutput:
-    n_codewords = 2.0 ** (k - r)
-    n_patterns = 2.0 ** k
-    remaining = max(0.0, 1.0 - queried_mass)
-    if n_patterns > queries:
-        r_term = remaining * (n_codewords - len(cands)) / (n_patterns - queries)
-        r_term = max(0.0, r_term)
-    else:
-        r_term = 0.0
-    phi = np.exp(np.array(log_phi)) if cands else np.array([])
-    denom = phi.sum() + r_term
-    so = phi / denom if denom > 0.0 and len(cands) else np.zeros(len(cands))
-    rank = np.argsort(-phi, kind="stable") if len(cands) else np.array([], dtype=int)
-    return OuterDecodeOutput(
-        candidates=tuple(cands[i] for i in rank),
-        so=tuple(float(so[i]) for i in rank),
-        queries_used=queries,
-        found=bool(cands),
-    )
-
-
-def gcd_decode(llr: np.ndarray, spec: CrcSpec,
-               max_queries: int = 1 << 16, list_size: int = 1,
-               max_weight: int | None = None) -> OuterDecodeOutput:
-    """Guess only the reliable bits; solve the unreliable ones from parity.
-
-    The ``degree`` least reliable positions whose parity-check columns are
-    linearly independent form the solved part; the remaining K - degree
-    positions form the guessed part.  Each query flips an ORBGRAND pattern
-    over the guessed part and completes the word through the parity
-    equations, so every query lands on a codeword.  Candidates are the
-    ``list_size`` highest-likelihood completions; their soft output divides
-    phi(c) by the phi mass of all queried codewords plus the guessed-part
-    pattern mass left unqueried, which never exceeds the mass of the missed
-    codewords, so the quoted posteriors are conservative.  A block of one
-    row: see ``gcd_decode_block``.
-    """
-    return gcd_decode_block(_one_row(llr, "gcd_decode"), spec, max_queries,
-                            list_size, max_weight)[0]
+    # each row's phi sum adds just its own hits, in the order found: the
+    # zero padding would change how numpy pairs the terms of a long row
+    phi_sum = np.zeros(n)
+    for c in set(n_hits) - {0}:
+        rows = count == c
+        phi_sum[rows] = phi[rows, :c].sum(axis=1)
+    remaining = np.maximum(0.0, 1.0 - queried_mass)
+    unqueried = 2.0 ** k - used
+    r_term = np.zeros(n)
+    np.divide(remaining * (2.0 ** (k - spec.degree) - count), unqueried,
+              out=r_term, where=unqueried > 0)
+    denom = phi_sum + np.maximum(0.0, r_term)
+    so = np.zeros((n, w))
+    np.divide(phi, denom[:, None], out=so, where=denom[:, None] > 0.0)
+    # best first; a stable sort of -phi keeps the order found among equal
+    # likelihoods, and the padding after every real hit
+    rank = np.argsort(-phi, axis=1, kind="stable")
+    at = np.take_along_axis(at, rank, axis=1)
+    so = np.take_along_axis(so, rank, axis=1)
+    # the cached schedule, which holds every row queried
+    sched = _schedule(k, int(at.max(initial=0)) + 1)
+    return _columns(hard, order, _flip_masks(sched, at, k), count, so, used)
 
 
 def _parity_split(cols: np.ndarray, syn: np.ndarray, order: np.ndarray, r: int):
@@ -481,23 +467,35 @@ def _merge_best(best, lp: np.ndarray, lo: int, list_size: int):
 
 def gcd_decode_block(llr: np.ndarray, spec: CrcSpec,
                      max_queries: int = 1 << 16, list_size: int = 1,
-                     max_weight: int | None = None) -> list[OuterDecodeOutput]:
-    """``gcd_decode`` of every row of a (trials, K) block.
+                     max_weight: int | None = None) -> dict:
+    """Guess only the reliable bits of each row of a (trials, K) block;
+    solve the unreliable ones from parity.
+
+    The ``degree`` least reliable positions whose parity-check columns are
+    linearly independent form the solved part; the remaining K - degree
+    positions form the guessed part.  Each query flips an ORBGRAND pattern
+    over the guessed part and completes the word through the parity
+    equations, so every query lands on a codeword.  Candidates are the
+    ``list_size`` highest-likelihood completions; their soft output divides
+    phi(c) by the phi mass of all queried codewords plus the guessed-part
+    pattern mass left unqueried, which never exceeds the mass of the missed
+    codewords, so the quoted posteriors are conservative.
 
     The split into solved and guessed parts is one GF(2) elimination over
     the block.  The schedule over the guessed part depends only on its
     length, so each slice of it is converted to index planes once and
-    scored for every row in turn.  Returns one output per row, equal to
-    ``gcd_decode`` of that row.
+    scored for every row in turn.  Returns the per-row columns of the
+    module docstring; each row is what a block of that row alone gives.
     """
-    llr = _checked_block(llr, spec, max_queries, list_size, max_weight,
-                         "gcd_decode_block")
+    llr, max_queries, list_size, max_weight = _checked_block(
+        llr, spec, max_queries, list_size, max_weight, "gcd_decode_block")
     n, k = llr.shape
-    if n == 0:
-        return []
     r = spec.degree
     sm = k - r
     hard, mag, order, log_keep, cols, syn_hard = _reliability(llr, spec)
+    if n == 0:
+        return _columns(hard, order, np.zeros((0, 1, k), np.uint8), np.zeros(0, np.int64),
+                        np.zeros((0, 1)), np.zeros(0, np.int64))
     solved, guessed, comb_s, comb_hard = _parity_split(cols[order], syn_hard, order, r)
     mag_s = np.take_along_axis(mag, guessed, axis=1)
     mag_p = np.take_along_axis(mag, solved, axis=1)
@@ -526,7 +524,7 @@ def gcd_decode_block(llr: np.ndarray, spec: CrcSpec,
     comb, tmp_i = np.empty(size, np.int64), np.empty(size, np.int64)
     p_index = np.empty(((r + 7) // 8, size), np.intp)
     cost_s, cost_p, lp, tmp = (np.empty(size) for _ in range(4))
-    phi_sum, psi_sum = [0.0] * n, [0.0] * n
+    phi_sum, psi_sum = np.zeros(n), np.zeros(n)
     best = [None] * n
     for lo in range(0, queries, _CHUNK):
         c = min(queries, lo + _CHUNK) - lo
@@ -543,24 +541,18 @@ def gcd_decode_block(llr: np.ndarray, spec: CrcSpec,
             psi_sum[t] += float(np.exp(tmp[:c], out=tmp[:c]).sum())
             best[t] = _merge_best(best[t], lp[:c], lo, list_size)
 
-    outs = []
-    for t in range(n):
-        log_phi, rows = best[t]
-        cands = []
-        for row in rows.tolist():
-            word = hard[t].copy()
-            s_flips = np.unpackbits(sched.planes[:, row], bitorder="little")[:sm].astype(bool)
-            word[guessed[t, s_flips]] ^= 1
-            p_comb = int(comb_hard[t] ^ np.bitwise_xor.reduce(comb_s[t, s_flips]))
-            word[solved[t, ((p_comb >> np.arange(r)) & 1).astype(bool)]] ^= 1
-            cands.append(word)
-        r_term = max(0.0, 1.0 - psi_sum[t])
-        denom = phi_sum[t] + r_term
-        so = np.exp(log_phi) / denom if denom > 0.0 else np.zeros(len(cands))
-        outs.append(OuterDecodeOutput(
-            candidates=tuple(cands),
-            so=tuple(float(v) for v in so),
-            queries_used=queries,
-            found=bool(cands),
-        ))
-    return outs
+    # every query is a codeword, so every row lists min(list_size, queries)
+    w = min(list_size, queries)
+    log_phi = np.array([pair[0] for pair in best]).reshape(n, w)
+    at = np.array([pair[1] for pair in best], dtype=np.intp).reshape(n, w)
+    # a candidate's P flips: the hard decision's solve XOR its S flips' solves
+    s_flips = _flip_masks(sched, at, sm)
+    p_comb = comb_hard[:, None] ^ np.bitwise_xor.reduce(
+        np.where(s_flips.astype(bool), comb_s[:, None, :], 0), axis=2)
+    p_flips = ((p_comb[..., None] >> np.arange(r)) & 1).astype(np.uint8)
+    denom = phi_sum + np.maximum(0.0, 1.0 - psi_sum)
+    so = np.zeros((n, w))
+    np.divide(np.exp(log_phi), denom[:, None], out=so, where=denom[:, None] > 0.0)
+    return _columns(hard, np.concatenate((guessed, solved), axis=1),
+                    np.concatenate((s_flips, p_flips), axis=2), np.full(n, w), so,
+                    np.full(n, queries, dtype=np.int64))

@@ -134,16 +134,13 @@ def decide_block(sel: dict, llr: np.ndarray | None, cfg: PipelineConfig,
 
     lo = outer_llr(llr[rows], cfg.code)
     decode = gcd_decode_block if cfg.outer_decoder == "gcd" else sogrand_decode_block
-    outs = decode(lo, cfg.spec, max_queries=cfg.outer_max_queries,
-                  list_size=cfg.outer_list_size, max_weight=cfg.outer_max_weight)
+    out = decode(lo, cfg.spec, max_queries=cfg.outer_max_queries,
+                 list_size=cfg.outer_list_size, max_weight=cfg.outer_max_weight)
     # the best candidate, or the hard decision with zero confidence
     # ("fallback") when the guesser found nothing within its budget
-    hit = np.array([out.found for out in outs], dtype=bool)
-    message = hard_decision(lo)[:, :m]
-    for i in np.flatnonzero(hit).tolist():
-        message[i] = outs[i].candidates[0][:m]
-    so = np.array([out.so[0] if out.found else 0.0 for out in outs])
-    queries = np.array([out.queries_used for out in outs], dtype=np.int64)
+    hit = out["count"] > 0
+    message = np.where(hit[:, None], out["candidates"][:, 0, :m], hard_decision(lo)[:, :m])
+    so, queries = out["so"][:, 0], out["queries"]
 
     # a CRC failure takes the outer decision, a retry its alt columns
     again = found[rows]

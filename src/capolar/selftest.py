@@ -16,7 +16,7 @@ from . import oracle
 from .channel import ChannelParams, llr_from_channel, message_rng, modulate, transmit
 from .crc import CRC6, CRC11, CRC24C, crc_encode, crc_syndrome
 from .analysis import pair_covariance
-from .outer import gcd_decode, orbgrand_schedule, outer_llr, sogrand_decode
+from .outer import gcd_decode_block, orbgrand_schedule, outer_llr, sogrand_decode_block
 from .pipeline import PipelineConfig, cca_scl_decode
 from .polar import (CodeDims, ca_encode, construct_polar, encode_systematic,
                     polar_transform)
@@ -187,12 +187,12 @@ def _check_sogrand_coset():
     book = crc_encode(msgs, spec)
     for trial in range(50):
         llr = rng.normal(0.5, 2.0, k)
-        out = sogrand_decode(llr, spec, max_queries=1 << 12, list_size=1 << 6)
-        got = {tuple(c) for c in out.candidates}
-        if got != {tuple(c) for c in book}:
+        out = sogrand_decode_block(llr[None], spec, max_queries=1 << 12, list_size=1 << 6)
+        cands = out["candidates"][0, :out["count"][0]]
+        if {tuple(c) for c in cands} != {tuple(c) for c in book}:
             return False, f"trial {trial}: candidate set != codebook"
         ml_word, _ = oracle.ml_decode(llr, book)
-        if not np.array_equal(out.candidates[0], ml_word):
+        if not np.array_equal(cands[0], ml_word):
             return False, f"trial {trial}: top candidate != ML"
     return True, "50 trials, full coset recovered, top = ML"
 
@@ -207,16 +207,16 @@ def _check_gcd_posterior():
     worst = 0.0
     for trial in range(50):
         llr = rng.normal(0.0, 2.0, k)
-        out = gcd_decode(llr, spec, max_queries=len(book), list_size=len(book))
-        if out.queries_used != len(book) or len(out.candidates) != len(book):
+        out = gcd_decode_block(llr[None], spec, max_queries=len(book), list_size=len(book))
+        if out["queries"][0] != len(book) or out["count"][0] != len(book):
             return False, f"trial {trial}: codebook not covered"
         post = np.exp(book @ llr - (book @ llr).max())
         post /= post.sum()
-        for c, s in zip(out.candidates, out.so):
+        for c, s in zip(out["candidates"][0], out["so"][0]):
             idx = np.flatnonzero((book == c).all(axis=1))[0]
             worst = max(worst, abs(s - post[idx]))
         ml_word, _ = oracle.ml_decode(llr, book)
-        if not np.array_equal(out.candidates[0], ml_word):
+        if not np.array_equal(out["candidates"][0, 0], ml_word):
             return False, f"trial {trial}: top candidate != ML"
     if worst > 1e-9:
         return False, f"posterior err {worst:.2e}"

@@ -86,8 +86,12 @@ class SimConfig:
     def __post_init__(self):
         # stored as plain ints, so the JSON sidecar can write them
         for name, low in (("trials", 1), ("min_errors", 1), ("batch_size", 1),
-                          ("round_trials", 1), ("workers", 1), ("master_seed", None)):
-            object.__setattr__(self, name, _checked_int(getattr(self, name), name, low))
+                          ("round_trials", 1), ("workers", 1), ("master_seed", None),
+                          ("list_size", 1), ("outer_max_queries", 1),
+                          ("outer_list_size", 1), ("outer_max_weight", 0)):
+            value = getattr(self, name)
+            if value is not None or name != "outer_max_weight":  # None: no cap
+                object.__setattr__(self, name, _checked_int(value, name, low))
         if len(self.snr_grid_db) == 0:
             raise ValueError("snr grid must be nonempty")
         if not all(math.isfinite(snr) for snr in self.snr_grid_db):
@@ -505,9 +509,10 @@ def _write_rows(path: Path, header: list[str], rows: list[list]):
 def _sidecar(paths: dict, cfg: SimConfig, extra: dict):
     blob = {"schema_version": SCHEMA_VERSION, "config": _config_dict(cfg)}
     blob.update(extra)
+    # serialised first, so a value JSON cannot write leaves no partial file
+    text = json.dumps(blob, indent=2, sort_keys=True) + "\n"
     with open(paths["json"], "w") as fh:
-        json.dump(blob, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _config_dict(cfg: SimConfig) -> dict:

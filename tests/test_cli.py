@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,15 +10,18 @@ import pytest
 import capolar
 
 from capolar.cli import (
+    _SETTINGS,
+    _build_simconfig,
     _parse_bool,
     _parse_count,
     _parse_dims,
     _parse_grid,
     _parse_value,
+    build_parser,
     main,
 )
 from capolar.polar import CodeDims
-from capolar.sim import OUT_DIR_ENV
+from capolar.sim import OUT_DIR_ENV, SimConfig
 
 DIMS = ["--dims", "16,9,3"]
 SMALL = DIMS + ["--snr", "3", "--trials", "64", "--list", "2",
@@ -171,3 +175,34 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "snr 3 dB" in done.stdout
     assert (tmp_path / "m.csv").exists()
+
+
+def test_every_setting_is_a_flag_and_a_config_key(tmp_path):
+    # one value per setting, none of them SimConfig's default
+    text = {"dims": "16,9,3", "snr": "3,4", "systematic": "1", "list": "2",
+            "decoder": "ca_scl", "epsilon": "10^-2", "trials": "1e3", "min_errors": "7",
+            "seed": "-3", "method": "bhattacharyya", "outer": "gcd", "outer_budget": "64",
+            "outer_list": "2", "outer_max_weight": "20", "retry": "1", "workers": "2",
+            "batch_size": "32", "round_trials": "64", "out": str(tmp_path), "stem": "s"}
+    assert set(text) == set(_SETTINGS)
+    fields = {f.name for f in dataclasses.fields(SimConfig)}
+    assert {s.field for s in _SETTINGS.values()} == fields - {"emit_plot"}
+
+    flags = []
+    for key, value in text.items():
+        flag = "--" + key.replace("_", "-")
+        if _SETTINGS[key].parse is _parse_bool:
+            flags.append(flag)
+        else:
+            flags += [flag, value]
+    by_flag = _build_simconfig(build_parser().parse_args(["bler"] + flags), (), {})
+    cfgfile = tmp_path / "all.cfg"
+    cfgfile.write_text("".join(f"{key} = {value}\n" for key, value in text.items()))
+    by_file = _build_simconfig(
+        build_parser().parse_args(["bler", "--config", str(cfgfile)]), (), {})
+    assert by_flag == by_file
+    default = SimConfig(CodeDims(64, 48, 24), (0.0,))
+    for key, setting in _SETTINGS.items():
+        want = setting.parse(text[key])
+        assert getattr(by_flag, setting.field) == want, key
+        assert want != getattr(default, setting.field), key

@@ -1,4 +1,5 @@
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,12 +12,10 @@ from capolar.channel import (ChannelParams, llr_from_channel, message_rng,
                              modulate, saturate_llr, transmit)
 from capolar.crc import CRC6, CRC11, CRC24C, crc_encode, crc_syndrome
 from capolar.outer import (
-    gcd_decode,
     gcd_decode_block,
     hard_decision,
     orbgrand_schedule,
     outer_llr,
-    sogrand_decode,
     sogrand_decode_block,
 )
 from capolar.polar import PolarCode, ca_encode, construct_polar, polar_transform
@@ -203,6 +202,33 @@ def test_orbgrand_schedule_max_weight_truncation(k, max_weight):
     assert got == list(oracle_rank_sets(k, min(max_weight, k * (k + 1) // 2)))
 
 
+class Row(NamedTuple):
+    """One row of a guesser's columns, its list cut to its count."""
+
+    candidates: np.ndarray
+    so: np.ndarray
+    queries: int
+
+    @property
+    def found(self) -> bool:
+        return len(self.so) > 0
+
+
+def row_of(cols, t):
+    c = cols["count"][t]
+    return Row(cols["candidates"][t, :c], cols["so"][t, :c], int(cols["queries"][t]))
+
+
+def gcd_decode(llr, spec, **kwargs):
+    """Row 0 of ``gcd_decode_block`` on the block of one ``llr``."""
+    return row_of(gcd_decode_block(np.asarray(llr)[None], spec, **kwargs), 0)
+
+
+def sogrand_decode(llr, spec, **kwargs):
+    """Row 0 of ``sogrand_decode_block`` on the block of one ``llr``."""
+    return row_of(sogrand_decode_block(np.asarray(llr)[None], spec, **kwargs), 0)
+
+
 def test_decoders_stop_at_max_weight():
     # a budget past the last allowed weight class queries exactly that class
     # prefix, in both guessers, and builds no schedule past it
@@ -211,10 +237,10 @@ def test_decoders_stop_at_max_weight():
         llr = rng.normal(0, 0.5, 30)
         n_sets = len(list(oracle_rank_sets(30 - 6, 12)))
         out = gcd_decode(llr, CRC6, max_queries=1 << 40, max_weight=12)
-        assert out.queries_used == n_sets
+        assert out.queries == n_sets
         out = sogrand_decode(llr, CRC6, max_queries=1 << 40, list_size=1 << 10,
                              max_weight=12)
-        assert out.queries_used == len(list(oracle_rank_sets(30, 12)))
+        assert out.queries == len(list(oracle_rank_sets(30, 12)))
     for decode in (gcd_decode, sogrand_decode):
         with pytest.raises(ValueError):
             decode(np.zeros(10), CRC6, max_weight=-1)
@@ -317,7 +343,7 @@ def test_sogrand_matches_reference():
         ls = int(rng.integers(1, 4))
         got = sogrand_decode(llr, CRC6, max_queries=mq, list_size=ls)
         want_c, want_so, want_q = reference_sogrand(llr, CRC6, mq, ls)
-        assert got.queries_used == want_q, trial
+        assert got.queries == want_q, trial
         assert [tuple(c) for c in got.candidates] == want_c, trial
         assert np.allclose(got.so, want_so, rtol=1e-12, atol=1e-300), trial
         assert got.found == (len(want_c) > 0)
@@ -347,7 +373,7 @@ def test_sogrand_noiseless_single_query():
     cw = crc_encode(rng.integers(0, 2, 4).astype(np.uint8), CRC6)
     llr = (2.0 * cw - 1.0) * 6.0
     out = sogrand_decode(llr, CRC6, max_queries=1 << 16, list_size=1)
-    assert out.queries_used == 1 and out.found
+    assert out.queries == 1 and out.found
     assert np.array_equal(out.candidates[0], cw)
     phi0 = np.prod(1 / (1 + np.exp(-np.abs(llr))))
     r_term = (1 - phi0) * (2**4 - 1) / (2**10 - 1)
@@ -363,7 +389,7 @@ def test_sogrand_exhausted_budget_reports_nothing():
     llr = (2.0 * bad - 1.0) * 5.0
     out = sogrand_decode(llr, CRC6, max_queries=1, list_size=1)
     assert not out.found
-    assert out.queries_used == 1
+    assert out.queries == 1
     assert len(out.candidates) == 0
     assert len(out.so) == 0
 
@@ -464,7 +490,7 @@ def test_gcd_matches_reference():
         ls = int(rng.integers(1, 4))
         got = gcd_decode(llr, CRC6, max_queries=mq, list_size=ls)
         want_c, want_so, want_q = reference_gcd(llr, CRC6, mq, ls)
-        assert got.queries_used == want_q, trial
+        assert got.queries == want_q, trial
         assert [tuple(c) for c in got.candidates] == want_c, trial
         assert np.allclose(got.so, want_so, rtol=1e-9, atol=1e-300), trial
         assert got.found
@@ -481,7 +507,7 @@ def test_gcd_matches_reference_on_crc24_outer_llrs(chunk, monkeypatch):
         for ls in (1, 3):
             got = gcd_decode(llr, CRC24C, max_queries=256, list_size=ls)
             want_c, want_so, want_q = reference_gcd(llr, CRC24C, 256, ls)
-            assert got.queries_used == want_q == 256, trial
+            assert got.queries == want_q == 256, trial
             assert [tuple(c) for c in got.candidates] == want_c, trial
             assert np.allclose(got.so, want_so, rtol=1e-9, atol=0.0), trial
 
@@ -496,7 +522,7 @@ def test_gcd_exhaustive_budget_recovers_posterior():
     for _ in range(10):
         llr = rng.normal(0, 2, 10)
         out = gcd_decode(llr, CRC6, max_queries=1 << 4, list_size=1 << 4)
-        assert out.queries_used == 16 and len(out.candidates) == 16
+        assert out.queries == 16 and len(out.candidates) == 16
         p1 = bit_prob(llr)
         lik = np.prod(np.where(cws, p1, 1 - p1), axis=1)
         post = lik / lik.sum()
@@ -531,7 +557,7 @@ def test_gcd_noiseless_single_query():
     cw = crc_encode(rng.integers(0, 2, 4).astype(np.uint8), CRC6)
     llr = (2.0 * cw - 1.0) * 6.0
     out = gcd_decode(llr, CRC6, max_queries=1, list_size=1)
-    assert out.queries_used == 1 and out.found
+    assert out.queries == 1 and out.found
     assert np.array_equal(out.candidates[0], cw)
     # uniform magnitudes: phi and the guessed-part mass have closed forms
     keep = 1 / (1 + np.exp(-6.0))
@@ -548,20 +574,19 @@ def test_gcd_always_completes_to_a_codeword():
     bad[0] ^= 1
     llr = (2.0 * bad - 1.0) * 5.0
     out = gcd_decode(llr, CRC6, max_queries=1, list_size=1)
-    assert out.found and out.queries_used == 1
+    assert out.found and out.queries == 1
     assert len(out.candidates) == 1
     assert not crc_syndrome(out.candidates[0], CRC6).any()
 
 
 def test_gcd_validation():
+    for bad in (np.zeros((2, 3, 10)), np.zeros(10), np.zeros((1, 6))):
+        with pytest.raises(ValueError):
+            gcd_decode_block(bad, CRC6)
     with pytest.raises(ValueError):
-        gcd_decode(np.zeros((2, 10)), CRC6)
+        gcd_decode_block(np.zeros((1, 10)), CRC6, max_queries=0)
     with pytest.raises(ValueError):
-        gcd_decode(np.zeros(6), CRC6)
-    with pytest.raises(ValueError):
-        gcd_decode(np.zeros(10), CRC6, max_queries=0)
-    with pytest.raises(ValueError):
-        gcd_decode(np.zeros(10), CRC6, list_size=0)
+        gcd_decode_block(np.zeros((1, 10)), CRC6, list_size=0)
 
 
 @pytest.mark.parametrize("decode", [gcd_decode, sogrand_decode])
@@ -575,12 +600,24 @@ def test_outer_decoders_refuse_nan(decode):
     assert out.found and 0.0 < out.so[0] <= 1.0
 
 
-def same_output(a, b):
-    """Equal decoder outputs: candidates, queries and soft outputs exact."""
-    return (a.queries_used == b.queries_used and a.found == b.found
-            and len(a.candidates) == len(b.candidates)
-            and all(np.array_equal(x, y) for x, y in zip(a.candidates, b.candidates))
-            and np.array_equal(np.array(a.so), np.array(b.so)))
+def same_row(a, b):
+    """Equal rows: candidates, queries and soft outputs exact."""
+    return (a.queries == b.queries and len(a.so) == len(b.so)
+            and np.array_equal(a.candidates, b.candidates) and np.array_equal(a.so, b.so))
+
+
+def check_columns(cols, n, k):
+    """The guessers' column format: lists best first along an axis as wide
+    as the longest list (at least 1), zero past each row's count."""
+    count = cols["count"]
+    w = max(1, int(count.max(initial=0)))
+    assert count.shape == cols["queries"].shape == (n,)
+    assert cols["candidates"].shape == (n, w, k) and cols["candidates"].dtype == np.uint8
+    assert cols["so"].shape == (n, w) and cols["so"].dtype == np.float64
+    assert cols["queries"].dtype == np.int64
+    past = np.arange(w) >= count[:, None]
+    assert not cols["so"][past].any() and not cols["candidates"][past].any()
+    assert (np.diff(cols["so"], axis=1) <= 0).all()
 
 
 @pytest.fixture(scope="module")
@@ -605,33 +642,44 @@ BLOCK_DECODERS = [(gcd_decode_block, gcd_decode, reference_gcd),
 @pytest.mark.parametrize("kwargs", [
     dict(max_queries=2048), dict(max_queries=256, list_size=3),
     dict(max_queries=1), dict(max_queries=4096, max_weight=9),
+    # the CRC6 rows stop after 6 to 12 hits: a short row's phi sum must not
+    # see the zero padding up to the longest list
+    dict(max_queries=600, list_size=12),
+    # the list axis is as wide as the longest list, never list_size itself
+    dict(max_queries=256, list_size=1 << 20),
 ])
 def test_block_decoders_match_reference_and_single_rows(block, single, reference,
                                                         kwargs, block_cases):
-    # every row of a block decodes exactly as that row alone, soft outputs
-    # bit for bit, and as the query-at-a-time reference; an F-ordered block
-    # (outer_llr's own output is not C-ordered) gives the same rows
+    # every row of a block decodes exactly as a block of that row alone,
+    # soft outputs bit for bit, and as the query-at-a-time reference; an
+    # F-ordered block (outer_llr's own output is not C-ordered) gives the
+    # same columns
     for name, spec, lo in block_cases:
         got = block(lo, spec, **kwargs)
-        assert len(got) == len(lo)
-        for out_f, out in zip(block(np.asfortranarray(lo), spec, **kwargs), got):
-            assert same_output(out_f, out), name
+        check_columns(got, *lo.shape)
+        got_f = block(np.asfortranarray(lo), spec, **kwargs)
+        assert all(np.array_equal(got_f[key], got[key]) for key in got), name
         for t, row in enumerate(lo):
-            assert same_output(got[t], single(row, spec, **kwargs)), (name, t)
+            out = row_of(got, t)
+            assert same_row(out, single(row, spec, **kwargs)), (name, t)
             want_c, want_so, want_q = reference(
                 row, spec, kwargs["max_queries"], kwargs.get("list_size", 1),
                 kwargs.get("max_weight"))
-            assert got[t].queries_used == want_q, (name, t)
-            assert [tuple(c) for c in got[t].candidates] == want_c, (name, t)
-            assert np.allclose(got[t].so, want_so, rtol=1e-9, atol=1e-300), (name, t)
+            assert out.queries == want_q, (name, t)
+            assert [tuple(c) for c in out.candidates] == want_c, (name, t)
+            assert np.allclose(out.so, want_so, rtol=1e-9, atol=1e-300), (name, t)
 
 
 @pytest.mark.parametrize("block, single", [d[:2] for d in BLOCK_DECODERS])
 def test_block_of_one_and_of_none(block, single):
     lo = crc_failing_outer_llrs(1, (64, 43, 32), 3.0, 8, CRC11)
-    (out,) = block(lo, CRC11)
-    assert same_output(out, single(lo[0], CRC11))
-    assert block(np.zeros((0, 43)), CRC11) == []
+    got = block(lo, CRC11)
+    check_columns(got, 1, 43)
+    assert got["count"][0] == 1
+    assert same_row(row_of(got, 0), single(lo[0], CRC11))
+    none = block(np.zeros((0, 43)), CRC11)
+    check_columns(none, 0, 43)
+    assert none["candidates"].shape == (0, 1, 43) and none["so"].shape == (0, 1)
 
 
 @pytest.mark.parametrize("block", [d[0] for d in BLOCK_DECODERS])
@@ -646,6 +694,11 @@ def test_block_decoders_refuse_bad_blocks(block):
     for kwargs in (dict(max_queries=0), dict(list_size=0), dict(max_weight=-1)):
         with pytest.raises(ValueError):
             block(np.zeros((2, 16)), CRC6, **kwargs)
+    for name, value in (("max_queries", 100.5), ("list_size", 2.0), ("max_weight", 3.5)):
+        with pytest.raises(TypeError, match=name):
+            block(np.zeros((2, 16)), CRC6, **{name: value})
+    counts = dict(max_queries=np.int64(8), list_size=np.int64(2), max_weight=np.int64(5))
+    assert block(np.zeros((2, 16)), CRC6, **counts)["queries"].tolist() == [8, 8]
 
 
 @pytest.mark.parametrize("list_size", [1, 3])
@@ -657,6 +710,5 @@ def test_gcd_slices_keep_the_first_of_tied_codewords(monkeypatch, list_size):
     whole = gcd_decode_block(block, CRC6, max_queries=64, list_size=list_size)
     monkeypatch.setattr(outer, "_CHUNK", 4)
     sliced = gcd_decode_block(block, CRC6, max_queries=64, list_size=list_size)
-    for a, b in zip(sliced, whole):
-        assert [tuple(c) for c in a.candidates] == [tuple(c) for c in b.candidates]
-        assert np.allclose(a.so, b.so, rtol=1e-12, atol=0.0)
+    assert np.array_equal(sliced["candidates"], whole["candidates"])
+    assert np.allclose(sliced["so"], whole["so"], rtol=1e-12, atol=0.0)

@@ -12,7 +12,7 @@ from capolar.pipeline import (
     decide_block,
     threshold_test,
 )
-from capolar.outer import outer_llr, sogrand_decode
+from capolar.outer import outer_llr, sogrand_decode_block
 from capolar.polar import CodeDims, ca_encode, construct_polar
 from capolar.scl import ca_select_batch, scl_decode_batch
 
@@ -205,14 +205,15 @@ def test_retry_keeps_better_decision():
     # replaces the inner word only where the threshold rule takes it
     msg, llr = noisy_llr(31, 0, params=ChannelParams(6.0, DIMS.rate))
     cfg = PipelineConfig(CODE, SPEC, 4)
-    out = sogrand_decode(outer_llr(llr, CODE), SPEC)
+    out = sogrand_decode_block(outer_llr(llr, CODE)[None], SPEC)
     for epsilon, taken in ((0.5, True), (1e-9, False)):
         cols = decide_block(low_so_selection(0.4), llr[None], cfg, retry_below=1.0 - epsilon)
         assert cols["retried"][0] and cols["origin"][0] == INNER
         assert cols["so"][0] == 0.4 and not cols["message"].any() and cols["queries"][0] == 0
-        assert np.array_equal(cols["alt_message"][0], out.candidates[0][:24])
+        assert np.array_equal(cols["alt_message"][0], out["candidates"][0, 0, :24])
         assert np.array_equal(cols["alt_message"][0], msg)
-        assert (cols["alt_so"][0], cols["alt_queries"][0]) == (out.so[0], out.queries_used)
+        assert (cols["alt_so"][0], cols["alt_queries"][0]) == (out["so"][0, 0],
+                                                                out["queries"][0])
         accepted, retry_taken = apply_threshold(cols, epsilon)
         assert (accepted[0], retry_taken[0]) == (False, taken)
     # above the retry bound the inner decision stands alone

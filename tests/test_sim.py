@@ -7,7 +7,7 @@ import pytest
 
 from capolar.channel import (ChannelParams, llr_from_channel, message_rng,
                              modulate, noise_rng, saturate_llr, transmit)
-from capolar.outer import gcd_decode, hard_decision, outer_llr, sogrand_decode
+from capolar.outer import gcd_decode_block, hard_decision, outer_llr, sogrand_decode_block
 from capolar.pipeline import (ORIGINS, DecodeResult, PipelineConfig,
                               cca_scl_decode)
 from capolar.polar import CodeDims, ca_encode
@@ -85,29 +85,28 @@ def test_missing_out_dir_fails_before_decoding(tmp_path):
 
 
 def test_bad_pipeline_config_fails_before_any_output(tmp_path):
-    cfg = small_cfg(tmp_path, list_size=0, decoder="ca_scl", out_stem="bad")
     with pytest.raises(ValueError, match="list_size"):
-        run_bler_sweep(cfg)
+        run_bler_sweep(small_cfg(tmp_path, list_size=0, decoder="ca_scl", out_stem="bad"))
     assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("decoder", ["ca_scl", "cca_scl"])
 def test_negative_outer_max_weight_fails_before_any_output(tmp_path, decoder):
-    cfg = small_cfg(tmp_path, outer_decoder="gcd", outer_max_weight=-1,
-                    decoder=decoder, out_stem="bad")
     with pytest.raises(ValueError, match="outer_max_weight"):
-        run_bler_sweep(cfg)
+        run_bler_sweep(small_cfg(tmp_path, outer_decoder="gcd", outer_max_weight=-1,
+                                 decoder=decoder, out_stem="bad"))
     assert not list(tmp_path.iterdir())
 
 
 def reference_outer(lo, cfg):
     """One trial's outer decision: (message, so, origin, queries)."""
-    decode = gcd_decode if cfg.outer_decoder == "gcd" else sogrand_decode
-    out = decode(lo, cfg.spec, max_queries=cfg.outer_max_queries,
+    decode = gcd_decode_block if cfg.outer_decoder == "gcd" else sogrand_decode_block
+    out = decode(lo[None], cfg.spec, max_queries=cfg.outer_max_queries,
                  list_size=cfg.outer_list_size, max_weight=cfg.outer_max_weight)
-    if out.found:
-        return out.candidates[0][:cfg.m_msg], out.so[0], "outer", out.queries_used
-    return hard_decision(lo)[:cfg.m_msg], 0.0, "fallback", out.queries_used
+    queries = int(out["queries"][0])
+    if out["count"][0]:
+        return out["candidates"][0, 0, :cfg.m_msg], out["so"][0, 0], "outer", queries
+    return hard_decision(lo)[:cfg.m_msg], 0.0, "fallback", queries
 
 
 def reference_resolve(lo, inner, cfg):
@@ -407,20 +406,25 @@ def test_empty_epsilon_grid_is_refused_before_any_output(tmp_path):
     ("outer_max_weight", 2.0),
 ])
 def test_non_integer_count_is_refused_before_any_output(tmp_path, field, value):
-    # SimConfig checks its own counts; the outer decoder's are checked by
-    # PipelineConfig, which every sweep builds before opening its outputs
+    # SimConfig checks every count it holds before any sweep opens its outputs
     with pytest.raises(TypeError, match=f"{field} must be an integer"):
         run_bler_sweep(small_cfg(tmp_path, **{field: value}))
     assert not list(tmp_path.iterdir())
 
 
 def test_numpy_integer_counts_are_accepted(tmp_path):
+    outer = dict(list_size=np.int64(2), outer_max_queries=np.int64(256),
+                 outer_list_size=np.int32(2), outer_max_weight=np.int64(20))
     cfg = small_cfg(tmp_path, trials=np.int64(64), master_seed=np.int64(-5),
-                    batch_size=np.int32(32), out_stem="np")
+                    batch_size=np.int32(32), out_stem="np", **outer)
     assert type(cfg.trials) is int and cfg.master_seed == -5
     (rec,) = run_bler_sweep(cfg)
     assert rec.trials == 64
-    assert json.loads((tmp_path / "np.json").read_text())["config"]["trials"] == 64
+    config = json.loads((tmp_path / "np.json").read_text())["config"]
+    assert config["trials"] == 64
+    for name, value in outer.items():
+        assert type(getattr(cfg, name)) is int and type(config[name]) is int
+        assert config[name] == value
 
 
 def test_uer_needs_grid_and_complete_decoder(tmp_path):
