@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .outer import _soft_xor_butterfly
-from .polar import PolarCode
+from .polar import PolarCode, _butterfly
 
 __all__ = ["bit_prob", "convert_llr", "pair_covariance"]
 
@@ -38,7 +37,7 @@ def convert_llr(b: np.ndarray, code: PolarCode) -> np.ndarray:
         raise ValueError(f"expected {code.n_code} probabilities, got {b.shape[-1]}")
     if np.any(b < 0.0) or np.any(b > 1.0):
         raise ValueError("flip probabilities must lie in [0, 1]")
-    d = _soft_xor_butterfly(1.0 - 2.0 * b, np.multiply)
+    d = _butterfly(1.0 - 2.0 * b, np.multiply)
     return (0.5 - 0.5 * d)[..., code.info]
 
 

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crc import CrcSpec
-from .polar import PolarCode
-from .scl import _boxplus, _checked_int
+from .polar import PolarCode, _butterfly, _checked_int
+from .scl import _boxplus
 
 __all__ = [
     "hard_decision",
@@ -47,18 +47,6 @@ __all__ = [
 def hard_decision(llr):
     """Bitwise decision for the convention where positive LLR favours 1."""
     return (np.asarray(llr) > 0).astype(np.uint8)
-
-
-def _soft_xor_butterfly(vals, combine):
-    """Run the polar butterfly with a custom combine on the last axis."""
-    n = vals.shape[-1]
-    out = vals.copy()
-    half = 1
-    while half < n:
-        blocks = out.reshape(out.shape[:-1] + (n // (2 * half), 2, half))
-        blocks[..., 0, :] = combine(blocks[..., 0, :], blocks[..., 1, :])
-        half *= 2
-    return out
 
 
 def outer_llr(llr_in: np.ndarray, code: PolarCode) -> np.ndarray:
@@ -75,7 +63,8 @@ def outer_llr(llr_in: np.ndarray, code: PolarCode) -> np.ndarray:
     if code.systematic:
         return llr_in[..., code.info]
     # the inner decoder's boxplus, negated: positive LLRs favour 1 here
-    return _soft_xor_butterfly(llr_in, lambda a, b: -_boxplus(a, b))[..., code.info]
+    out = _butterfly(llr_in, lambda a, b, out: np.negative(_boxplus(a, b), out=out))
+    return out[..., code.info]
 
 
 @dataclass(frozen=True)
@@ -142,8 +131,9 @@ def _build_schedule(k: int, rows: int) -> _Schedule:
                      complete=len(table) == 2 ** k)
 
 
-# rows per slice when gcd_decode_block evaluates its budget: temporaries of this
-# many float64s stay in a core's cache
+# rows per slice when gcd_decode_block evaluates its budget (temporaries of
+# this many float64s stay in a core's cache) and when orbgrand_schedule
+# unpacks its masks
 _CHUNK = 8192
 
 # the order depends only on the number of guessed bits; each entry holds the
@@ -253,11 +243,11 @@ def orbgrand_schedule(order: np.ndarray, max_weight: int | None = None):
     while True:
         sched = _schedule(k, want)
         stop, final = sched.limit(max_weight)
-        for row in range(done, stop):
-            flips = np.unpackbits(sched.planes[:, row], bitorder="little")[:k]
-            mask = np.zeros(k, dtype=np.uint8)
-            mask[order[flips.astype(bool)]] = 1
-            yield mask
+        for lo in range(done, stop, _CHUNK):
+            at = np.arange(lo, min(lo + _CHUNK, stop))
+            masks = np.empty((len(at), k), dtype=np.uint8)
+            masks[:, order] = _flip_masks(sched, at, k)
+            yield from masks
         if final:
             return
         done, want = stop, 4 * sched.rows

@@ -22,8 +22,8 @@ import numpy as np
 
 from .crc import CrcSpec
 from .outer import gcd_decode_block, hard_decision, outer_llr, sogrand_decode_block
-from .polar import PolarCode
-from .scl import _checked_int, ca_select_batch, scl_decode_batch
+from .polar import PolarCode, _checked_int
+from .scl import ca_select_batch, scl_decode_batch
 
 __all__ = ["PipelineConfig", "DecodeResult", "ORIGINS", "threshold_test",
            "apply_threshold", "decide_block", "cca_scl_decode"]

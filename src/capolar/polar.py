@@ -9,7 +9,8 @@ message in ascending position order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +28,17 @@ __all__ = [
 ]
 
 
+def _checked_int(value, name: str, low: int | None = 1) -> int:
+    """``value`` as an int >= ``low`` (unless None), or an error naming it."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return value
+
+
 @dataclass(frozen=True)
 class CodeDims:
     """[N, K, M]: block length, CRC-encoded length, message length."""
@@ -36,6 +48,9 @@ class CodeDims:
     m_msg: int
 
     def __post_init__(self):
+        # stored as plain ints, which every consumer can use
+        for name in ("n_code", "k_crc", "m_msg"):
+            object.__setattr__(self, name, _checked_int(getattr(self, name), name, None))
         n, k, m = self.n_code, self.k_crc, self.m_msg
         if n < 2 or n & (n - 1):
             raise ValueError(f"N={n} must be a power of two >= 2")
@@ -82,7 +97,7 @@ class PolarCode:
     method: str = "5g"
 
     def __post_init__(self):
-        n = self.n_code
+        n = _checked_int(self.n_code, "n_code", None)
         if n < 2 or n & (n - 1):
             raise ValueError(f"N={n} must be a power of two >= 2")
         frozen = np.sort(np.asarray(self.frozen, dtype=np.int64))
@@ -92,6 +107,7 @@ class PolarCode:
             raise ValueError("frozen and info sets must partition 0..N-1")
         frozen.setflags(write=False)
         info.setflags(write=False)
+        object.__setattr__(self, "n_code", n)
         object.__setattr__(self, "frozen", frozen)
         object.__setattr__(self, "info", info)
 
@@ -104,19 +120,27 @@ class PolarCode:
         return len(self.info)
 
 
+def _butterfly(vals, combine, dtype=None) -> np.ndarray:
+    """The F^(x)n butterfly along the last axis of a copy of ``vals``, with
+    ``combine(a, b, out=a)`` joining the two halves of every block: XOR is
+    the transform, and any soft XOR carries bit statistics through it."""
+    out = np.array(vals, dtype=dtype, order="C")  # reshape below must give views
+    n = out.shape[-1]
+    half = 1
+    while half < n:
+        blocks = out.reshape(out.shape[:-1] + (n // (2 * half), 2, half))
+        combine(blocks[..., 0, :], blocks[..., 1, :], out=blocks[..., 0, :])
+        half *= 2
+    return out
+
+
 def polar_transform(u: np.ndarray) -> np.ndarray:
     """Apply F^(x)n along the last axis (self-inverse XOR butterfly)."""
     u = np.asarray(u)
     n = u.shape[-1]
     if n < 1 or n & (n - 1):
         raise ValueError(f"length {n} is not a power of two")
-    x = u.astype(np.uint8).copy()
-    half = 1
-    while half < n:
-        blocks = x.reshape(u.shape[:-1] + (n // (2 * half), 2, half))
-        blocks[..., 0, :] ^= blocks[..., 1, :]
-        half *= 2
-    return x
+    return _butterfly(u, np.bitwise_xor, np.uint8)
 
 
 def construct_polar(n_code: int, k_crc: int, method: str = "5g",

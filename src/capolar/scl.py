@@ -40,14 +40,13 @@ that log in pm order.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import LLR_LIMIT
 from .crc import CrcSpec, crc_syndrome
-from .polar import PolarCode
+from .polar import PolarCode, _checked_int
 
 __all__ = ["BatchSclOutput", "scl_decode_batch", "ca_select_batch"]
 
@@ -88,17 +87,6 @@ def _boxplus(a, b, tmp=None):
         np.log1p(tmp, out=tmp)
         op(out, tmp, out=out)
     return out
-
-
-def _checked_int(value, name: str, low: int | None = 1) -> int:
-    """``value`` as an int >= ``low`` (unless None), or an error naming it."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if low is not None and value < low:
-        raise ValueError(f"{name} must be >= {low}")
-    return value
 
 
 def _mass_factors(code: PolarCode) -> np.ndarray:

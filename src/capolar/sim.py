@@ -8,6 +8,15 @@ compute, so re-running a sweep with a different pool width produces byte
 identical CSVs.  The stop rule (enough trials or enough block errors) is
 evaluated only at round boundaries for the same reason.
 
+One engine, ``_sweep``, runs every table.  A batch function maps a batch to
+one fixed-shape array, and a point's result is the sum of those arrays in
+batch order: tallies for bler and uer, bin counts and sums for calibrate,
+sorted-|LLR| sums for diag-llr.  bler and uer share one tally rule,
+``_tally``: a decision is accepted (bler accepts every decision the decoder
+emits, uer applies each threshold of the grid), else its retry is taken,
+else it is erased, and an emitted wrong word is an undetected error.  No
+per-trial column outlives its batch.
+
 Output is RFC 4180 CSV plus a JSON sidecar carrying the full configuration,
 seed, and wall times; wall times stay out of the CSV so the CSV stays
 reproducible.
@@ -31,9 +40,9 @@ from .channel import (ChannelParams, llr_from_channel, message_bits, modulate,
                       saturate_llr, transmit)
 from .crc import CrcSpec, crc_spec_for
 from .outer import outer_llr
-from .pipeline import INNER, PipelineConfig, apply_threshold, decide_block
-from .polar import CodeDims, PolarCode, construct_polar, ca_encode
-from .scl import _checked_int, ca_select_batch, scl_decode_batch
+from .pipeline import PipelineConfig, apply_threshold, decide_block
+from .polar import CodeDims, PolarCode, _checked_int, construct_polar, ca_encode
+from .scl import ca_select_batch, scl_decode_batch
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -167,7 +176,7 @@ def wilson_interval(successes: int, total: int, z: float = 1.959963984540054):
 
 
 # ---------------------------------------------------------------------------
-# batch engine
+# batches: each returns one fixed-shape array, and a point is their sum
 
 @dataclass(frozen=True)
 class _Plan:
@@ -201,13 +210,9 @@ def _trial_wave(plan: _Plan, snr_db: float, trials):
     return msgs, saturate_llr(llr_from_channel(y, params))
 
 
-def _inner_pass(plan: _Plan, llr: np.ndarray):
-    out = scl_decode_batch(llr, plan.pipe.code, plan.pipe.list_size)
-    return ca_select_batch(out, plan.pipe.spec)
-
-
 def _decide_batch(args):
-    """Per-trial decision columns for one batch: the engine of all sweeps.
+    """Per-trial decision columns for one batch of the bler, calibrate and
+    uer tables.
 
     ``decide_block``'s columns plus ``correct`` and ``alt_correct``, whether
     the decision and the retry equal the sent message.  Under ``ca_scl`` no
@@ -215,7 +220,8 @@ def _decide_batch(args):
     """
     plan, snr_db, start, count = args
     msgs, llr = _trial_wave(plan, snr_db, range(start, start + count))
-    sel = _inner_pass(plan, llr)
+    sel = ca_select_batch(scl_decode_batch(llr, plan.pipe.code, plan.pipe.list_size),
+                          plan.pipe.spec)
     outer = plan.decoder == "cca_scl"
     cols = decide_block(sel, llr if outer else None, plan.pipe, plan.retry_below)
     cols["correct"] = (cols["message"] == msgs).all(axis=1) & (cols["found"] | outer)
@@ -223,81 +229,105 @@ def _decide_batch(args):
     return cols
 
 
-def _bler_batch(args):
+def _tally(cols, accepted, retry_taken):
+    """The one tally rule of the bler and uer tables, as int64 counts
+    (trials, block errors, undetected errors, erasures, CRC failures, outer
+    rescues, outer queries).  An accepted decision or a taken retry is
+    emitted, and wrong if it is not the sent message; the rest are erased.
+    Every CRC failure is an outer decision under ``cca_scl``, and has no
+    queries under ``ca_scl``, so queries / CRC failures is their mean."""
+    correct, failed = cols["correct"], ~cols["found"]
+    undetected = (accepted & ~correct) | (retry_taken & ~cols["alt_correct"])
+    return np.array([len(correct), (~correct).sum(), undetected.sum(),
+                     (~accepted & ~retry_taken).sum(), failed.sum(),
+                     (failed & correct).sum(), cols["queries"].sum()], dtype=np.int64)
+
+
+def _table_batch(args, epsilons=None):
+    """The batch's tallies, one row per threshold of ``epsilons`` (uer); or
+    one row that accepts every decision (bler), where a ``ca_scl`` CRC
+    failure is the only erasure."""
     cols = _decide_batch(args)
-    correct, found, origin = cols["correct"], cols["found"], cols["origin"]
-    plan = args[0]
-    n = len(correct)
-    inner_fail = int((~found).sum())
-    block_errors = int((~correct).sum())
-    if plan.decoder == "ca_scl":
-        undetected = int((found & ~correct).sum())
-        erasures = inner_fail
-        rescues = 0
-        outer_n = 0
-    else:
-        undetected = block_errors  # every trial emits a decision
-        erasures = 0
-        rescues = int((~found & correct).sum())
-        outer_n = int((origin != INNER).sum())
-    return (n, block_errors, undetected, erasures, inner_fail, rescues,
-            int(cols["queries"].sum()), outer_n)
+    if epsilons is None:
+        accepted = cols["found"] | (args[0].decoder == "cca_scl")
+        return _tally(cols, accepted, np.zeros_like(accepted))[None]
+    return np.stack([_tally(cols, *apply_threshold(cols, eps)) for eps in epsilons])
 
 
 def _calibrate_batch(args, edges=CALIBRATION_EDGES):
+    """Per estimator (so, so_forney), the decoded trials' count, errors and
+    predicted-error sum in each bin, as float64 of shape (2, 3, bins)."""
     cols = _decide_batch(args)
     found = cols["found"]
-    wrong = found & ~cols["correct"]
-    edge_arr = np.array(edges)
+    wrong = ~cols["correct"][found]
     nbins = len(edges)  # one bin per edge pair plus the underflow bin
     out = []
     for key in ("so", "so_forney"):
         pred = np.clip(1.0 - cols[key][found], 0.0, 1.0)
-        idx = np.searchsorted(edge_arr, pred, side="left")
-        counts = np.bincount(idx, minlength=nbins)
-        errs = np.bincount(idx[wrong[found]], minlength=nbins)
-        sums = np.bincount(idx, weights=pred, minlength=nbins)
-        out.append((counts, errs, sums))
-    return len(found), int(found.sum()), out
+        idx = np.searchsorted(edges, pred, side="left")
+        out.append([np.bincount(idx, minlength=nbins),
+                    np.bincount(idx[wrong], minlength=nbins),
+                    np.bincount(idx, weights=pred, minlength=nbins)])
+    return np.array(out, dtype=np.float64)
+
+
+def _profile_batch(args):
+    """Sums over the batch of the sorted |channel LLR| (N) and |outer LLR|
+    (K) profiles, end to end."""
+    plan, snr_db, start, count = args
+    _, llr = _trial_wave(plan, snr_db, range(start, start + count))
+    lo = outer_llr(llr, plan.pipe.code)
+    return np.concatenate([np.sort(np.abs(v), axis=1).sum(axis=0) for v in (llr, lo)])
 
 
 # ---------------------------------------------------------------------------
-# round scheduling
+# the sweep engine
 
-def _batches(start: int, todo: int, batch_size: int):
-    offs = range(0, todo, batch_size)
-    return [(start + o, min(batch_size, todo - o)) for o in offs]
+def _sweep(cfg: SimConfig, plan: _Plan, batch_fn, stop=None):
+    """Per SNR point of the grid: the sum of ``batch_fn``'s arrays over its
+    batches, in batch order, and the point's wall time.
+
+    A point runs rounds of ``round_trials`` trials, each split into batches
+    of ``batch_size`` from the round's first trial, until ``trials`` have run
+    or ``stop(sum)`` holds at the end of a round.  Batches run through a
+    pool of ``workers`` processes, or in this one.
+    """
+    pool = ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
+    run = map if pool is None else pool.map
+    points = []
+    try:
+        for snr in cfg.snr_grid_db:
+            t0 = time.perf_counter()
+            acc, done = 0, 0
+            while done < cfg.trials:
+                end = min(done + cfg.round_trials, cfg.trials)
+                jobs = [(plan, snr, s, min(cfg.batch_size, end - s))
+                        for s in range(done, end, cfg.batch_size)]
+                for part in run(batch_fn, jobs):
+                    acc = acc + part
+                done = end
+                if stop is not None and stop(acc):
+                    break
+            points.append((acc, time.perf_counter() - t0))
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    return points
 
 
-class _Runner:
-    """Maps batch jobs over an optional process pool, preserving order."""
-
-    def __init__(self, workers: int):
-        self.pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-
-    def map(self, fn, jobs):
-        if self.pool is None:
-            return [fn(j) for j in jobs]
-        return list(self.pool.map(fn, jobs))
-
-    def close(self):
-        if self.pool is not None:
-            self.pool.shutdown()
+def _records(cfg: SimConfig, points, epsilons) -> list[SimRecord]:
+    """The records of ``_table_batch`` sums: per SNR point, one per threshold."""
+    return [SimRecord(snr_db=snr, trials=n, block_errors=be, undetected_errors=ue,
+                      erasures=er, inner_crc_failures=fails, outer_rescues=rescues,
+                      mean_outer_queries=qsum / fails if fails else 0.0,
+                      epsilon=eps, wall_time=wall)
+            for snr, (acc, wall) in zip(cfg.snr_grid_db, points)
+            for eps, (n, be, ue, er, fails, rescues, qsum) in zip(epsilons, acc.tolist())]
 
 
-def _rounds(cfg: SimConfig, runner: _Runner, plan: _Plan, snr_db: float,
-            batch_fn, fold, stop):
-    """Run rounds of batches until the stop rule fires or trials run out."""
-    done = 0
-    while done < cfg.trials:
-        todo = min(cfg.round_trials, cfg.trials - done)
-        jobs = [(plan, snr_db, s, c) for s, c in _batches(done, todo, cfg.batch_size)]
-        for part in runner.map(batch_fn, jobs):
-            fold(part)
-        done += todo
-        if stop():
-            break
-    return done
+def _one_point(cfg: SimConfig, kind: str):
+    if len(cfg.snr_grid_db) != 1:
+        raise ValueError(f"{kind} runs at one SNR point, got the grid {cfg.snr_grid_db}")
 
 
 # ---------------------------------------------------------------------------
@@ -308,27 +338,8 @@ def run_bler_sweep(cfg: SimConfig):
     # the tallies read no retry, so none is decoded
     plan = replace(_plan_for(cfg), retry_below=None)
     paths = _open_outputs(cfg, "bler")
-    runner = _Runner(cfg.workers)
-    records = []
-    try:
-        for snr in cfg.snr_grid_db:
-            tally = np.zeros(8, dtype=np.int64)
-
-            def fold(part, tally=tally):
-                tally += np.array(part, dtype=np.int64)
-
-            t0 = time.perf_counter()
-            _rounds(cfg, runner, plan, snr, _bler_batch, fold,
-                    stop=lambda: tally[1] >= cfg.min_errors)
-            wall = time.perf_counter() - t0
-            n, be, ue, er, fails, rescues, qsum, outer_n = (int(v) for v in tally)
-            records.append(SimRecord(
-                snr_db=snr, trials=n, block_errors=be, undetected_errors=ue,
-                erasures=er, inner_crc_failures=fails, outer_rescues=rescues,
-                mean_outer_queries=qsum / outer_n if outer_n else 0.0,
-                wall_time=wall))
-    finally:
-        runner.close()
+    points = _sweep(cfg, plan, _table_batch, stop=lambda acc: acc[0, 1] >= cfg.min_errors)
+    records = _records(cfg, points, (None,))
     _write_bler_csv(paths, records, cfg)
     return records
 
@@ -336,66 +347,38 @@ def run_bler_sweep(cfg: SimConfig):
 def run_calibration(cfg: SimConfig, edges=None):
     """Bin decoded trials by predicted error 1-SO; writes CSV + sidecar.
 
-    Returns {"so": [CalibrationBin...], "so_forney": [...]} for the first
-    SNR point of the grid (calibration is a single-point experiment) with
-    bins ordered from the underflow bin upward.
+    Returns {"so": [CalibrationBin...], "so_forney": [...]} for the one SNR
+    point of the grid, with bins ordered from the underflow bin upward.
     """
+    _one_point(cfg, "calibration")
     edges = CALIBRATION_EDGES if edges is None else tuple(float(e) for e in edges)
     if list(edges) != sorted(set(edges)) or edges[0] <= 0.0 or edges[-1] > 1.0:
         raise ValueError("edges must be strictly ascending within (0, 1]")
     # the bins read the inner soft outputs only, so no outer stage runs
     plan = replace(_plan_for(cfg), decoder="ca_scl", retry_below=None)
     paths = _open_outputs(cfg, "calibrate")
-    runner = _Runner(cfg.workers)
-    snr = cfg.snr_grid_db[0]
-    nbins = len(edges)
-    acc = {k: [np.zeros(nbins, dtype=np.int64), np.zeros(nbins, dtype=np.int64),
-               np.zeros(nbins)] for k in ("so", "so_forney")}
-    seen = {"trials": 0, "decoded": 0}
-    t0 = time.perf_counter()
-
-    def fold(part):
-        count, decoded, per_est = part
-        seen["trials"] += count
-        seen["decoded"] += decoded
-        for key, (cnts, errs, sums) in zip(("so", "so_forney"), per_est):
-            acc[key][0] += cnts
-            acc[key][1] += errs
-            acc[key][2] += sums
-
-    batch_fn = functools.partial(_calibrate_batch, edges=edges)
-    try:
-        _rounds(cfg, runner, plan, snr, batch_fn, fold, stop=lambda: False)
-    finally:
-        runner.close()
-    wall = time.perf_counter() - t0
-
+    ((acc, wall),) = _sweep(cfg, plan, functools.partial(_calibrate_batch, edges=edges))
     asc = (0.0,) + edges
     result = {}
-    for key in ("so", "so_forney"):
-        cnts, errs, sums = acc[key]
-        bins = []
-        for i in range(nbins):
-            c = int(cnts[i])
-            bins.append(CalibrationBin(
-                lower=asc[i], upper=asc[i + 1], count=c,
-                mean_predicted=float(sums[i] / c) if c else 0.0,
-                empirical_error_rate=int(errs[i]) / c if c else 0.0,
-                errors=int(errs[i])))
-        result[key] = bins
-    _write_calibration_csv(paths, result, cfg, seen, wall)
+    for key, (cnts, errs, sums) in zip(("so", "so_forney"), acc):
+        result[key] = [CalibrationBin(
+            lower=asc[i], upper=asc[i + 1], count=int(c),
+            mean_predicted=float(s / c) if c else 0.0,
+            empirical_error_rate=int(e) / int(c) if c else 0.0, errors=int(e))
+            for i, (c, e, s) in enumerate(zip(cnts, errs, sums))]
+    _write_calibration_csv(paths, result, cfg, int(acc[0, 0].sum()), wall)
     return result
 
 
 def run_uer_sweep(cfg: SimConfig):
     """Per-(snr, epsilon) undetected-error and erasure tallies.
 
-    Decodes each trial once; the threshold grid is applied afterwards to the
-    stored soft outputs.  With retry enabled, every inner decision that fails
-    the widest threshold of the grid also gets its one outer attempt, in its
-    batch's outer block; the outer decision is a pure function of the
-    trial's LLRs, so this matches running the full pipeline per epsilon.
-    Runs exactly cfg.trials trials per SNR point.
+    Decodes each trial once and tallies it under every threshold of the
+    grid.  With retry enabled, every inner decision that fails the widest
+    threshold of the grid also gets its one outer attempt, in its batch's
+    outer block; the outer decision is a pure function of the trial's LLRs,
+    so this matches running the full pipeline per epsilon.  Runs exactly
+    cfg.trials trials per SNR point.
     """
     if cfg.epsilon_grid is None:
         raise ValueError("run_uer_sweep needs an epsilon grid")
@@ -403,39 +386,8 @@ def run_uer_sweep(cfg: SimConfig):
         raise ValueError("the UER sweep is defined for the cca_scl decoder")
     plan = _plan_for(cfg)
     paths = _open_outputs(cfg, "uer")
-    runner = _Runner(cfg.workers)
-    records = []
-    try:
-        for snr in cfg.snr_grid_db:
-            keys = ("correct", "so", "origin", "queries", "alt_so", "alt_correct")
-            parts = {key: [] for key in keys}
-
-            def fold(part):
-                for key in keys:
-                    parts[key].append(part[key])
-
-            t0 = time.perf_counter()
-            _rounds(cfg, runner, plan, snr, _decide_batch, fold, stop=lambda: False)
-            cols = {key: np.concatenate(parts[key]) for key in keys}
-            correct, outer = cols["correct"], cols["origin"] != INNER
-            wall = time.perf_counter() - t0
-
-            for eps in cfg.epsilon_grid:
-                accepted, retry_taken = apply_threshold(cols, eps)
-                undetected = ((accepted & ~correct)
-                              | (retry_taken & ~cols["alt_correct"]))
-                records.append(SimRecord(
-                    snr_db=snr, trials=len(correct),
-                    block_errors=int((~correct).sum()),
-                    undetected_errors=int(undetected.sum()),
-                    erasures=int((~accepted & ~retry_taken).sum()),
-                    inner_crc_failures=int(outer.sum()),
-                    outer_rescues=int((outer & correct).sum()),
-                    mean_outer_queries=float(cols["queries"][outer].mean())
-                    if outer.any() else 0.0,
-                    epsilon=eps, wall_time=wall))
-    finally:
-        runner.close()
+    points = _sweep(cfg, plan, functools.partial(_table_batch, epsilons=cfg.epsilon_grid))
+    records = _records(cfg, points, cfg.epsilon_grid)
     _write_uer_csv(paths, records, cfg)
     return records
 
@@ -444,26 +396,18 @@ def run_llr_profile(cfg: SimConfig):
     """Sorted reliability profiles of inner and outer LLRs, averaged.
 
     Per trial, sorts |channel LLR| ascending (N values) and |outer LLR|
-    ascending (K values); emits the across-trial mean at each rank.
+    ascending (K values); emits the across-trial mean at each rank at the
+    one SNR point of the grid.
     """
+    _one_point(cfg, "the LLR profile")
     plan = _plan_for(cfg)
     paths = _open_outputs(cfg, "diag_llr")
-    snr = cfg.snr_grid_db[0]
-    n, k = cfg.dims.n_code, cfg.dims.k_crc
-    sum_inner = np.zeros(n)
-    sum_outer = np.zeros(k)
-    done = 0
-    while done < cfg.trials:
-        count = min(cfg.batch_size, cfg.trials - done)
-        _, llr = _trial_wave(plan, snr, range(done, done + count))
-        sum_inner += np.sort(np.abs(llr), axis=1).sum(axis=0)
-        lo = outer_llr(llr, plan.pipe.code)
-        sum_outer += np.sort(np.abs(lo), axis=1).sum(axis=0)
-        done += count
-    profile = {
-        "inner": sum_inner / done,
-        "outer": sum_outer / done,
-    }
+    # rounds of whole batches keep the batch grid of trial 0 at any
+    # round_trials, so the sums add up in one order
+    whole = replace(cfg, round_trials=cfg.batch_size * cfg.workers)
+    ((acc, _),) = _sweep(whole, plan, _profile_batch)
+    n = cfg.dims.n_code
+    profile = {"inner": acc[:n] / cfg.trials, "outer": acc[n:] / cfg.trials}
     _write_profile_csv(paths, profile, cfg)
     return profile
 
@@ -544,7 +488,7 @@ def _write_bler_csv(paths, records: list[SimRecord], cfg: SimConfig):
         paths["plot"].write_text("\n".join(lines) + "\n")
 
 
-def _write_calibration_csv(paths, result, cfg: SimConfig, seen, wall):
+def _write_calibration_csv(paths, result, cfg: SimConfig, decoded: int, wall):
     header = ["schema_version", "estimator", "bin_lower", "bin_upper", "count",
               "mean_predicted", "errors", "empirical_error_rate", "err_lo", "err_hi"]
     rows = []
@@ -555,8 +499,8 @@ def _write_calibration_csv(paths, result, cfg: SimConfig, seen, wall):
                          b.mean_predicted, b.errors, b.empirical_error_rate,
                          lo, hi])
     _write_rows(paths["csv"], header, rows)
-    _sidecar(paths, cfg, {"kind": "calibrate", "trials": seen["trials"],
-                          "decoded": seen["decoded"], "wall_time": wall})
+    _sidecar(paths, cfg, {"kind": "calibrate", "trials": cfg.trials,
+                          "decoded": decoded, "wall_time": wall})
     if paths["plot"]:
         lines = []
         for key, bins in result.items():

@@ -109,6 +109,17 @@ def test_non_finite_snr_exits_2_before_any_output(tmp_path, capsys, snr):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["calibrate", "diag-llr"])
+def test_single_point_commands_refuse_a_grid(tmp_path, capsys, command):
+    # both tables are made at one SNR point; a second point is not dropped
+    # without a word
+    rc = main([command] + DIMS + ["--snr", "1,2", "--trials", "64", "--list", "2",
+               "--out", str(tmp_path), "--stem", "t"])
+    assert rc == 2
+    assert "one SNR point" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_unknown_flag_exits_with_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bler", "--frobnicate", "1"])

@@ -117,6 +117,20 @@ def test_code_dims_validation():
         CodeDims(64, 48, 48)
 
 
+def test_dims_are_stored_as_plain_ints():
+    dims = CodeDims(np.int64(16), np.int32(9), np.uint8(3))
+    assert dims == CodeDims(16, 9, 3)
+    assert all(type(v) is int for v in (dims.n_code, dims.k_crc, dims.m_msg))
+    code = PolarCode(n_code=np.int64(8), frozen=np.arange(4), info=np.arange(4, 8))
+    assert type(code.n_code) is int and code.stages == 3
+    with pytest.raises(TypeError, match="n_code"):
+        CodeDims(16.5, 9, 3)
+    with pytest.raises(TypeError, match="m_msg"):
+        CodeDims(16, 9, "3")
+    with pytest.raises(TypeError, match="n_code"):
+        PolarCode(n_code=8.0, frozen=np.arange(4), info=np.arange(4, 8))
+
+
 def test_code_dims_helpers():
     dims = CodeDims(64, 43, 32)
     assert dims.parity_bits == 11

@@ -243,13 +243,30 @@ def test_stop_rule_rounds_off_early(tmp_path):
 
 def test_worker_count_never_changes_the_csv(tmp_path):
     retry = {"epsilon_grid": (1e-1, 1e-3), "retry_on_threshold_fail": True}
-    for sweep, kw in ((run_bler_sweep, {}), (run_calibration, {}), (run_uer_sweep, retry)):
+    # the profile's rounds follow the pool width, its batches do not
+    odd = {"batch_size": 64, "round_trials": 100}
+    for sweep, kw in ((run_bler_sweep, {}), (run_calibration, {}), (run_uer_sweep, retry),
+                      (run_llr_profile, odd)):
         outs = []
         for w in (1, 2):
             stem = f"{sweep.__name__}-{w}"
             sweep(small_cfg(tmp_path, workers=w, out_stem=stem, **kw))
             outs.append((tmp_path / f"{stem}.csv").read_bytes())
         assert outs[0] == outs[1], sweep.__name__
+
+
+@pytest.mark.parametrize("sweep", [run_calibration, run_llr_profile])
+def test_single_point_sweeps_refuse_a_grid_before_any_output(tmp_path, sweep):
+    with pytest.raises(ValueError, match="one SNR point"):
+        sweep(small_cfg(tmp_path, snr_grid_db=(1.0, 2.0)))
+    assert not list(tmp_path.iterdir())
+
+
+def test_numpy_integer_dims_give_the_plain_csv(tmp_path):
+    dims = CodeDims(np.int64(16), np.int64(9), np.int32(3))
+    for stem, d in (("plain", DIMS), ("np", dims)):
+        run_bler_sweep(small_cfg(tmp_path, dims=d, trials=256, out_stem=stem))
+    assert (tmp_path / "np.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 def test_calibration_never_runs_the_outer_stage(tmp_path, monkeypatch):
@@ -469,10 +486,21 @@ def test_uer_sweep_equals_the_full_pipeline_per_epsilon(tmp_path, dims, list_siz
     undetected = dict.fromkeys(eps_grid, 0)
     erased = dict.fromkeys(eps_grid, 0)
     consulted = accepted = 0  # retries run, and retries that replaced the inner word
+    # per decoder: block errors, undetected errors, erasures, CRC failures,
+    # rescues and outer queries of the bler table at the same seed
+    bler = {"cca_scl": np.zeros(6, dtype=np.int64), "ca_scl": np.zeros(6, dtype=np.int64)}
     for t in range(cfg.trials):
         msg = message_rng(11, t).integers(0, 2, dims.m_msg).astype(np.uint8)
         y = transmit(modulate(ca_encode(msg, code, spec)), params, 11, t)
         llr = saturate_llr(llr_from_channel(y, params))
+        res = cca_scl_decode(llr, PipelineConfig(code, spec, list_size, outer_decoder=outer))
+        sel = ca_select_batch(scl_decode_batch(llr, code, list_size), spec)
+        found = bool(sel["found"][0])
+        ok = np.array_equal(res.message, msg)
+        ca_ok = found and np.array_equal(sel["message"][0, :dims.m_msg], msg)
+        bler["cca_scl"] += [not ok, not ok, 0, not found, ok and not found,
+                            res.outer_queries]
+        bler["ca_scl"] += [not ca_ok, found and not ca_ok, not found, not found, 0, 0]
         for eps in eps_grid:
             res = cca_scl_decode(llr, PipelineConfig(
                 code, spec, list_size, epsilon=eps, retry_on_threshold_fail=True,
@@ -488,14 +516,31 @@ def test_uer_sweep_equals_the_full_pipeline_per_epsilon(tmp_path, dims, list_siz
         (undetected[e], erased[e]) for e in eps_grid]
     assert erased[1e-3] > erased[1e-1] and consulted > 0
     assert accepted >= min_accepted
+    for decoder, want in bler.items():
+        (rec,) = run_bler_sweep(dataclasses.replace(cfg, decoder=decoder, out_stem=decoder))
+        be, ue, er, fails, rescues, queries = want.tolist()
+        assert (rec.block_errors, rec.undetected_errors, rec.erasures,
+                rec.inner_crc_failures, rec.outer_rescues) == (be, ue, er, fails, rescues)
+        assert rec.mean_outer_queries == (queries / fails if fails else 0.0)
+        assert rec.trials == cfg.trials and fails > 0
 
 
 def test_llr_profile_orders_reliability(tmp_path):
     cfg = SimConfig(CodeDims(128, 114, 90), (6.0,), trials=400,
-                    list_size=1, master_seed=3, out_dir=str(tmp_path),
-                    out_stem="prof")
+                    list_size=1, master_seed=3, batch_size=64, round_trials=100,
+                    out_dir=str(tmp_path), out_stem="prof")
     profile = run_llr_profile(cfg)
     inner, outer = profile["inner"], profile["outer"]
+    # the sums add whole batches of batch_size from trial 0, whatever the
+    # round size
+    plan = _plan_for(cfg)
+    sums = [np.zeros(128), np.zeros(114)]
+    for start in range(0, cfg.trials, cfg.batch_size):
+        _, llr = _trial_wave(plan, 6.0, range(start, min(start + cfg.batch_size, cfg.trials)))
+        for acc, v in zip(sums, (llr, outer_llr(llr, plan.pipe.code))):
+            acc += np.sort(np.abs(v), axis=1).sum(axis=0)
+    assert np.array_equal(inner, sums[0] / cfg.trials)
+    assert np.array_equal(outer, sums[1] / cfg.trials)
     assert inner.shape == (128,) and outer.shape == (114,)
     assert (np.diff(inner) >= 0).all() and (np.diff(outer) >= 0).all()
     # contraction: the sorted outer curve sits below the inner curve
