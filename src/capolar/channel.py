@@ -88,12 +88,20 @@ def message_rng(seed: int, trial: int = 0) -> np.random.Generator:
 
 
 def message_bits(seed: int, trials, m: int) -> np.ndarray:
-    """(len(trials), m) uint8 messages; row i is drawn as
-    ``message_rng(seed, trials[i]).integers(0, 2, m)``."""
-    msgs = np.empty((len(trials), m), dtype=np.uint8)
-    for row, gen in zip(msgs, _streams(seed, trials, _MESSAGE)):
-        row[:] = gen.integers(0, 2, m)
-    return msgs
+    """(len(trials), m) uint8 messages; row i equals
+    ``message_rng(seed, trials[i]).integers(0, 2, m)``.
+
+    That draw takes one 32-bit output per bit, the low half of each 64-bit
+    Philox word first, and returns its top bit: Lemire's bounded draw for a
+    range of 2, which never rejects.  So each trial pulls ceil(m / 2) raw
+    words and the whole block is unpacked at once.
+    """
+    n_words = (m + 1) // 2
+    words = np.empty((len(trials), n_words), dtype=np.uint64)
+    for row, gen in zip(words, _streams(seed, trials, _MESSAGE)):
+        row[:] = gen.bit_generator.random_raw(n_words)
+    bits = np.stack([(words >> np.uint64(31)) & np.uint64(1), words >> np.uint64(63)], axis=-1)
+    return bits.reshape(len(words), 2 * n_words)[:, :m].astype(np.uint8)
 
 
 def transmit(s: np.ndarray, params: ChannelParams, seed: int, trial=0) -> np.ndarray:

@@ -9,6 +9,7 @@ message in ascending position order.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -123,15 +124,19 @@ class PolarCode:
 def _butterfly(vals, combine, dtype=None) -> np.ndarray:
     """The F^(x)n butterfly along the last axis of a copy of ``vals``, with
     ``combine(a, b, out=a)`` joining the two halves of every block: XOR is
-    the transform, and any soft XOR carries bit statistics through it."""
-    out = np.array(vals, dtype=dtype, order="C")  # reshape below must give views
-    n = out.shape[-1]
+    the transform, and any soft XOR carries bit statistics through it.
+
+    The work runs width-major, on a copy with the butterfly axis first, so
+    each half is one contiguous run across all leading rows instead of a
+    short run per row."""
+    work = np.array(np.moveaxis(np.asarray(vals), -1, 0), dtype=dtype, order="C")
+    n, rows = work.shape[0], math.prod(work.shape[1:])
     half = 1
     while half < n:
-        blocks = out.reshape(out.shape[:-1] + (n // (2 * half), 2, half))
-        combine(blocks[..., 0, :], blocks[..., 1, :], out=blocks[..., 0, :])
+        blocks = work.reshape(n // (2 * half), 2, half * rows)
+        combine(blocks[:, 0], blocks[:, 1], out=blocks[:, 0])
         half *= 2
-    return out
+    return np.ascontiguousarray(np.moveaxis(work, 0, -1))
 
 
 def polar_transform(u: np.ndarray) -> np.ndarray:

@@ -24,18 +24,21 @@ way.
 
 Path state is shared, not copied (the lazy copy of Tal and Vardy).  Level
 s = 1..n of the recursion holds N >> s LLRs and N >> s partial sums per
-path, each level in its own array stored flat with one row per (trial,
-path) live when the level was last written.  A row map per level sends each
-live path to its row; a prune composes the live maps with the parent index,
-once per distinct map, and moves no state.  A level is gathered, one take
-along axis 0, only when an f/g step or a partial-sum push reads it, and a
-write leaves it in path order again; a level is dropped after its last
-read.  Level 0, the channel, is shared by all paths.  The last
-partial-sum push reaches level 0, where it holds every path's codeword:
-that is x_hat.  u_hat is not kept per path: each pruning information
-position logs its kept candidates (2 * parent + bit, in the smallest
-unsigned dtype that holds 2L), and the final paths are traced back through
-that log in pm order.
+path, each level in its own array stored width-major: shape (N >> s,
+columns), one column per (trial, path) live when the level was last
+written.  The f/g halves of a level are then two contiguous blocks, so each
+step runs one long loop rather than one short loop per path.  A row map per
+level sends each live path to its column; a prune composes the live maps
+with the parent index, once per distinct map, and moves no state.  A level
+is gathered, one take along axis 1, only when an f/g step or a partial-sum
+push reads it, and a write leaves it in path order again; a level is
+dropped after its last read.  Level 0, the channel, is shared by all
+paths.  A partial-sum push stacks the two halves along axis 0, and the last
+one reaches level 0, where it holds every path's codeword: that is x_hat,
+transposed.  u_hat is not kept per path: each pruning information position
+logs its kept candidates (2 * parent + bit, in the smallest unsigned dtype
+that holds 2L), and the final paths are traced back through that log in pm
+order.
 """
 
 from __future__ import annotations
@@ -121,7 +124,7 @@ def scl_decode_batch(llr: np.ndarray, code: PolarCode, list_size: int) -> BatchS
     log_dtype = np.min_scalar_type(2 * list_size)
 
     # per-level state and row maps, as described in the module docstring
-    chan = np.clip(-llr, -LLR_LIMIT, LLR_LIMIT)[:, None, :]
+    chan = np.ascontiguousarray(np.clip(-llr, -LLR_LIMIT, LLR_LIMIT).T)[:, :, None]
     llrs, sums = [None] * (n + 1), [None] * (n + 1)
     llr_row, sum_row = [None] * (n + 1), [None] * (n + 1)
     pm = np.zeros((n_trials, 1))
@@ -138,22 +141,22 @@ def scl_decode_batch(llr: np.ndarray, code: PolarCode, list_size: int) -> BatchS
         size = n_trials * paths * w
         if scratch[i].size < size:
             scratch[i] = np.empty(size)
-        return scratch[i][:size].reshape(n_trials, paths, w)
+        return scratch[i][:size].reshape(w, n_trials, paths)
 
     def read(store, row, s, out=None):
         if row[s] is None:
             data = store[s]
         else:  # row maps are in range; "clip" lets take write straight into out
-            data = store[s].take(row[s], axis=0, mode="clip",
-                                 out=None if out is None else out.reshape(-1, width[s]))
-        return data.reshape(n_trials, paths, width[s])
+            data = store[s].take(row[s], axis=1, mode="clip",
+                                 out=None if out is None else out.reshape(width[s], -1))
+        return data.reshape(width[s], n_trials, paths)
 
     for phi in range(n_code):
         lo = 1 if phi == 0 else n - ((phi & -phi).bit_length() - 1)
         for s in range(lo, n + 1):
             m = width[s]
             par = chan if s == 1 else read(llrs, llr_row, s - 1, shaped(0, width[s - 1]))
-            a, b = par[:, :, :m], par[:, :, m:]
+            a, b = par[:m], par[m:]
             tmp = shaped(1, m)
             if s == lo and phi != 0:
                 # (1 - 2u) a + b
@@ -164,13 +167,13 @@ def scl_decode_batch(llr: np.ndarray, code: PolarCode, list_size: int) -> BatchS
             else:
                 lam = _boxplus(a, b, tmp)
             if s < n:  # level n is read only here, as the decision LLR
-                llrs[s] = lam.reshape(-1, m)
+                llrs[s] = lam.reshape(m, -1)
                 llr_row[s] = None
-        lam = lam[:, :, 0]
+        lam = lam[0]
 
         if frozen_mask[phi]:
             pm = pm + np.logaddexp(0.0, -lam)
-            word = np.zeros((n_trials, paths, 1), dtype=np.uint8)
+            word = np.zeros((1, n_trials, paths), dtype=np.uint8)
         else:
             # logaddexp(0, -+lam) as max(-+lam, 0) + logaddexp(0, -|lam|):
             # the same bits from one logaddexp instead of two
@@ -214,28 +217,24 @@ def scl_decode_batch(llr: np.ndarray, code: PolarCode, list_size: int) -> BatchS
                             composed[id(old)] = (old, parent if old is None else old.take(parent))
                         row[s] = composed[id(old)][1]
             paths = pm.shape[1]
-            word = bits.reshape(n_trials, paths, 1)
+            word = bits.reshape(1, n_trials, paths)
 
         # push partial sums back up while this subtree is complete
         s, pos = n, phi
         while pos & 1:
-            # each row of width[s] bytes moves as one void item: a byte-wise
-            # concatenation of short rows is many times slower
-            row_t = np.dtype((np.void, width[s]))
-            word = np.concatenate([(read(sums, sum_row, s) ^ word).view(row_t),
-                                   word.view(row_t)], axis=2).view(np.uint8)
+            word = np.concatenate([read(sums, sum_row, s) ^ word, word])
             sums[s] = None
             s -= 1
             pos >>= 1
         if s > 0:
-            sums[s] = word.reshape(-1, width[s])
+            sums[s] = word.reshape(width[s], -1)
             sum_row[s] = None
 
-    # the last push ends at level 0 with every path's codeword; trace the
-    # final paths back through the kept log, in pm order
+    # the last push ends at level 0 with every path's codeword, one per
+    # column; trace the final paths back through the kept log, in pm order
     order = np.argsort(pm, axis=1, kind="stable")
     pm = np.take_along_axis(pm, order, axis=1)
-    x_hat = word.reshape(-1, n_code).take(order + paths * base, axis=0)
+    x_hat = word.reshape(n_code, -1).T.take(order + paths * base, axis=0)
     u_hat = np.zeros((n_trials, paths, n_code), dtype=np.uint8)
     idx = order
     for phi in reversed(kept_log):

@@ -352,8 +352,9 @@ def run_calibration(cfg: SimConfig, edges=None):
     """
     _one_point(cfg, "calibration")
     edges = CALIBRATION_EDGES if edges is None else tuple(float(e) for e in edges)
-    if list(edges) != sorted(set(edges)) or edges[0] <= 0.0 or edges[-1] > 1.0:
-        raise ValueError("edges must be strictly ascending within (0, 1]")
+    # every predicted error 1 - SO lies in [0, 1], so the top edge is 1
+    if list(edges) != sorted(set(edges)) or edges[0] <= 0.0 or edges[-1] != 1.0:
+        raise ValueError("edges must be strictly ascending within (0, 1] and end at 1")
     # the bins read the inner soft outputs only, so no outer stage runs
     plan = replace(_plan_for(cfg), decoder="ca_scl", retry_below=None)
     paths = _open_outputs(cfg, "calibrate")

@@ -132,6 +132,15 @@ def test_batched_draws_equal_per_trial_streams():
         assert np.array_equal(y[i], transmit(s[i], p, 77, t))
         assert np.array_equal(msgs[i], message_rng(77, t).integers(0, 2, 12))
     assert np.array_equal(msgs[1], msgs[2])
+    # the raw-word unpacking, odd lengths and keys near 2^64 included
+    for seed in (7, 2024, -3, 0, 2**64 - 5):
+        keys = [0, 9, 2**32 + 5, 2**63 + 1, 2**64 - 1]
+        for m in (1, 2, 9, 19, 24, 31, 32, 90):
+            msgs = message_bits(seed, keys, m)
+            assert msgs.dtype == np.uint8 and msgs.shape == (len(keys), m)
+            for i, t in enumerate(keys):
+                assert np.array_equal(msgs[i], message_rng(seed, t).integers(0, 2, m))
+    assert message_bits(77, [], 12).shape == (0, 12)
     with pytest.raises(ValueError, match="trial indices"):
         transmit(s, p, 77, trials[:-1])
     # one sample per trial: each row is a scalar

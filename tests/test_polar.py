@@ -7,12 +7,14 @@ from capolar.crc import CRC6, CRC11, crc_encode
 from capolar.polar import (
     CodeDims,
     PolarCode,
+    _butterfly,
     ca_encode,
     construct_polar,
     encode_nonsystematic,
     encode_systematic,
     polar_transform,
 )
+from capolar.scl import _boxplus
 
 # (N, K) pool for randomized encoding checks; covers both CRC lengths
 DIM_POOL = [(8, 7), (16, 9), (32, 20), (64, 43), (64, 31), (128, 114)]
@@ -37,6 +39,43 @@ def test_transform_matches_kron_generator():
 def test_transform_rejects_bad_length():
     with pytest.raises(ValueError):
         polar_transform(np.zeros(6, np.uint8))
+
+
+def row_major_butterfly(vals, combine):
+    """The butterfly on a copy, block by block along the last axis."""
+    out = np.array(vals)
+    n = out.shape[-1]
+    half = 1
+    while half < n:
+        blocks = out.reshape(out.shape[:-1] + (n // (2 * half), 2, half))
+        blocks[..., 0, :] = combine(blocks[..., 0, :], blocks[..., 1, :])
+        half *= 2
+    return out
+
+
+def test_butterfly_matches_the_row_major_formula():
+    # the width-major butterfly does the same elementwise operations, so it
+    # must agree bit for bit, saturated and infinite inputs included
+    rng = np.random.default_rng(4)
+
+    def neg_boxplus(a, b, out=None):
+        return np.negative(_boxplus(a, b), out=out)
+
+    for lead in ((), (7,), (5, 3), (2, 3, 4)):
+        shape = lead + (64,)
+        u = rng.integers(0, 2, shape).astype(np.uint8)
+        got = _butterfly(u, np.bitwise_xor, np.uint8)
+        assert got.flags.c_contiguous and got.dtype == np.uint8
+        assert np.array_equal(got, row_major_butterfly(u, np.bitwise_xor))
+        assert np.array_equal(polar_transform(u), got)
+        signs = rng.choice([-1.0, 1.0], shape)
+        for llr in (rng.normal(0, 3, shape), 40.0 * signs, np.inf * signs):
+            kept = llr.copy()
+            with np.errstate(invalid="ignore"):
+                got = _butterfly(llr, neg_boxplus)
+                want = row_major_butterfly(llr, neg_boxplus)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(llr, kept)  # the input is not touched
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True)

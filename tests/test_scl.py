@@ -386,6 +386,11 @@ EXACT_CASES = {
          noisy_llr(c, 2.0, 40, 17)])),
     "64-43-L16": ((64, 43, False), 16, lambda c: noisy_llr(c, 2.0, 200, 18)),
     "1024-35-L8": ((1024, 35, False), 8, lambda c: noisy_llr(c, 1.0, 6, 19)),
+    # levels one element wide per path: short codes, no frozen bit, one row
+    "4-2-L4": ((4, 2, False), 4, lambda c: noisy_llr(c, 1.0, 50, 20)),
+    "8-8-L2": ((8, 8, False), 2, lambda c: noisy_llr(c, 2.0, 50, 21)),
+    "2-1-L2": ((2, 1, False), 2, lambda c: noisy_llr(c, 1.0, 50, 22)),
+    "1024-35-one-row-L8": ((1024, 35, False), 8, lambda c: noisy_llr(c, 1.0, 1, 23)),
 }
 
 

@@ -358,6 +358,11 @@ def test_calibration_rejects_bad_edges(tmp_path):
         run_calibration(cfg, edges=(0.0, 0.5, 1.0))
     with pytest.raises(ValueError):
         run_calibration(cfg, edges=(0.5, 1.5))
+    # a top edge below 1 would leave predictions above it with no bin
+    low = small_cfg(tmp_path, snr_grid_db=(0.0,), trials=64, out_stem="low")
+    with pytest.raises(ValueError, match="end at 1"):
+        run_calibration(low, edges=(0.001, 0.01))
+    assert not list(tmp_path.iterdir())
 
 
 def test_uer_threshold_algebra(tmp_path):
