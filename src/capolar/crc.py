@@ -5,6 +5,11 @@ plain polynomial long division with zero initialisation: the parity bits are
 the remainder of msg(x) * x^r divided by the generator, appended after the
 message.  The syndrome of a word is its polynomial remainder, which equals
 H_O @ word for the parity-check matrix of the systematic code.
+
+There is one parity-check format: position j's column x^(length-1-j) mod g
+packed into an int64, bit i for check i (the coefficient of x^(r-1-i)), so a
+syndrome is the XOR of the columns at a word's 1-bits, 0 when it passes.  An
+int64 holds at most 63 checks, the limit on a generator's degree.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ class CrcSpec:
             raise ValueError("polynomial coefficients must be 0 or 1")
         if self.poly[0] != 1:
             raise ValueError("leading coefficient of the generator must be 1")
+        if len(self.poly) > 64:
+            raise ValueError(f"degree {len(self.poly) - 1}: the packed checks hold at most 63")
 
     @property
     def degree(self) -> int:
@@ -45,7 +52,7 @@ class CrcSpec:
 
     def parity_check(self, length: int) -> np.ndarray:
         """H_O for words of ``length`` bits: column j is x^(length-1-j) mod g."""
-        return _remainder_table(self.poly, length)
+        return _unpack(_parity_columns(self, length), self.degree).T
 
 
 # 3GPP TS 38.212 generators used with polar codes
@@ -69,23 +76,33 @@ def crc_spec_for(parity_bits: int) -> CrcSpec:
 
 
 @lru_cache(maxsize=None)
-def _remainder_table(poly: tuple[int, ...], length: int) -> np.ndarray:
-    """Remainders of x^(length-1), ..., x^1, x^0 modulo poly, as columns."""
-    r = len(poly) - 1
-    low = np.array(poly[1:], dtype=np.uint8)  # poly minus its leading term
-    table = np.zeros((r, length), dtype=np.uint8)
-    rem = np.zeros(r, dtype=np.uint8)
-    rem[-1] = 1  # x^0
-    table[:, length - 1] = rem
-    for j in range(length - 2, -1, -1):
-        carry = rem[0]
-        rem = np.roll(rem, -1)
-        rem[-1] = 0
-        if carry:
-            rem ^= low
-        table[:, j] = rem
-    table.setflags(write=False)
-    return table
+def _parity_columns(spec: CrcSpec, length: int) -> np.ndarray:
+    """Packed parity-check columns of ``length``-bit words (module docstring):
+    times x, bit i moves to bit i-1, and bit 0 becomes x^r, the generator's
+    lower terms."""
+    low = sum(c << i for i, c in enumerate(spec.poly[1:]))
+    cols = np.empty(length, dtype=np.int64)
+    rem = 1 << (spec.degree - 1)  # x^0
+    for j in range(length - 1, -1, -1):
+        cols[j] = rem
+        rem = (rem >> 1) ^ (low if rem & 1 else 0)
+    cols.setflags(write=False)
+    return cols
+
+
+def _unpack(packed: np.ndarray, r: int) -> np.ndarray:
+    """The r check bits of each packed integer, along a new last axis."""
+    return ((packed[..., None] >> np.arange(r)) & 1).astype(np.uint8)
+
+
+def _packed_syndrome(word: np.ndarray, spec: CrcSpec) -> np.ndarray:
+    """Syndrome of ``word`` along its last axis, packed: 0 means it passes."""
+    word = np.asarray(word, dtype=np.uint8)
+    if word.shape[-1] < spec.degree:
+        raise ValueError(
+            f"word of {word.shape[-1]} bits is shorter than the {spec.degree}-bit parity"
+        )
+    return np.bitwise_xor.reduce(_parity_columns(spec, word.shape[-1]) * word, axis=-1)
 
 
 def crc_encode(msg: np.ndarray, spec: CrcSpec) -> np.ndarray:
@@ -95,17 +112,10 @@ def crc_encode(msg: np.ndarray, spec: CrcSpec) -> np.ndarray:
         raise ValueError("cannot CRC-encode an empty message")
     r = spec.degree
     # parity = remainder of msg(x) * x^r, via the columns for x^(r+j)
-    table = _remainder_table(spec.poly, msg.shape[-1] + r)[:, : msg.shape[-1]]
-    parity = (msg @ table.T) % 2
-    return np.concatenate([msg, parity.astype(np.uint8)], axis=-1)
+    cols = _parity_columns(spec, msg.shape[-1] + r)[: msg.shape[-1]]
+    return np.concatenate([msg, _unpack(np.bitwise_xor.reduce(cols * msg, axis=-1), r)], axis=-1)
 
 
 def crc_syndrome(word: np.ndarray, spec: CrcSpec) -> np.ndarray:
     """Polynomial remainder of ``word`` (vectorised over leading axes)."""
-    word = np.asarray(word, dtype=np.uint8)
-    if word.shape[-1] < spec.degree:
-        raise ValueError(
-            f"word of {word.shape[-1]} bits is shorter than the {spec.degree}-bit parity"
-        )
-    table = _remainder_table(spec.poly, word.shape[-1])
-    return ((word @ table.T) % 2).astype(np.uint8)
+    return _unpack(_packed_syndrome(word, spec), spec.degree)

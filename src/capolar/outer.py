@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crc import CrcSpec
+from .crc import CrcSpec, _packed_syndrome, _parity_columns
 from .polar import PolarCode, _butterfly, _checked_int
 from .scl import _boxplus
 
@@ -210,16 +210,13 @@ def _checked_block(llr, spec: CrcSpec, max_queries: int, list_size: int,
 def _reliability(llr: np.ndarray, spec: CrcSpec):
     """Per row of a block: hard decision, magnitudes, positions least reliable
     first, log P(hard decision right) and the hard decision's syndrome; and
-    the parity-check columns packed into integers (bit i for check i), so
-    that the syndrome of a flip pattern is the XOR of the columns it
-    touches."""
+    the parity-check columns, both in the packed format of ``crc``, so that
+    the syndrome of a flip pattern is the XOR of the columns it touches."""
     hard = hard_decision(llr)
     mag = np.abs(llr)
     order = np.argsort(mag, axis=1, kind="stable")
     log_keep = -np.logaddexp(0.0, -mag).sum(axis=1)
-    tab = spec.parity_check(llr.shape[1])
-    cols = (tab.T.astype(np.int64) << np.arange(spec.degree, dtype=np.int64)).sum(axis=1)
-    syn_hard = np.bitwise_xor.reduce(np.where(hard.astype(bool), cols, 0), axis=1)
+    cols, syn_hard = _parity_columns(spec, llr.shape[1]), _packed_syndrome(hard, spec)
     return hard, mag, order, log_keep, cols, syn_hard
 
 

@@ -35,21 +35,21 @@ push reads it, and a write leaves it in path order again; a level is
 dropped after its last read.  Level 0, the channel, is shared by all
 paths.  A partial-sum push stacks the two halves along axis 0, and the last
 one reaches level 0, where it holds every path's codeword: that is x_hat,
-transposed.  u_hat is not kept per path: each pruning information position
-logs its kept candidates (2 * parent + bit, in the smallest unsigned dtype
-that holds 2L), and the final paths are traced back through that log in pm
-order.
+transposed.  Nothing else is kept per path: no log of decisions exists, and
+u_hat is read off x_hat as x_hat F, which is exact because x_hat = u_hat F
+and F is its own inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .channel import LLR_LIMIT
-from .crc import CrcSpec, crc_syndrome
-from .polar import PolarCode, _checked_int
+from .crc import CrcSpec, _packed_syndrome
+from .polar import PolarCode, _checked_int, polar_transform
 
 __all__ = ["BatchSclOutput", "scl_decode_batch", "ca_select_batch"]
 
@@ -58,12 +58,16 @@ __all__ = ["BatchSclOutput", "scl_decode_batch", "ca_select_batch"]
 class BatchSclOutput:
     """Per-trial lists in ascending-pm order: leading axis is the trial."""
 
-    u_hat: np.ndarray  # (trials, paths, N) uint8
     x_hat: np.ndarray  # (trials, paths, N) uint8
     pm: np.ndarray  # (trials, paths) ascending per trial
     q: np.ndarray  # (trials, paths)
     unvisited_mass: np.ndarray  # (trials,)
     code: PolarCode
+
+    @cached_property
+    def u_hat(self) -> np.ndarray:
+        """(trials, paths, N) uint8 input sequences: x_hat F."""
+        return polar_transform(self.x_hat)
 
 
 def _boxplus(a, b, tmp=None):
@@ -121,7 +125,6 @@ def scl_decode_batch(llr: np.ndarray, code: PolarCode, list_size: int) -> BatchS
     frozen_mask[code.frozen] = True
     factors = _mass_factors(code)
     width = [n_code >> s for s in range(n + 1)]
-    log_dtype = np.min_scalar_type(2 * list_size)
 
     # per-level state and row maps, as described in the module docstring
     chan = np.ascontiguousarray(np.clip(-llr, -LLR_LIMIT, LLR_LIMIT).T)[:, :, None]
@@ -129,8 +132,6 @@ def scl_decode_batch(llr: np.ndarray, code: PolarCode, list_size: int) -> BatchS
     llr_row, sum_row = [None] * (n + 1), [None] * (n + 1)
     pm = np.zeros((n_trials, 1))
     mass = np.zeros(n_trials)
-    base = np.arange(n_trials)[:, None]
-    kept_log = {}  # info phi -> (trials, paths) kept 2 * parent + bit, or None: all
     paths = 1
 
     # two scratch buffers, for gathered parent LLRs and for f/g temporaries,
@@ -184,7 +185,6 @@ def scl_decode_batch(llr: np.ndarray, code: PolarCode, list_size: int) -> BatchS
             if 2 * paths <= list_size:
                 # keep both children of every path, interleaved so the list
                 # stays in lexicographic order of the input sequences
-                kept = None
                 pm = cand
                 parent = np.arange(cand.size) >> 1
                 bits = np.tile(np.array([0, 1], dtype=np.uint8), n_trials * paths)
@@ -204,8 +204,6 @@ def scl_decode_batch(llr: np.ndarray, code: PolarCode, list_size: int) -> BatchS
                 pm = cand.take(kept).reshape(n_trials, list_size)
                 parent = kept >> 1
                 bits = (kept & 1).astype(np.uint8)
-                kept = (kept.reshape(n_trials, list_size) - 2 * paths * base).astype(log_dtype)
-            kept_log[phi] = kept
             # compose each distinct live row map once: levels written in
             # one descent share theirs (id -> (old map, composed map))
             composed = {}
@@ -231,20 +229,11 @@ def scl_decode_batch(llr: np.ndarray, code: PolarCode, list_size: int) -> BatchS
             sum_row[s] = None
 
     # the last push ends at level 0 with every path's codeword, one per
-    # column; trace the final paths back through the kept log, in pm order
+    # column; gather them in pm order
     order = np.argsort(pm, axis=1, kind="stable")
     pm = np.take_along_axis(pm, order, axis=1)
-    x_hat = word.reshape(n_code, -1).T.take(order + paths * base, axis=0)
-    u_hat = np.zeros((n_trials, paths, n_code), dtype=np.uint8)
-    idx = order
-    for phi in reversed(kept_log):
-        kept = kept_log[phi]
-        if kept is not None:
-            idx = kept.take(idx + kept.shape[1] * base)
-        u_hat[:, :, phi] = idx & 1
-        idx = idx >> 1
+    x_hat = word.reshape(n_code, -1).T.take(order + paths * np.arange(n_trials)[:, None], axis=0)
     return BatchSclOutput(
-        u_hat=u_hat,
         x_hat=x_hat,
         pm=pm,
         q=np.exp(-pm),
@@ -265,7 +254,7 @@ def ca_select_batch(out: BatchSclOutput, spec: CrcSpec) -> dict:
     """
     code = out.code
     words = (out.x_hat if code.systematic else out.u_hat)[:, :, code.info]
-    ok = ~crc_syndrome(words, spec).any(axis=2)  # (trials, paths)
+    ok = _packed_syndrome(words, spec) == 0  # (trials, paths)
     found = ok.any(axis=1)
     pass_count = ok.sum(axis=1)
     # candidates are pm-sorted, so the first passing index is the selection

@@ -11,6 +11,7 @@ them.  The randomized >= 10^3-case property tests live in the per-module
 files and run either way.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -125,17 +126,21 @@ def test_c3_covariance_closed_form_matches_enumeration():
 
 def test_c4_nonsystematic_gain_at_1e3(tmp_path):
     # [64, 48, 24] L=4 non-systematic: the complete decoder reaches the
-    # CRC-stop decoder's 1e-3 BLER at 0.2 +/- 0.1 dB lower SNR, with
-    # paired noise (same per-trial keys) and >= 100 block errors per point
+    # CRC-stop decoder's 1e-3 BLER at 0.2 +/- 0.1 dB lower SNR, with >= 100
+    # block errors per point.  One decode gives both curves: on the same
+    # noise a CRC-passing decision is the same word under both decoders, so
+    # the CRC-stop decoder's errors are the complete decoder's plus its
+    # outer rescues (test_paired_decoders_share_the_error_budget)
     grid = (6.5, 6.75, 7.0, 7.25)
-    recs = {}
-    for decoder in ("ca_scl", "cca_scl"):
-        cfg = SimConfig(dims=CodeDims(64, 48, 24), snr_grid_db=grid,
-                        list_size=4, decoder=decoder, outer_decoder="gcd",
-                        trials=400_000, min_errors=100, master_seed=2030,
-                        workers=SWEEP_WORKERS, out_dir=str(tmp_path),
-                        out_stem=decoder)
-        recs[decoder] = run_bler_sweep(cfg)
+    cfg = SimConfig(dims=CodeDims(64, 48, 24), snr_grid_db=grid,
+                    list_size=4, decoder="cca_scl", outer_decoder="gcd",
+                    trials=400_000, min_errors=100, master_seed=2030,
+                    workers=SWEEP_WORKERS, out_dir=str(tmp_path),
+                    out_stem="cca_scl")
+    cca = run_bler_sweep(cfg)
+    recs = {"cca_scl": cca,
+            "ca_scl": [dataclasses.replace(r, block_errors=r.block_errors + r.outer_rescues)
+                       for r in cca]}
     fewest = min(r.block_errors for d in recs.values() for r in d)
     rescued = sum(r.outer_rescues for r in recs["cca_scl"])
     failed = sum(r.inner_crc_failures for r in recs["cca_scl"])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capolar import oracle
 from capolar.crc import CRC6, CRC11, CRC24C, CrcSpec, crc_encode, crc_spec_for, crc_syndrome
 
 SPECS = (CRC6, CRC11, CRC24C)
@@ -29,6 +30,35 @@ def test_spec_validation():
         CrcSpec((0, 1, 1))
     with pytest.raises(ValueError):
         CrcSpec((1, 2, 1))
+
+
+def test_degree_limit_of_the_packed_checks():
+    # one int64 per parity-check column holds 63 checks, and no more
+    assert CrcSpec((1,) + (0,) * 62 + (1,)).degree == 63
+    with pytest.raises(ValueError, match="at most 63"):
+        CrcSpec((1,) + (0,) * 63 + (1,))
+
+
+def test_encode_and_syndrome_match_long_division():
+    # a random generator of every degree the packed checks hold, at word
+    # lengths past 1100 bits, for one word, a row of words and a
+    # (trials, paths, K) block
+    rng = np.random.default_rng(17)
+    for degree in range(1, 64):
+        spec = CrcSpec((1,) + tuple(int(c) for c in rng.integers(0, 2, degree)))
+        length = 1100 + degree if degree % 16 == 0 else int(rng.integers(degree + 1, 1200))
+        for shape in ((), (2,), (2, 2)):
+            word = rng.integers(0, 2, shape + (length,)).astype(np.uint8)
+            msg = word[..., degree:]
+            syn, cw = crc_syndrome(word, spec), crc_encode(msg, spec)
+            assert syn.shape == shape + (degree,)
+            assert cw.shape == shape + (length,)
+            assert not crc_syndrome(cw, spec).any()
+            for idx in np.ndindex(shape):
+                assert np.array_equal(syn[idx], oracle.crc_longdivision(word[idx], spec.poly))
+                want = oracle.crc_longdivision(list(msg[idx]) + [0] * degree, spec.poly)
+                assert np.array_equal(cw[idx][-degree:], want)
+                assert np.array_equal(cw[idx][:-degree], msg[idx])
 
 
 def test_zero_message_zero_parity():

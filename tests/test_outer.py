@@ -10,7 +10,7 @@ from capolar import outer
 from capolar.analysis import bit_prob, convert_llr, pair_covariance
 from capolar.channel import (ChannelParams, llr_from_channel, message_rng,
                              modulate, saturate_llr, transmit)
-from capolar.crc import CRC6, CRC11, CRC24C, crc_encode, crc_syndrome
+from capolar.crc import CRC6, CRC11, CRC24C, CrcSpec, crc_encode, crc_syndrome
 from capolar.outer import (
     gcd_decode_block,
     hard_decision,
@@ -577,6 +577,21 @@ def test_gcd_always_completes_to_a_codeword():
     assert out.found and out.queries == 1
     assert len(out.candidates) == 1
     assert not crc_syndrome(out.candidates[0], CRC6).any()
+
+
+def test_guessers_at_the_63_check_limit():
+    # the largest CRC the packed parity checks hold, at K = 82: every
+    # candidate either guesser reports passes the true syndrome (a degree
+    # past the limit is refused when the spec is built, test_crc)
+    rng = np.random.default_rng(63)
+    spec = CrcSpec((1,) + tuple(int(c) for c in rng.integers(0, 2, 63)))
+    words = crc_encode(rng.integers(0, 2, (20, 19)).astype(np.uint8), spec)
+    llr = (2.0 * words - 1.0) * 3.0 + rng.normal(0.0, 2.0, words.shape)
+    for decode in (sogrand_decode_block, gcd_decode_block):
+        res = decode(llr, spec, max_queries=4096, list_size=2)
+        assert res["count"].sum() > 0
+        for cands, count in zip(res["candidates"], res["count"]):
+            assert not crc_syndrome(cands[:count], spec).any()
 
 
 def test_gcd_validation():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from capolar.channel import (LLR_LIMIT, ChannelParams, llr_from_channel,
                              message_rng, modulate, transmit)
-from capolar.crc import CRC6, CRC11, crc_syndrome
+from capolar.crc import CRC6, CRC11, CRC24C, crc_syndrome
 from capolar.polar import (ca_encode, construct_polar,
                            encode_nonsystematic, polar_transform)
 from capolar.scl import _boxplus, _mass_factors, ca_select_batch, scl_decode_batch
@@ -276,25 +276,33 @@ def test_ca_select_returns_first_passing_path():
 
 
 def test_ca_select_batch_matches_scalar_path():
-    code = construct_polar(16, 10)
-    spec = CRC6
+    # random LLRs on [16, 10] L8, and noisy codewords of [64, 48, 24] L16
+    # systematic and [256, 152, 128] L8, both CRC24C at a noise level where
+    # about half the trials find a passer
     rng = np.random.default_rng(31)
-    llr = rng.normal(0.5, 2.0, (60, 16))
-    batch = scl_decode_batch(llr, code, 8)
-    res = ca_select_batch(batch, spec)
-    for t in range(60):
-        ref = reference_select(batch, t, spec)
-        if ref is None:
-            assert not res["found"][t]
-            assert res["pass_count"][t] == 0
-            assert not res["message"][t].any()
-        else:
-            _, window, so, so_forney = ref
-            assert res["found"][t]
-            assert np.array_equal(res["message"][t], window)
-            assert res["so"][t] == pytest.approx(so, rel=1e-12)
-            # the Forney variant normalises over the CRC passers only
-            assert res["so_forney"][t] == pytest.approx(so_forney, rel=1e-12)
+    cases = [(construct_polar(16, 10), CRC6, 8, rng.normal(0.5, 2.0, (60, 16)))]
+    for n, k, m, list_size, systematic in ((64, 48, 24, 16, True), (256, 152, 128, 8, False)):
+        code = construct_polar(n, k, systematic=systematic)
+        x = ca_encode(rng.integers(0, 2, (60, m)).astype(np.uint8), code, CRC24C)
+        llr = 2.0 / 0.8**2 * (2.0 * x - 1.0 + rng.normal(0.0, 0.8, x.shape))
+        cases.append((code, CRC24C, list_size, llr))
+    for code, spec, list_size, llr in cases:
+        batch = scl_decode_batch(llr, code, list_size)
+        res = ca_select_batch(batch, spec)
+        assert 0 < res["found"].sum() < 60
+        for t in range(60):
+            ref = reference_select(batch, t, spec)
+            if ref is None:
+                assert not res["found"][t]
+                assert res["pass_count"][t] == 0
+                assert not res["message"][t].any()
+            else:
+                _, window, so, so_forney = ref
+                assert res["found"][t]
+                assert np.array_equal(res["message"][t], window)
+                assert res["so"][t] == pytest.approx(so, rel=1e-12)
+                # the Forney variant normalises over the CRC passers only
+                assert res["so_forney"][t] == pytest.approx(so_forney, rel=1e-12)
 
 
 def test_decode_rejects_wrong_length():
