@@ -4,23 +4,33 @@ Internally the decoder works with LLRs in the log(P(0)/P(1)) orientation so
 the classic f/g recursions apply unchanged; public inputs use the package
 convention (positive favours bit 1) and are negated on entry.  The f update
 is the exact boxplus, and the path metric accumulates -log P(u_i | y, past),
-so q = exp(-pm) is the auxiliary path probability: over all 2^N input
-sequences the q values sum to one, which is what makes the blockwise soft
-outputs below meaningful.
+so exp(-pm) is the auxiliary path probability: over all 2^N input
+sequences these sum to one, which is what makes the blockwise soft outputs
+meaningful.  Metrics, masses and soft outputs stay in the log domain, so
+nothing underflows at long codes, where pm runs past the ~708 at which
+exp(-pm) would reach zero.
 
-Every 2L-way prune adds q * 2^(-|frozen positions still ahead|) per discarded
-path to the unvisited-mass estimate, the correction term of the list-SO
-denominators.  Candidate order is deterministic: ties in pm break toward the
-lexicographically smaller input sequence.
+Every decision pays the penalty of one helper, ``_penalty``: u = 0 on an
+LLR lam costs logaddexp(0, -lam), u = 1 costs logaddexp(0, lam), each
+formed as max(-+lam, 0) + log1p(e^-|lam|), so both children of a path
+share one exp and one log1p.  An all-frozen subtree (a Rate-0 node, as in
+the fast SCL of Hashemi, Condo and Gross) is one step: its input LLRs are
+independent, so the probability that its inputs are all zero is the
+product over them, and pm gains the sum of the u = 0 penalties of the
+node's LLRs; the node pushes zero partial sums and prunes nothing.  A
+per-code schedule lists the steps, one per information position and one
+per maximal all-frozen subtree.
 
-Both children of a path share one penalty evaluation: the child that
-follows the decision LLR pays logaddexp(0, -|lam|), the other |lam| more,
-which is what logaddexp(0, -+lam) returns bit for bit.  A prune sorts the
-candidate values and keeps those at or below the L-th; only rows where the
-L-th and (L+1)-th values tie are re-sorted stably, because only there can
-the order of equal values change which candidates survive.  The dropped
-mass is summed from the sorted values, which is the same sequence either
-way.
+Every 2L-way prune adds the mass exp(-pm) 2^(-|frozen positions still
+ahead|) of each discarded path to the unvisited mass, the correction term
+of the list-SO denominators; it is kept as its log, ``log_mass``, and the
+factors as -ln 2 per frozen position ahead.  Candidate order is
+deterministic: ties in pm break toward the lexicographically smaller input
+sequence.  A prune sorts the candidate values and keeps those at or below
+the L-th; only rows where the L-th and (L+1)-th values tie are re-sorted
+stably, because only there can the order of equal values change which
+candidates survive.  The dropped mass is summed from the sorted values,
+which is the same sequence either way.
 
 Path state is shared, not copied (the lazy copy of Tal and Vardy).  Level
 s = 1..n of the recursion holds N >> s LLRs and N >> s partial sums per
@@ -37,21 +47,24 @@ paths.  A partial-sum push stacks the two halves along axis 0, and the last
 one reaches level 0, where it holds every path's codeword: that is x_hat,
 transposed.  Nothing else is kept per path: no log of decisions exists, and
 u_hat is read off x_hat as x_hat F, which is exact because x_hat = u_hat F
-and F is its own inverse.
+and F is its own inverse.  CRC selection never needs u_hat: it tests x_hat
+against parity columns carried through F (``_x_columns``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .channel import LLR_LIMIT
-from .crc import CrcSpec, _packed_syndrome
-from .polar import PolarCode, _checked_int, polar_transform
+from .crc import CrcSpec, _parity_columns
+from .polar import PolarCode, _butterfly, _checked_int, polar_transform
 
 __all__ = ["BatchSclOutput", "scl_decode_batch", "ca_select_batch"]
+
+_LN2 = np.log(2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,9 +73,18 @@ class BatchSclOutput:
 
     x_hat: np.ndarray  # (trials, paths, N) uint8
     pm: np.ndarray  # (trials, paths) ascending per trial
-    q: np.ndarray  # (trials, paths)
-    unvisited_mass: np.ndarray  # (trials,)
+    log_mass: np.ndarray  # (trials,) log of the unvisited mass, -inf for none
     code: PolarCode
+
+    @property
+    def q(self) -> np.ndarray:
+        """(trials, paths) path probabilities exp(-pm)."""
+        return np.exp(-self.pm)
+
+    @property
+    def unvisited_mass(self) -> np.ndarray:
+        """(trials,) unvisited mass exp(log_mass)."""
+        return np.exp(self.log_mass)
 
     @cached_property
     def u_hat(self) -> np.ndarray:
@@ -96,12 +118,72 @@ def _boxplus(a, b, tmp=None):
     return out
 
 
-def _mass_factors(code: PolarCode) -> np.ndarray:
-    """2^(-count of frozen positions strictly after phi), per phi."""
+def _penalty(lam):
+    """(-log P(u = 0 | lam), -log P(u = 1 | lam)) for LLRs lam = log(P(0)/P(1)).
+
+    Each is max(-+lam, 0) + log1p(e^-|lam|), logaddexp(0, -+lam) with its
+    one exp and one log1p shared by both decisions.
+    """
+    soft = np.abs(lam)
+    np.negative(soft, out=soft)
+    np.exp(soft, out=soft)
+    np.log1p(soft, out=soft)
+    pen0 = np.negative(lam)
+    np.maximum(pen0, 0.0, out=pen0)
+    pen1 = np.maximum(lam, 0.0)
+    return np.add(pen0, soft, out=pen0), np.add(pen1, soft, out=pen1)
+
+
+def _add_dropped(log_mass, dropped, log_factor):
+    """log(e^log_mass + e^log_factor * sum of e^-dropped) per row.
+
+    ``dropped`` (rows, k) holds the discarded path metrics in ascending
+    order, so its first column is the largest term; shifted by the larger
+    of that and log_mass, no term exceeds one and each sum is at least
+    one.  The terms are summed transposed, one long row per rank, which
+    numpy does far faster than k-wide rows.
+    """
+    top = np.maximum(log_mass, log_factor - dropped[:, 0])
+    terms = np.ascontiguousarray(dropped.T)  # one long row per dropped rank
+    np.subtract(log_factor - top, terms, out=terms)
+    np.exp(terms, out=terms)
+    return top + np.log(terms.sum(axis=0) + np.exp(log_mass - top))
+
+
+def _log_mass_factors(code: PolarCode) -> np.ndarray:
+    """-ln 2 times the count of frozen positions strictly after phi, per phi."""
     frozen = np.zeros(code.n_code, dtype=np.int64)
     frozen[code.frozen] = 1
     ahead = frozen[::-1].cumsum()[::-1] - frozen
-    return 2.0 ** (-ahead.astype(np.float64))
+    return ahead * -_LN2
+
+
+@lru_cache(maxsize=16)
+def _schedule(code: PolarCode) -> tuple:
+    """The decoder's steps, in decoding order: one per information position
+    and one per maximal all-frozen subtree below the root.
+
+    Each step is (first position, level its descent starts at, node level,
+    all frozen); a node at level s spans N >> s positions, a leaf is at
+    level n.  The descent to position phi starts where phi's path leaves
+    the previous one: at level n - (trailing zeros of phi), level 1 for 0.
+    """
+    n, n_code = code.stages, code.n_code
+    frozen = np.zeros(n_code, dtype=bool)
+    frozen[code.frozen] = True
+    steps, phi = [], 0
+    while phi < n_code:
+        level = n
+        if frozen[phi]:
+            while level > 1:
+                span = n_code >> (level - 1)
+                if phi % span or not frozen[phi:phi + span].all():
+                    break
+                level -= 1
+        lo = 1 if phi == 0 else n - ((phi & -phi).bit_length() - 1)
+        steps.append((phi, lo, level, bool(frozen[phi])))
+        phi += n_code >> level
+    return tuple(steps)
 
 
 def scl_decode_batch(llr: np.ndarray, code: PolarCode, list_size: int) -> BatchSclOutput:
@@ -121,9 +203,7 @@ def scl_decode_batch(llr: np.ndarray, code: PolarCode, list_size: int) -> BatchS
         raise ValueError(f"got {n_code} LLRs for a length-{code.n_code} code")
     list_size = _checked_int(list_size, "list_size")
     n = code.stages
-    frozen_mask = np.zeros(n_code, dtype=bool)
-    frozen_mask[code.frozen] = True
-    factors = _mass_factors(code)
+    log_factors = _log_mass_factors(code)
     width = [n_code >> s for s in range(n + 1)]
 
     # per-level state and row maps, as described in the module docstring
@@ -131,7 +211,7 @@ def scl_decode_batch(llr: np.ndarray, code: PolarCode, list_size: int) -> BatchS
     llrs, sums = [None] * (n + 1), [None] * (n + 1)
     llr_row, sum_row = [None] * (n + 1), [None] * (n + 1)
     pm = np.zeros((n_trials, 1))
-    mass = np.zeros(n_trials)
+    log_mass = np.full(n_trials, -np.inf)
     paths = 1
 
     # two scratch buffers, for gathered parent LLRs and for f/g temporaries,
@@ -152,9 +232,8 @@ def scl_decode_batch(llr: np.ndarray, code: PolarCode, list_size: int) -> BatchS
                                  out=None if out is None else out.reshape(width[s], -1))
         return data.reshape(width[s], n_trials, paths)
 
-    for phi in range(n_code):
-        lo = 1 if phi == 0 else n - ((phi & -phi).bit_length() - 1)
-        for s in range(lo, n + 1):
+    for phi, lo, level, frozen in _schedule(code):
+        for s in range(lo, level + 1):
             m = width[s]
             par = chan if s == 1 else read(llrs, llr_row, s - 1, shaped(0, width[s - 1]))
             a, b = par[:m], par[m:]
@@ -167,21 +246,19 @@ def scl_decode_batch(llr: np.ndarray, code: PolarCode, list_size: int) -> BatchS
                 llrs[s - 1] = None  # the parent level's last read
             else:
                 lam = _boxplus(a, b, tmp)
-            if s < n:  # level n is read only here, as the decision LLR
+            if s < level:  # the node's own level is read only here
                 llrs[s] = lam.reshape(m, -1)
                 llr_row[s] = None
-        lam = lam[0]
 
-        if frozen_mask[phi]:
-            pm = pm + np.logaddexp(0.0, -lam)
-            word = np.zeros((1, n_trials, paths), dtype=np.uint8)
+        if frozen:
+            # every input of the node is 0: its LLRs are independent, so
+            # pm pays the u = 0 penalty of each
+            pm = pm + _penalty(lam)[0].sum(axis=0)
+            word = np.zeros(lam.shape, dtype=np.uint8)
         else:
-            # logaddexp(0, -+lam) as max(-+lam, 0) + logaddexp(0, -|lam|):
-            # the same bits from one logaddexp instead of two
-            t = np.logaddexp(0.0, -np.abs(lam))
             cand = np.empty((n_trials, 2 * paths))
-            cand[:, 0::2] = pm + (np.maximum(-lam, 0.0) + t)
-            cand[:, 1::2] = pm + (np.maximum(lam, 0.0) + t)
+            for bit, pen in enumerate(_penalty(lam[0])):
+                np.add(pm, pen, out=cand[:, bit::2])
             if 2 * paths <= list_size:
                 # keep both children of every path, interleaved so the list
                 # stays in lexicographic order of the input sequences
@@ -199,7 +276,7 @@ def scl_decode_batch(llr: np.ndarray, code: PolarCode, list_size: int) -> BatchS
                     order = np.argsort(cand[tie], axis=1, kind="stable")
                     mask[tie] = False
                     mask[tie[:, None], order[:, :list_size]] = True
-                mass += np.exp(-srt[:, list_size:]).sum(axis=1) * factors[phi]
+                log_mass = _add_dropped(log_mass, srt[:, list_size:], log_factors[phi])
                 kept = np.flatnonzero(mask)  # trial * 2 * paths + 2 * parent + bit
                 pm = cand.take(kept).reshape(n_trials, list_size)
                 parent = kept >> 1
@@ -218,7 +295,7 @@ def scl_decode_batch(llr: np.ndarray, code: PolarCode, list_size: int) -> BatchS
             word = bits.reshape(1, n_trials, paths)
 
         # push partial sums back up while this subtree is complete
-        s, pos = n, phi
+        s, pos = level, phi >> (n - level)
         while pos & 1:
             word = np.concatenate([read(sums, sum_row, s) ^ word, word])
             sums[s] = None
@@ -233,13 +310,29 @@ def scl_decode_batch(llr: np.ndarray, code: PolarCode, list_size: int) -> BatchS
     order = np.argsort(pm, axis=1, kind="stable")
     pm = np.take_along_axis(pm, order, axis=1)
     x_hat = word.reshape(n_code, -1).T.take(order + paths * np.arange(n_trials)[:, None], axis=0)
-    return BatchSclOutput(
-        x_hat=x_hat,
-        pm=pm,
-        q=np.exp(-pm),
-        unvisited_mass=mass,
-        code=code,
-    )
+    return BatchSclOutput(x_hat=x_hat, pm=pm, log_mass=log_mass, code=code)
+
+
+@lru_cache(maxsize=16)
+def _x_columns(code: PolarCode, spec: CrcSpec) -> np.ndarray:
+    """Packed parity-check columns (the ``crc`` format) for testing the CRC
+    on a codeword x directly, one per position of x.
+
+    A systematic code carries the CRC word in x at the information
+    positions.  Otherwise it sits in u = x F, so x_j enters the syndrome
+    through every information position i with F[j, i] = 1: column j is the
+    XOR of those columns.  With the columns as a row c, zero off the
+    information positions, that is c F^T = ((c R) F) R, since F^T = R F R
+    for the reversal R: reverse, transform, reverse.  Stored in the
+    narrowest unsigned type that holds them.
+    """
+    cols = np.zeros(code.n_code, dtype=np.int64)
+    cols[code.info] = _parity_columns(spec, code.k_crc)
+    if not code.systematic:
+        cols = _butterfly(cols[::-1], np.bitwise_xor)[::-1]
+    cols = cols.astype(np.min_scalar_type(int(cols.max())))
+    cols.setflags(write=False)
+    return cols
 
 
 def ca_select_batch(out: BatchSclOutput, spec: CrcSpec) -> dict:
@@ -249,26 +342,31 @@ def ca_select_batch(out: BatchSclOutput, spec: CrcSpec) -> dict:
     order.  Its CRC-aware soft output ``so`` is q over (sum of q of the
     passers + 2^-r * unvisited mass): a uniformly distributed unseen path
     survives the r parity checks with probability 2^-r.  ``so_forney``
-    normalises over the passers only.  Returns arrays keyed found,
-    pass_count, message (K bits, zeros when not found), so, so_forney.
+    normalises over the passers only.  Both are exp(log q - logsumexp) of
+    the log-domain terms, so neither underflows where q alone would.
+    Returns arrays keyed found, pass_count, message (K bits, zeros when not
+    found), so, so_forney.
     """
     code = out.code
-    words = (out.x_hat if code.systematic else out.u_hat)[:, :, code.info]
-    ok = _packed_syndrome(words, spec) == 0  # (trials, paths)
+    ok = np.bitwise_xor.reduce(_x_columns(code, spec) * out.x_hat, axis=-1) == 0
     found = ok.any(axis=1)
     pass_count = ok.sum(axis=1)
     # candidates are pm-sorted, so the first passing index is the selection
     sel = np.argmax(ok, axis=1)
     rows = np.arange(len(sel))
-    message = words[rows, sel]
+    chosen = out.x_hat[rows, sel]
+    message = (chosen if code.systematic else polar_transform(chosen))[:, code.info]
     message[~found] = 0
-    q_pass = np.where(ok, out.q, 0.0)
-    q_sel = out.q[rows, sel]
-    denom_f = q_pass.sum(axis=1)
-    denom_ca = denom_f + 2.0 ** (-spec.degree) * out.unvisited_mass
-    with np.errstate(invalid="ignore", divide="ignore"):
-        so = np.where((denom_ca > 0.0) & found, q_sel / denom_ca, 0.0)
-        so_f = np.where((denom_f > 0.0) & found, q_sel / denom_f, 0.0)
+    # the selection has the largest log q of the passers: shifted by it,
+    # each term is at most one and the passers' sum at least one
+    log_q = -out.pm
+    log_sel = log_q[rows, sel]
+    with np.errstate(divide="ignore"):  # log(0) on rows without a passer
+        shifted = np.exp(np.where(ok, log_q - log_sel[:, None], -np.inf))
+        lse_f = log_sel + np.log(shifted.sum(axis=1))
+    lse_ca = np.logaddexp(lse_f, out.log_mass - spec.degree * _LN2)
+    so = np.where(found, np.exp(log_sel - lse_ca), 0.0)
+    so_f = np.where(found, np.exp(log_sel - lse_f), 0.0)
     return {
         "found": found,
         "pass_count": pass_count,

@@ -30,7 +30,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -292,7 +291,11 @@ def _sweep(cfg: SimConfig, plan: _Plan, batch_fn, stop=None):
     or ``stop(sum)`` holds at the end of a round.  Batches run through a
     pool of ``workers`` processes, or in this one.
     """
-    pool = ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
+    pool = None
+    if cfg.workers > 1:
+        # imported here: it pulls in multiprocessing, which one worker never uses
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=cfg.workers)
     run = map if pool is None else pool.map
     points = []
     try:

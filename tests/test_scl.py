@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from capolar.channel import (LLR_LIMIT, ChannelParams, llr_from_channel,
                              message_rng, modulate, transmit)
 from capolar.crc import CRC6, CRC11, CRC24C, crc_syndrome
-from capolar.polar import (ca_encode, construct_polar,
+from capolar.polar import (CodeDims, ca_encode, construct_polar,
                            encode_nonsystematic, polar_transform)
-from capolar.scl import _boxplus, _mass_factors, ca_select_batch, scl_decode_batch
+from capolar.scl import (_add_dropped, _boxplus, _log_mass_factors, _penalty,
+                         ca_select_batch, scl_decode_batch)
 
 
 def llr_arrays(n):
@@ -25,15 +26,107 @@ def reference_scl(llr, code, list_size):
     """Full-copy SCL: every path carries its whole state in two packed arrays.
 
     Each doubling repeats and each prune gathers all of it, u_hat included.
-    Same arithmetic, prune and tie-breaking as scl_decode_batch, so the two
-    must agree bit for bit.  Returns (u_hat, x_hat, pm, q, unvisited_mass).
+    An all-frozen subtree is one step that adds the u = 0 penalties of its
+    LLRs.  Same arithmetic, prune and tie-breaking as scl_decode_batch, so
+    the two must agree bit for bit.  Returns (u_hat, x_hat, pm, log_mass).
     """
     llr = np.atleast_2d(np.asarray(llr, dtype=np.float64))
     n_trials, n_code = llr.shape
     n = code.stages
     frozen_mask = np.zeros(n_code, dtype=bool)
     frozen_mask[code.frozen] = True
-    factors = _mass_factors(code)
+    log_factors = _log_mass_factors(code)
+    width = [n_code >> s for s in range(n + 1)]
+    loff = np.concatenate([[0, 0], np.cumsum(width[1:n])]).astype(int)
+    boff = [0] + [n_code + loff[s] for s in range(1, n + 1)]
+    chan = np.clip(-llr, -LLR_LIMIT, LLR_LIMIT)[:, None, :]
+    lpk = np.zeros((n_trials, 1, n_code - 1))
+    bpk = np.zeros((n_trials, 1, 2 * n_code - 1), dtype=np.uint8)
+    pm = np.zeros((n_trials, 1))
+    log_mass = np.full(n_trials, -np.inf)
+    rows = np.arange(n_trials)[:, None]
+    paths = 1
+    phi = 0
+    while phi < n_code:
+        # the node: a leaf, or the largest all-frozen subtree starting at phi
+        level = n
+        while (frozen_mask[phi] and level > 1 and phi % width[level - 1] == 0
+               and frozen_mask[phi:phi + width[level - 1]].all()):
+            level -= 1
+        lo = 1 if phi == 0 else n - ((phi & -phi).bit_length() - 1)
+        for s in range(lo, level + 1):
+            m = width[s]
+            par = chan if s == 1 else lpk[:, :, loff[s - 1]:loff[s - 1] + width[s - 1]]
+            a, b = par[:, :, :m], par[:, :, m:]
+            if s == lo and phi != 0:
+                sign = 1.0 - 2.0 * bpk[:, :, boff[s]:boff[s] + m]
+                lpk[:, :, loff[s]:loff[s] + m] = sign * a + b
+            else:
+                lpk[:, :, loff[s]:loff[s] + m] = _boxplus(a, b)
+        m = width[level]
+        lam = lpk[:, :, loff[level]:loff[level] + m]
+        if frozen_mask[phi]:
+            # summed over the node in the decoder's layout and order
+            pen0 = np.ascontiguousarray(np.moveaxis(_penalty(lam)[0], 2, 0))
+            pm = pm + pen0.sum(axis=0)
+            word = np.zeros((n_trials, paths, m), dtype=np.uint8)
+        else:
+            pm0, pm1 = (pm + pen for pen in _penalty(lam[:, :, 0]))
+            if 2 * paths <= list_size:
+                lpk = np.repeat(lpk, 2, axis=1)
+                bpk = np.repeat(bpk, 2, axis=1)
+                bpk[:, 1::2, phi] = 1
+                pm = np.empty((n_trials, 2 * paths))
+                pm[:, 0::2] = pm0
+                pm[:, 1::2] = pm1
+                paths *= 2
+            else:
+                cand = np.empty((n_trials, 2 * paths))
+                cand[:, 0::2] = pm0
+                cand[:, 1::2] = pm1
+                order = np.argsort(cand, axis=1, kind="stable")
+                keep = np.sort(order[:, :list_size], axis=1)
+                dropped = np.take_along_axis(cand, order[:, list_size:], axis=1)
+                log_mass = _add_dropped(log_mass, dropped, log_factors[phi])
+                parent = keep >> 1
+                lpk = lpk[rows, parent]
+                bpk = bpk[rows, parent]
+                bpk[:, :, phi] = keep & 1
+                pm = np.take_along_axis(cand, keep, axis=1)
+                paths = list_size
+            word = bpk[:, :, phi:phi + 1]
+        # the node's codeword, pushed up while its subtree is complete
+        s, pos = level, phi // m
+        while pos & 1:
+            left = bpk[:, :, boff[s]:boff[s] + width[s]]
+            word = np.concatenate([left ^ word, word], axis=2)
+            s -= 1
+            pos >>= 1
+        if s > 0:
+            bpk[:, :, boff[s]:boff[s] + width[s]] = word
+        phi += m
+    order = np.argsort(pm, axis=1, kind="stable")
+    pm = np.take_along_axis(pm, order, axis=1)
+    u_hat = bpk[rows, order, :n_code].copy()
+    return u_hat, polar_transform(u_hat), pm, log_mass
+
+
+def leafwise_reference_scl(llr, code, list_size):
+    """Full-copy SCL with a step per leaf, logaddexp penalties and a linear mass.
+
+    Every frozen leaf pays logaddexp(0, -lam) on its own, and each prune
+    adds exp(-pm) 2^-(frozen positions ahead) per dropped path.  The same
+    decoder in other arithmetic: the list must match scl_decode_batch, the
+    metrics and the mass agree to rounding.  Returns (u_hat, x_hat, pm, q,
+    unvisited_mass).
+    """
+    llr = np.atleast_2d(np.asarray(llr, dtype=np.float64))
+    n_trials, n_code = llr.shape
+    n = code.stages
+    frozen_mask = np.zeros(n_code, dtype=bool)
+    frozen_mask[code.frozen] = True
+    frozen_ahead = np.cumsum(frozen_mask[::-1])[::-1] - frozen_mask
+    factors = 2.0 ** -frozen_ahead.astype(np.float64)
     width = [n_code >> s for s in range(n + 1)]
     loff = np.concatenate([[0, 0], np.cumsum(width[1:n])]).astype(int)
     boff = [0] + [n_code + loff[s] for s in range(1, n + 1)]
@@ -346,8 +439,11 @@ def test_decode_rejects_non_integral_list_size():
 
 
 def test_shared_penalty_equals_both_logaddexp_lines():
-    # the candidate build pays max(-+lam, 0) + logaddexp(0, -|lam|) in place
-    # of logaddexp(0, -+lam); the two must agree bit for bit
+    # the decoder's one penalty helper pays max(-+lam, 0) + log1p(e^-|lam|)
+    # for the two decisions: that form bit for bit, and logaddexp(0, -+lam)
+    # to rounding.  The two take exp and log1p from different libraries,
+    # each within an ulp, and where log1p(e) lands a binade below e, an ulp
+    # of e is two of the result: 3 ulp occurs (about 1 lam in 10^6), 4 bounds it
     rng = np.random.default_rng(15)
     tiny = np.finfo(np.float64).tiny
     lam = np.concatenate([
@@ -358,11 +454,12 @@ def test_shared_penalty_equals_both_logaddexp_lines():
         tiny * rng.uniform(-1, 1, 1000),  # subnormal
         [5e-324, -5e-324, tiny, -tiny],
     ], axis=None)
-    t = np.logaddexp(0.0, -np.abs(lam))
-    for side in (-lam, lam):
-        shared = np.maximum(side, 0.0) + t
-        assert np.array_equal(shared.view(np.uint64),
-                              np.logaddexp(0.0, side).view(np.uint64))
+    soft = np.log1p(np.exp(-np.abs(lam)))
+    for side, pen in zip((-lam, lam), _penalty(lam)):
+        assert np.array_equal(pen.view(np.uint64),
+                              (np.maximum(side, 0.0) + soft).view(np.uint64))
+        want = np.logaddexp(0.0, side)
+        assert (np.abs(pen - want) <= 4 * np.spacing(want)).all()
 
 
 def _signs(rows, n, seed):
@@ -408,10 +505,46 @@ def test_decoder_matches_full_copy_reference(case):
     code = construct_polar(n, k, systematic=systematic)
     llr = make(code)
     out = scl_decode_batch(llr, code, list_size)
-    u_hat, x_hat, pm, q, mass = reference_scl(llr, code, list_size)
+    u_hat, x_hat, pm, log_mass = reference_scl(llr, code, list_size)
     assert out.u_hat.shape == (len(llr), min(list_size, 2**k), n)
     assert np.array_equal(out.u_hat, u_hat)
     assert np.array_equal(out.x_hat, x_hat)
     assert np.array_equal(out.pm, pm)
-    assert np.array_equal(out.q, q)
-    assert np.array_equal(out.unvisited_mass, mass)
+    assert np.array_equal(out.log_mass, log_mass)
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_CASES))
+def test_decoder_agrees_with_leafwise_reference(case):
+    # a step per frozen leaf, logaddexp penalties and a linear mass decide
+    # the same list; metrics and mass move only by rounding.  The mass is
+    # compared by its log, a sum on the scale of pm: at [1024, 35] it is
+    # ~e^-670, where a 1e-12 relative change of pm moves it by ~1e-12 * 670
+    (n, k, systematic), list_size, make = EXACT_CASES[case]
+    code = construct_polar(n, k, systematic=systematic)
+    llr = make(code)
+    out = scl_decode_batch(llr, code, list_size)
+    _, x_hat, pm, _, mass = leafwise_reference_scl(llr, code, list_size)
+    assert np.array_equal(out.x_hat, x_hat)
+    np.testing.assert_allclose(out.pm, pm, rtol=1e-12, atol=0.0)
+    with np.errstate(divide="ignore"):  # a mass of 0 compares as log -inf
+        np.testing.assert_allclose(out.log_mass, np.log(mass), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n, k, m, method, list_size", [
+    (2048, 88, 64, "bhattacharyya", 4),
+    (1024, 35, 24, "5g", 8),
+])
+def test_soft_outputs_survive_long_codes(n, k, m, method, list_size):
+    # pm of a correct path passes ~708 here, where exp(-pm) is zero: the
+    # soft outputs of correct decodes must still be positive
+    code, spec = construct_polar(n, k, method), CodeDims(n, k, m).crc_spec()
+    rng = np.random.default_rng(n + k)
+    msg = rng.integers(0, 2, (64, m)).astype(np.uint8)
+    x = ca_encode(msg, code, spec)
+    p = ChannelParams(1.0, m / n)
+    llr = llr_from_channel(modulate(x) + p.sigma * rng.standard_normal(x.shape), p)
+    res = ca_select_batch(scl_decode_batch(llr, code, list_size), spec)
+    correct = res["found"] & (res["message"][:, :m] == msg).all(axis=1)
+    assert correct.sum() >= 10
+    for key in ("so", "so_forney"):
+        assert ((res[key][correct] > 0.0) & (res[key][correct] <= 1.0)).all()
