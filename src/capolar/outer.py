@@ -27,11 +27,9 @@ A row comes out bit for bit as it does in a block of that row alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .crc import CrcSpec, _packed_syndrome, _parity_columns
+from .crc import CrcSpec, _packed_syndrome, _parity_columns, _unpack
 from .polar import PolarCode, _butterfly, _checked_int
 from .scl import _boxplus
 
@@ -67,30 +65,6 @@ def outer_llr(llr_in: np.ndarray, code: PolarCode) -> np.ndarray:
     return out[..., code.info]
 
 
-@dataclass(frozen=True)
-class _Schedule:
-    """A prefix of the ORBGRAND order over k ranks, stored as byte planes.
-
-    Row i is the i-th rank set of the order; bit j of ``planes[b, i]`` says
-    whether it flips rank 8b + j + 1.  ``ends[w]`` counts the rows of
-    logistic weight <= w, for every weight class held in full.
-    """
-
-    planes: np.ndarray  # (ceil(k / 8), rows) uint8
-    ends: np.ndarray
-    complete: bool  # all 2^k rank sets are held
-
-    @property
-    def rows(self) -> int:
-        return self.planes.shape[1]
-
-    def limit(self, max_weight: int | None) -> tuple[int, bool]:
-        """Rows of weight <= max_weight held here, and whether that is all."""
-        if max_weight is not None and max_weight < len(self.ends):
-            return int(self.ends[max_weight]), True
-        return self.rows, self.complete
-
-
 def _class_sizes(k: int, top: int, cap: int) -> np.ndarray:
     """Rank sets over k ranks of each weight 0..top, saturated at ``cap``."""
     sizes = np.zeros(top + 1, dtype=np.int64)
@@ -100,8 +74,10 @@ def _class_sizes(k: int, top: int, cap: int) -> np.ndarray:
     return sizes
 
 
-def _build_schedule(k: int, rows: int) -> _Schedule:
-    """The first ``rows`` rank sets over k ranks in ORBGRAND order.
+def _build_schedule(k: int, rows: int) -> np.ndarray:
+    """The first ``rows`` rank sets over k ranks in ORBGRAND order (all 2^k
+    if fewer), as byte planes: set i flips rank 8b + j + 1 where bit j of
+    ``planes[b, i]`` is set, so the planes have shape (ceil(k / 8), sets).
 
     Sets are ordered by weight (the sum of their ranks), ties broken
     lexicographically on the ascending rank tuples.  Built bottom-up over
@@ -125,10 +101,7 @@ def _build_schedule(k: int, rows: int) -> _Schedule:
                 head = by_weight[t - s].copy()
                 head[:, byte] |= bit
                 by_weight[t] = np.concatenate((head, by_weight[t]))
-    ends = np.cumsum([len(sets) for sets in by_weight])
-    table = np.concatenate(by_weight)[:rows]
-    return _Schedule(planes=np.ascontiguousarray(table.T), ends=ends[ends <= rows],
-                     complete=len(table) == 2 ** k)
+    return np.ascontiguousarray(np.concatenate(by_weight)[:rows].T)
 
 
 # rows per slice when gcd_decode_block evaluates its budget (temporaries of
@@ -138,16 +111,31 @@ _CHUNK = 8192
 
 # the order depends only on the number of guessed bits; each entry holds the
 # largest prefix asked for so far
-_schedules: dict[int, _Schedule] = {}
+_schedules: dict[int, np.ndarray] = {}
 
 
-def _schedule(k: int, rows: int) -> _Schedule:
-    """The ORBGRAND schedule over k ranks, holding at least ``rows`` sets
-    (or all of them)."""
+def _schedule(k: int, rows: int) -> np.ndarray:
+    """The byte planes of the ORBGRAND order over k ranks, holding at least
+    min(rows, 2^k) rank sets."""
     have = _schedules.get(k)
-    if have is None or (have.rows < rows and not have.complete):
+    if have is None or have.shape[1] < min(rows, 2 ** k):
         have = _schedules[k] = _build_schedule(k, rows)
     return have
+
+
+def _budget(k: int, max_queries: int, max_weight: int | None) -> int:
+    """How many rank sets of the order over k ranks a guesser may query:
+    ``max_queries``, capped by the 2^k sets there are and by the sets of
+    logistic weight <= ``max_weight`` (checked here, its one reader).  Class
+    sizes saturate at 2^62, further than any caller queries."""
+    budget = min(max_queries, 2 ** k)
+    if max_weight is not None:
+        max_weight = _checked_int(max_weight, "max_weight", low=0)
+        # weights 0..k(k+1)/2 each have a set, so none past budget - 1 can
+        # lower the cap
+        top = min(max_weight, k * (k + 1) // 2, budget - 1)
+        budget = min(budget, sum(_class_sizes(k, top, min(budget, 1 << 62)).tolist()))
+    return budget
 
 
 def _byte_tables(values: np.ndarray, combine) -> np.ndarray:
@@ -185,12 +173,11 @@ def _gather(tab: np.ndarray, index, combine, out: np.ndarray,
     return out
 
 
-def _checked_block(llr, spec: CrcSpec, max_queries: int, list_size: int,
-                   max_weight: int | None, name: str):
+def _checked_block(llr, spec: CrcSpec, max_queries: int, list_size: int, name: str):
     """The argument checks both guessers share; NaN LLRs are refused.
 
     Returns the block C-ordered, so a sum over one of its rows adds the same
-    numbers in the same order as a sum over that row alone, and the three
+    numbers in the same order as a sum over that row alone, and the two
     counts as plain ints.
     """
     llr = np.ascontiguousarray(llr, dtype=np.float64)
@@ -200,11 +187,9 @@ def _checked_block(llr, spec: CrcSpec, max_queries: int, list_size: int,
         raise ValueError(f"{llr.shape[1]} bits cannot carry {spec.degree} parity bits")
     max_queries = _checked_int(max_queries, "max_queries")
     list_size = _checked_int(list_size, "list_size")
-    if max_weight is not None:
-        max_weight = _checked_int(max_weight, "max_weight", low=0)
     if np.isnan(llr).any():
         raise ValueError(f"{name} got NaN LLRs")
-    return llr, max_queries, list_size, max_weight
+    return llr, max_queries, list_size
 
 
 def _reliability(llr: np.ndarray, spec: CrcSpec):
@@ -234,25 +219,22 @@ def orbgrand_schedule(order: np.ndarray, max_weight: int | None = None):
     k = len(order)
     if sorted(order.tolist()) != list(range(k)):
         raise ValueError("order must be a permutation of 0..K-1")
-    if max_weight is not None:
-        max_weight = _checked_int(max_weight, "max_weight", low=0)
-    done, want = 0, 256
-    while True:
-        sched = _schedule(k, want)
-        stop, final = sched.limit(max_weight)
+    budget = _budget(k, 2 ** k, max_weight)
+    done = 0
+    while done < budget:
+        planes = _schedule(k, min(budget, max(4 * done, 256)))
+        stop = min(budget, planes.shape[1])
         for lo in range(done, stop, _CHUNK):
             at = np.arange(lo, min(lo + _CHUNK, stop))
             masks = np.empty((len(at), k), dtype=np.uint8)
-            masks[:, order] = _flip_masks(sched, at, k)
+            masks[:, order] = _flip_masks(planes, at, k)
             yield from masks
-        if final:
-            return
-        done, want = stop, 4 * sched.rows
+        done = stop
 
 
-def _flip_masks(sched: _Schedule, at: np.ndarray, k: int) -> np.ndarray:
+def _flip_masks(planes: np.ndarray, at: np.ndarray, k: int) -> np.ndarray:
     """The rank flips of schedule rows ``at``: uint8, shape at.shape + (k,)."""
-    bits = np.unpackbits(sched.planes[:, at], axis=0, bitorder="little")[:k]
+    bits = np.unpackbits(planes[:, at], axis=0, bitorder="little")[:k]
     return np.moveaxis(bits, 0, -1)
 
 
@@ -286,15 +268,18 @@ def sogrand_decode_block(llr: np.ndarray, spec: CrcSpec,
     patterns: the leftover pattern mass times the fraction of unqueried
     patterns expected to be codewords.
 
+    Each round doubles the queries made so far (the first makes 64), up to
+    the budget.
     Rows still searching have all made the same number of queries, so they
     share each round's window of the schedule, whose byte planes are
     gathered once for all of them; a row leaves at its ``list_size``-th hit.
     Returns the per-row columns of the module docstring; each row is what a
     block of that row alone gives.
     """
-    llr, max_queries, list_size, max_weight = _checked_block(
-        llr, spec, max_queries, list_size, max_weight, "sogrand_decode_block")
+    llr, max_queries, list_size = _checked_block(
+        llr, spec, max_queries, list_size, "sogrand_decode_block")
     n, k = llr.shape
+    budget = _budget(k, max_queries, max_weight)
     hard, mag, order, log_keep, cols, syn_hard = _reliability(llr, spec)
     # a hit is a pattern whose syndrome cancels the hard decision's
     syn_tab = _byte_tables(cols[order], np.bitwise_xor)
@@ -311,17 +296,13 @@ def sogrand_decode_block(llr: np.ndarray, spec: CrcSpec,
     used = np.zeros(n, dtype=np.int64)
     searching = list(range(n))
     queries = 0
-    while searching:
-        # the schedule grows with the deepest query so far, not the budget
-        sched = _schedule(k, min(max_queries, max(4 * queries, 256)))
-        end = min(max_queries, sched.limit(max_weight)[0])
-        if queries >= end:
-            break
-        # query whole weight classes, at least doubling the queries so far,
-        # and stop each row right after its list_size-th hit in schedule order
-        nxt = np.searchsorted(sched.ends, max(2 * queries, 64))
-        stop = min(end, int(sched.ends[nxt]) if nxt < len(sched.ends) else end)
-        index = sched.planes[:, queries:stop].astype(np.intp)
+    while searching and queries < budget:
+        # a round depends on nothing but the queries so far and the budget,
+        # so a row's sums group alike in any block; the schedule grows with
+        # the deepest query so far, not the budget
+        planes = _schedule(k, min(budget, max(4 * queries, 256)))
+        stop = min(budget, max(2 * queries, 64))
+        index = planes[:, queries:stop].astype(np.intp)
         width = stop - queries
         group = max(1, _GATHER_CELLS // width)
         still = []
@@ -363,10 +344,13 @@ def sogrand_decode_block(llr: np.ndarray, spec: CrcSpec,
         rows = count == c
         phi_sum[rows] = phi[rows, :c].sum(axis=1)
     remaining = np.maximum(0.0, 1.0 - queried_mass)
-    unqueried = 2.0 ** k - used
+    # the unqueried patterns and codewords, both scaled by 2^-s to keep 2^k
+    # finite past K = 1000 (exact, and a no-op below)
+    s = max(0, k - 1000)
+    unqueried = np.ldexp(1.0, k - s) - np.ldexp(used, -s)
     r_term = np.zeros(n)
-    np.divide(remaining * (2.0 ** (k - spec.degree) - count), unqueried,
-              out=r_term, where=unqueried > 0)
+    np.divide(remaining * (np.ldexp(1.0, k - spec.degree - s) - np.ldexp(count, -s)),
+              unqueried, out=r_term, where=unqueried > 0)
     denom = phi_sum + np.maximum(0.0, r_term)
     so = np.zeros((n, w))
     np.divide(phi, denom[:, None], out=so, where=denom[:, None] > 0.0)
@@ -376,8 +360,8 @@ def sogrand_decode_block(llr: np.ndarray, spec: CrcSpec,
     at = np.take_along_axis(at, rank, axis=1)
     so = np.take_along_axis(so, rank, axis=1)
     # the cached schedule, which holds every row queried
-    sched = _schedule(k, int(at.max(initial=0)) + 1)
-    return _columns(hard, order, _flip_masks(sched, at, k), count, so, used)
+    planes = _schedule(k, int(at.max(initial=0)) + 1)
+    return _columns(hard, order, _flip_masks(planes, at, k), count, so, used)
 
 
 def _parity_split(cols: np.ndarray, syn: np.ndarray, order: np.ndarray, r: int):
@@ -474,11 +458,12 @@ def gcd_decode_block(llr: np.ndarray, spec: CrcSpec,
     scored for every row in turn.  Returns the per-row columns of the
     module docstring; each row is what a block of that row alone gives.
     """
-    llr, max_queries, list_size, max_weight = _checked_block(
-        llr, spec, max_queries, list_size, max_weight, "gcd_decode_block")
+    llr, max_queries, list_size = _checked_block(
+        llr, spec, max_queries, list_size, "gcd_decode_block")
     n, k = llr.shape
     r = spec.degree
     sm = k - r
+    queries = _budget(sm, max_queries, max_weight)
     hard, mag, order, log_keep, cols, syn_hard = _reliability(llr, spec)
     if n == 0:
         return _columns(hard, order, np.zeros((0, 1, k), np.uint8), np.zeros(0, np.int64),
@@ -500,13 +485,7 @@ def gcd_decode_block(llr: np.ndarray, spec: CrcSpec,
 
     # the whole budget prefix of the schedule over S, in slices of _CHUNK
     # rows that keep the temporaries in cache
-    budget = max_queries
-    if max_weight is not None:
-        # build no deeper than the last weight class allowed
-        top = min(max_weight, sm * (sm + 1) // 2, budget - 1)
-        budget = min(budget, int(_class_sizes(sm, top, budget).sum()))
-    sched = _schedule(sm, budget)
-    queries = min(budget, sched.limit(max_weight)[0])
+    planes = _schedule(sm, queries)
     size = min(queries, _CHUNK)
     comb, tmp_i = np.empty(size, np.int64), np.empty(size, np.int64)
     p_index = np.empty(((r + 7) // 8, size), np.intp)
@@ -515,7 +494,7 @@ def gcd_decode_block(llr: np.ndarray, spec: CrcSpec,
     best = [None] * n
     for lo in range(0, queries, _CHUNK):
         c = min(queries, lo + _CHUNK) - lo
-        index = sched.planes[:, lo:lo + c].astype(np.intp)
+        index = planes[:, lo:lo + c].astype(np.intp)
         for t in range(n):
             _gather(comb_tab[t], index, np.bitwise_xor, comb[:c], tmp_i[:c])
             _gather(cost_s_tab[t], index, np.add, cost_s[:c], tmp[:c])
@@ -533,10 +512,10 @@ def gcd_decode_block(llr: np.ndarray, spec: CrcSpec,
     log_phi = np.array([pair[0] for pair in best]).reshape(n, w)
     at = np.array([pair[1] for pair in best], dtype=np.intp).reshape(n, w)
     # a candidate's P flips: the hard decision's solve XOR its S flips' solves
-    s_flips = _flip_masks(sched, at, sm)
+    s_flips = _flip_masks(planes, at, sm)
     p_comb = comb_hard[:, None] ^ np.bitwise_xor.reduce(
         np.where(s_flips.astype(bool), comb_s[:, None, :], 0), axis=2)
-    p_flips = ((p_comb[..., None] >> np.arange(r)) & 1).astype(np.uint8)
+    p_flips = _unpack(p_comb, r)
     denom = phi_sum + np.maximum(0.0, 1.0 - psi_sum)
     so = np.zeros((n, w))
     np.divide(np.exp(log_phi), denom[:, None], out=so, where=denom[:, None] > 0.0)

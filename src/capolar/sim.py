@@ -378,8 +378,9 @@ def run_uer_sweep(cfg: SimConfig):
     """Per-(snr, epsilon) undetected-error and erasure tallies.
 
     Decodes each trial once and tallies it under every threshold of the
-    grid.  With retry enabled, every inner decision that fails the widest
-    threshold of the grid also gets its one outer attempt, in its batch's
+    grid.  With retry enabled, every inner decision that fails the
+    strictest threshold of the grid (the smallest epsilon: so <= 1 -
+    min(epsilon)) also gets its one outer attempt, in its batch's
     outer block; the outer decision is a pure function of the trial's LLRs,
     so this matches running the full pipeline per epsilon.  Runs exactly
     cfg.trials trials per SNR point.

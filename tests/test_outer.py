@@ -394,6 +394,25 @@ def test_sogrand_exhausted_budget_reports_nothing():
     assert len(out.so) == 0
 
 
+def test_sogrand_past_k_1000():
+    # 2^K is no float past K = 1023: the R term's counts of unqueried
+    # patterns and codewords must be scaled before they are formed
+    rng = np.random.default_rng(33)
+    cw = crc_encode(rng.integers(0, 2, 1100 - 24).astype(np.uint8), CRC24C)
+    llr = (2.0 * cw - 1.0) * 4.0
+    llr[517] *= -0.125  # one weak wrong bit, the least reliable
+    out = sogrand_decode(llr, CRC24C, max_queries=64)
+    assert out.found and out.queries == 2
+    assert np.array_equal(out.candidates[0], cw)
+    # the hard decision and then the weak bit flipped: R charges the mass
+    # left with 2^1076 - 1 codewords among 2^1100 - 2 patterns
+    log_keep = -(1099 * np.log1p(np.exp(-4.0)) + np.log1p(np.exp(-0.5)))
+    phi = np.exp(log_keep - 0.5)
+    r_term = (1.0 - np.exp(log_keep) - phi) * 2.0 ** -24
+    assert 0.0 < out.so[0] <= 1.0
+    assert out.so[0] == pytest.approx(phi / (phi + r_term), rel=1e-9)
+
+
 def gf2_reduce(m):
     """Row-reduced echelon form over GF(2) and its pivot columns."""
     m = m.copy() % 2
@@ -727,3 +746,30 @@ def test_gcd_slices_keep_the_first_of_tied_codewords(monkeypatch, list_size):
     sliced = gcd_decode_block(block, CRC6, max_queries=64, list_size=list_size)
     assert np.array_equal(sliced["candidates"], whole["candidates"])
     assert np.allclose(sliced["so"], whole["so"], rtol=1e-12, atol=0.0)
+
+
+def test_results_never_depend_on_the_schedule_cache(monkeypatch):
+    # the cached schedule holds the longest prefix asked for so far; how
+    # long that is must not reach any output, with or without max_weight
+    rng = np.random.default_rng(34)
+    llr = rng.normal(rng.choice([-2.0, 2.0], (8, 1)), 2.5, (8, 32))
+    order = np.argsort(np.abs(llr[0]), kind="stable")
+
+    def decode_all():
+        outs = []
+        for kw in (dict(), dict(max_weight=45)):
+            outs.append(gcd_decode_block(llr, CRC11, max_queries=3000, list_size=2, **kw))
+            outs.append(sogrand_decode_block(llr, CRC11, max_queries=3000, list_size=2,
+                                             **kw))
+            masks = itertools.islice(orbgrand_schedule(order, **kw), 3000)
+            outs.append({"masks": np.array(list(masks))})
+        return outs
+
+    monkeypatch.setattr(outer, "_schedules", {})
+    cold = decode_all()
+    for k in (32, 32 - CRC11.degree):
+        outer._schedule(k, 1 << 16)
+    warm = decode_all()
+    for a, b in zip(cold, warm):
+        assert a.keys() == b.keys()
+        assert all(np.array_equal(a[key], b[key]) for key in a)
