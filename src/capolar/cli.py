@@ -23,6 +23,8 @@ from .sim import (SimConfig, run_bler_sweep, run_calibration, run_llr_profile,
 __all__ = ["main", "cli_entry"]
 
 _DEFAULT_EPSILON = "10^-1,10^-1.5,10^-2,10^-2.5,10^-3"
+# the settings every subcommand but selftest needs
+_REQUIRED = ("dims", "snr")
 
 
 def _parse_dims(text: str) -> CodeDims:
@@ -155,8 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_simconfig(args: argparse.Namespace, need: tuple[str, ...],
-                     defaults: dict) -> SimConfig:
+def _build_simconfig(args: argparse.Namespace, defaults: dict) -> SimConfig:
     values = dict(defaults)
     if args.config:
         file_cfg = _read_config(args.config)
@@ -170,7 +171,7 @@ def _build_simconfig(args: argparse.Namespace, need: tuple[str, ...],
         if given is None:
             continue
         values[key] = setting.parse(given) if isinstance(given, str) else given
-    for key in need:
+    for key in _REQUIRED:
         if values.get(key) is None:
             raise ValueError(f"missing required setting {key!r} (flag --{key.replace('_', '-')})")
     kwargs = {_SETTINGS[k].field: v for k, v in values.items() if v is not None}
@@ -185,13 +186,13 @@ def main(argv=None) -> int:
         return run_selftest()
     try:
         if args.command == "bler":
-            cfg = _build_simconfig(args, ("dims", "snr"), {})
+            cfg = _build_simconfig(args, {})
             records = run_bler_sweep(cfg)
             for r in records:
                 print(f"snr {r.snr_db:g} dB: trials {r.trials}, "
                       f"bler {r.bler:.3e}, rescues {r.outer_rescues}/{r.inner_crc_failures}")
         elif args.command == "calibrate":
-            cfg = _build_simconfig(args, ("dims", "snr"), {"decoder": "ca_scl"})
+            cfg = _build_simconfig(args, {"decoder": "ca_scl"})
             result = run_calibration(cfg)
             for b in result["so"]:
                 if b.count:
@@ -199,14 +200,13 @@ def main(argv=None) -> int:
                           f"predicted {b.mean_predicted:.3e}, "
                           f"empirical {b.empirical_error_rate:.3e}")
         elif args.command == "uer":
-            cfg = _build_simconfig(args, ("dims", "snr"),
-                                   {"epsilon": _parse_grid(_DEFAULT_EPSILON)})
+            cfg = _build_simconfig(args, {"epsilon": _parse_grid(_DEFAULT_EPSILON)})
             records = run_uer_sweep(cfg)
             for r in records:
                 print(f"snr {r.snr_db:g} dB eps {r.epsilon:.3e}: "
                       f"uer {r.uer:.3e}, erasure rate {r.erasures / r.trials:.3e}")
         elif args.command == "diag-llr":
-            cfg = _build_simconfig(args, ("dims", "snr"), {"trials": 1000})
+            cfg = _build_simconfig(args, {"trials": 1000})
             profile = run_llr_profile(cfg)
             mid = {k: float(np.median(v)) for k, v in profile.items()}
             print(f"median |LLR|: inner {mid['inner']:.3f}, outer {mid['outer']:.3f}")

@@ -98,14 +98,14 @@ def apply_threshold(cols: dict, epsilon: float):
     return accepted, ~accepted & threshold_test(cols["alt_so"], epsilon)
 
 
-def decide_block(sel: dict, llr: np.ndarray | None, cfg: PipelineConfig,
-                 retry_below: float | None = None) -> dict:
+def decide_block(sel: dict, llr: np.ndarray | None, cfg: PipelineConfig) -> dict:
     """Decide each trial of a block whose inner stage already ran.
 
     ``sel`` is ``ca_select_batch`` of the block, ``llr`` its (trials, N)
     channel LLRs, or None for plain CA-SCL (no outer stage: a CRC failure
-    is no decision).  The CRC failures and, given ``retry_below``, the
-    inner decisions with SO at or below it are outer decoded in one block.
+    is no decision).  The CRC failures and, under
+    ``cfg.retry_on_threshold_fail``, the inner decisions that fail
+    ``threshold_test`` at ``cfg.epsilon`` are outer decoded in one block.
 
     Returns per-row columns: ``message``, ``so``, ``origin`` (ORIGINS
     codes) and ``queries`` of the decision; ``retried`` and the retry's
@@ -128,8 +128,8 @@ def decide_block(sel: dict, llr: np.ndarray | None, cfg: PipelineConfig,
     if llr.shape != (n, cfg.code.n_code):
         raise ValueError(f"expected the ({n}, {cfg.code.n_code}) channel LLRs of the "
                          f"selection's trials, got shape {llr.shape}")
-    if retry_below is not None:
-        cols["retried"] = found & (cols["so"] <= retry_below)
+    if cfg.retry_on_threshold_fail:
+        cols["retried"] = found & ~threshold_test(cols["so"], cfg.epsilon)
     rows = np.flatnonzero(~found | cols["retried"])
 
     lo = outer_llr(llr[rows], cfg.code)
@@ -161,8 +161,7 @@ def cca_scl_decode(llr: np.ndarray, cfg: PipelineConfig) -> DecodeResult:
     if llr.ndim != 1:
         raise ValueError(f"cca_scl_decode takes one word of channel LLRs, got shape {llr.shape}")
     sel = ca_select_batch(scl_decode_batch(llr, cfg.code, cfg.list_size), cfg.spec)
-    retry_below = 1.0 - cfg.epsilon if cfg.retry_on_threshold_fail else None
-    cols = decide_block(sel, llr[None], cfg, retry_below)
+    cols = decide_block(sel, llr[None], cfg)
     row = {key: col[0] for key, col in cols.items()}
     pass_count = int(row["pass_count"])
     queries = int(row["queries"] + row["alt_queries"])

@@ -21,7 +21,7 @@ from .pipeline import PipelineConfig, cca_scl_decode
 from .polar import (CodeDims, ca_encode, construct_polar, encode_systematic,
                     polar_transform)
 from .scl import ca_select_batch, scl_decode_batch
-from .sim import SimConfig, _plan_for, _trial_wave
+from .sim import SimConfig, _trial_wave
 
 __all__ = ["run_selftest", "CHECKS"]
 
@@ -77,8 +77,8 @@ def _check_systematic_window():
 def _wave(dims: CodeDims, snr_db: float, seed: int, trials: int) -> np.ndarray:
     """Decoder-input LLRs of trials 0..trials-1, generated as a sweep does
     (5G construction, default CRC for the parity length)."""
-    plan = _plan_for(SimConfig(dims, (snr_db,), master_seed=seed))
-    return _trial_wave(plan, snr_db, range(trials))[1]
+    return _trial_wave(SimConfig(dims, (snr_db,), master_seed=seed), snr_db,
+                       range(trials))[1]
 
 
 def _check_scl_exhaustive_ml():

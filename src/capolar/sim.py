@@ -19,7 +19,9 @@ per-trial column outlives its batch.
 
 Output is RFC 4180 CSV plus a JSON sidecar carrying the full configuration,
 seed, and wall times; wall times stay out of the CSV so the CSV stays
-reproducible.
+reproducible.  One writer, ``_write_table``, writes every table's CSV,
+sidecar and optional gnuplot ``.dat``; each table supplies its own header,
+rows and ``.dat`` lines.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ import numpy as np
 
 from .channel import (ChannelParams, llr_from_channel, message_bits, modulate,
                       saturate_llr, transmit)
-from .crc import CrcSpec, crc_spec_for
+from .crc import crc_spec_for
 from .outer import outer_llr
 from .pipeline import PipelineConfig, apply_threshold, decide_block
-from .polar import CodeDims, PolarCode, _checked_int, construct_polar, ca_encode
+from .polar import CodeDims, _checked_int, construct_polar, ca_encode
 from .scl import ca_select_batch, scl_decode_batch
 
 __all__ = [
@@ -67,7 +69,15 @@ CALIBRATION_EDGES = tuple(10.0 ** (-0.5 * i) for i in reversed(range(11)))
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One experiment: code, channel grid, decoder, budgets, seeding."""
+    """One experiment: code, channel grid, decoder, budgets, seeding.
+
+    Construction also builds and checks ``pipe``, the ``PipelineConfig`` of
+    the code, the default CRC of its parity length, the list size and the
+    outer settings; with ``retry_on_threshold_fail`` its threshold is the
+    strictest of the grid, ``min(epsilon_grid)``.  ``pipe`` is a plain
+    attribute, not a field, so ``asdict`` and the JSON sidecar leave it out
+    and ``replace`` builds it anew.
+    """
 
     dims: CodeDims
     snr_grid_db: tuple[float, ...]
@@ -106,8 +116,6 @@ class SimConfig:
             raise ValueError(f"snr grid points must be finite, got {self.snr_grid_db}")
         if self.decoder not in ("ca_scl", "cca_scl"):
             raise ValueError(f"unknown decoder {self.decoder!r}")
-        if self.outer_decoder not in ("sogrand", "gcd"):
-            raise ValueError(f"unknown outer decoder {self.outer_decoder!r}")
         if self.round_trials < self.batch_size:
             raise ValueError("need round_trials >= batch_size")
         if self.epsilon_grid is not None:
@@ -118,13 +126,15 @@ class SimConfig:
                     raise ValueError("epsilon values must lie in [0, 1)")
         if self.retry_on_threshold_fail and self.epsilon_grid is None:
             raise ValueError("retry_on_threshold_fail needs an epsilon grid")
-
-    def build_code(self) -> PolarCode:
-        return construct_polar(self.dims.n_code, self.dims.k_crc,
+        code = construct_polar(self.dims.n_code, self.dims.k_crc,
                                method=self.method, systematic=self.systematic)
-
-    def crc(self) -> CrcSpec:
-        return crc_spec_for(self.dims.parity_bits)
+        retry = self.retry_on_threshold_fail
+        object.__setattr__(self, "pipe", PipelineConfig(
+            code, crc_spec_for(self.dims.parity_bits), self.list_size,
+            epsilon=min(self.epsilon_grid) if retry else None,
+            retry_on_threshold_fail=retry, outer_max_queries=self.outer_max_queries,
+            outer_list_size=self.outer_list_size, outer_max_weight=self.outer_max_weight,
+            outer_decoder=self.outer_decoder))
 
 
 @dataclass
@@ -175,37 +185,15 @@ def wilson_interval(successes: int, total: int, z: float = 1.959963984540054):
 
 
 # ---------------------------------------------------------------------------
-# batches: each returns one fixed-shape array, and a point is their sum
+# batches: each maps (cfg, snr_db, start, count) to one fixed-shape array,
+# and a point is their sum
 
-@dataclass(frozen=True)
-class _Plan:
-    """Picklable worker payload: everything a batch needs, fully built."""
-
-    dims: CodeDims
-    pipe: PipelineConfig
-    decoder: str
-    master_seed: int
-    # with --retry: inner decisions with so <= this could fail some threshold
-    # of the grid, so their batch also decodes them through the outer stage
-    retry_below: float | None
-
-
-def _plan_for(cfg: SimConfig) -> _Plan:
-    pipe = PipelineConfig(cfg.build_code(), cfg.crc(), cfg.list_size,
-                          outer_max_queries=cfg.outer_max_queries,
-                          outer_list_size=cfg.outer_list_size,
-                          outer_max_weight=cfg.outer_max_weight,
-                          outer_decoder=cfg.outer_decoder)
-    retry_below = 1.0 - min(cfg.epsilon_grid) if cfg.retry_on_threshold_fail else None
-    return _Plan(cfg.dims, pipe, cfg.decoder, cfg.master_seed, retry_below)
-
-
-def _trial_wave(plan: _Plan, snr_db: float, trials):
+def _trial_wave(cfg: SimConfig, snr_db: float, trials):
     """Messages and decoder-input LLRs for the given trial indices (ints)."""
-    params = ChannelParams(snr_db, plan.dims.rate)
-    msgs = message_bits(plan.master_seed, trials, plan.dims.m_msg)
-    s = modulate(ca_encode(msgs, plan.pipe.code, plan.pipe.spec))
-    y = transmit(s, params, plan.master_seed, trials)
+    params = ChannelParams(snr_db, cfg.dims.rate)
+    msgs = message_bits(cfg.master_seed, trials, cfg.dims.m_msg)
+    s = modulate(ca_encode(msgs, cfg.pipe.code, cfg.pipe.spec))
+    y = transmit(s, params, cfg.master_seed, trials)
     return msgs, saturate_llr(llr_from_channel(y, params))
 
 
@@ -217,12 +205,12 @@ def _decide_batch(args):
     the decision and the retry equal the sent message.  Under ``ca_scl`` no
     outer stage runs and a CRC failure, no decision, is never correct.
     """
-    plan, snr_db, start, count = args
-    msgs, llr = _trial_wave(plan, snr_db, range(start, start + count))
-    sel = ca_select_batch(scl_decode_batch(llr, plan.pipe.code, plan.pipe.list_size),
-                          plan.pipe.spec)
-    outer = plan.decoder == "cca_scl"
-    cols = decide_block(sel, llr if outer else None, plan.pipe, plan.retry_below)
+    cfg, snr_db, start, count = args
+    msgs, llr = _trial_wave(cfg, snr_db, range(start, start + count))
+    sel = ca_select_batch(scl_decode_batch(llr, cfg.pipe.code, cfg.pipe.list_size),
+                          cfg.pipe.spec)
+    outer = cfg.decoder == "cca_scl"
+    cols = decide_block(sel, llr if outer else None, cfg.pipe)
     cols["correct"] = (cols["message"] == msgs).all(axis=1) & (cols["found"] | outer)
     cols["alt_correct"] = (cols["alt_message"] == msgs).all(axis=1) & cols["retried"]
     return cols
@@ -273,16 +261,16 @@ def _calibrate_batch(args, edges=CALIBRATION_EDGES):
 def _profile_batch(args):
     """Sums over the batch of the sorted |channel LLR| (N) and |outer LLR|
     (K) profiles, end to end."""
-    plan, snr_db, start, count = args
-    _, llr = _trial_wave(plan, snr_db, range(start, start + count))
-    lo = outer_llr(llr, plan.pipe.code)
+    cfg, snr_db, start, count = args
+    _, llr = _trial_wave(cfg, snr_db, range(start, start + count))
+    lo = outer_llr(llr, cfg.pipe.code)
     return np.concatenate([np.sort(np.abs(v), axis=1).sum(axis=0) for v in (llr, lo)])
 
 
 # ---------------------------------------------------------------------------
 # the sweep engine
 
-def _sweep(cfg: SimConfig, plan: _Plan, batch_fn, stop=None):
+def _sweep(cfg: SimConfig, batch_fn, stop=None):
     """Per SNR point of the grid: the sum of ``batch_fn``'s arrays over its
     batches, in batch order, and the point's wall time.
 
@@ -304,7 +292,7 @@ def _sweep(cfg: SimConfig, plan: _Plan, batch_fn, stop=None):
             acc, done = 0, 0
             while done < cfg.trials:
                 end = min(done + cfg.round_trials, cfg.trials)
-                jobs = [(plan, snr, s, min(cfg.batch_size, end - s))
+                jobs = [(cfg, snr, s, min(cfg.batch_size, end - s))
                         for s in range(done, end, cfg.batch_size)]
                 for part in run(batch_fn, jobs):
                     acc = acc + part
@@ -338,12 +326,21 @@ def _one_point(cfg: SimConfig, kind: str):
 
 def run_bler_sweep(cfg: SimConfig):
     """Block-error tallies per SNR point; writes CSV + JSON sidecar."""
-    # the tallies read no retry, so none is decoded
-    plan = replace(_plan_for(cfg), retry_below=None)
     paths = _open_outputs(cfg, "bler")
-    points = _sweep(cfg, plan, _table_batch, stop=lambda acc: acc[0, 1] >= cfg.min_errors)
+    # the tallies read no retry, so none is decoded
+    points = _sweep(replace(cfg, retry_on_threshold_fail=False), _table_batch,
+                    stop=lambda acc: acc[0, 1] >= cfg.min_errors)
     records = _records(cfg, points, (None,))
-    _write_bler_csv(paths, records, cfg)
+    header = ["schema_version", "snr_db", "trials", "block_errors",
+              "undetected_errors", "erasures", "inner_crc_failures",
+              "outer_rescues", "mean_outer_queries", "bler", "bler_lo", "bler_hi"]
+    rows = [[SCHEMA_VERSION, r.snr_db, r.trials, r.block_errors, r.undetected_errors,
+             r.erasures, r.inner_crc_failures, r.outer_rescues, r.mean_outer_queries,
+             r.bler, *wilson_interval(r.block_errors, r.trials)] for r in records]
+    dat = ["# snr_db bler bler_lo bler_hi",
+           *(" ".join(map(_fmt, row[1:2] + row[9:12])) for row in rows), ""]
+    _write_table(paths, cfg, "bler", header, rows, dat,
+                 wall_time=[r.wall_time for r in records])
     return records
 
 
@@ -358,10 +355,11 @@ def run_calibration(cfg: SimConfig, edges=None):
     # every predicted error 1 - SO lies in [0, 1], so the top edge is 1
     if list(edges) != sorted(set(edges)) or edges[0] <= 0.0 or edges[-1] != 1.0:
         raise ValueError("edges must be strictly ascending within (0, 1] and end at 1")
-    # the bins read the inner soft outputs only, so no outer stage runs
-    plan = replace(_plan_for(cfg), decoder="ca_scl", retry_below=None)
     paths = _open_outputs(cfg, "calibrate")
-    ((acc, wall),) = _sweep(cfg, plan, functools.partial(_calibrate_batch, edges=edges))
+    # the bins read the inner soft outputs only, so no outer stage runs, and
+    # with it no retry
+    ((acc, wall),) = _sweep(replace(cfg, decoder="ca_scl"),
+                            functools.partial(_calibrate_batch, edges=edges))
     asc = (0.0,) + edges
     result = {}
     for key, (cnts, errs, sums) in zip(("so", "so_forney"), acc):
@@ -370,7 +368,18 @@ def run_calibration(cfg: SimConfig, edges=None):
             mean_predicted=float(s / c) if c else 0.0,
             empirical_error_rate=int(e) / int(c) if c else 0.0, errors=int(e))
             for i, (c, e, s) in enumerate(zip(cnts, errs, sums))]
-    _write_calibration_csv(paths, result, cfg, int(acc[0, 0].sum()), wall)
+    header = ["schema_version", "estimator", "bin_lower", "bin_upper", "count",
+              "mean_predicted", "errors", "empirical_error_rate", "err_lo", "err_hi"]
+    rows = [[SCHEMA_VERSION, key, b.lower, b.upper, b.count, b.mean_predicted, b.errors,
+             b.empirical_error_rate, *wilson_interval(b.errors, b.count)]
+            for key, bins in result.items() for b in bins]
+    dat = []
+    for key, bins in result.items():
+        dat += [f"# {key}: mean_predicted empirical_error_rate",
+                *(f"{_fmt(b.mean_predicted)} {_fmt(b.empirical_error_rate)}"
+                  for b in bins if b.count), "", ""]
+    _write_table(paths, cfg, "calibrate", header, rows, dat, trials=cfg.trials,
+                 decoded=int(acc[0, 0].sum()), wall_time=wall)
     return result
 
 
@@ -379,21 +388,32 @@ def run_uer_sweep(cfg: SimConfig):
 
     Decodes each trial once and tallies it under every threshold of the
     grid.  With retry enabled, every inner decision that fails the
-    strictest threshold of the grid (the smallest epsilon: so <= 1 -
-    min(epsilon)) also gets its one outer attempt, in its batch's
-    outer block; the outer decision is a pure function of the trial's LLRs,
-    so this matches running the full pipeline per epsilon.  Runs exactly
+    strictest threshold of the grid (the smallest epsilon, the threshold of
+    ``cfg.pipe``) also gets its one outer attempt, in its batch's outer
+    block; the outer decision is a pure function of the trial's LLRs, so
+    this matches running the full pipeline per epsilon.  Runs exactly
     cfg.trials trials per SNR point.
     """
     if cfg.epsilon_grid is None:
         raise ValueError("run_uer_sweep needs an epsilon grid")
     if cfg.decoder != "cca_scl":
         raise ValueError("the UER sweep is defined for the cca_scl decoder")
-    plan = _plan_for(cfg)
     paths = _open_outputs(cfg, "uer")
-    points = _sweep(cfg, plan, functools.partial(_table_batch, epsilons=cfg.epsilon_grid))
+    points = _sweep(cfg, functools.partial(_table_batch, epsilons=cfg.epsilon_grid))
     records = _records(cfg, points, cfg.epsilon_grid)
-    _write_uer_csv(paths, records, cfg)
+    header = ["schema_version", "snr_db", "epsilon", "trials", "block_errors",
+              "undetected_errors", "erasures", "uer", "uer_lo", "uer_hi",
+              "erasure_rate"]
+    rows = [[SCHEMA_VERSION, r.snr_db, r.epsilon, r.trials, r.block_errors,
+             r.undetected_errors, r.erasures, r.uer,
+             *wilson_interval(r.undetected_errors, r.trials), r.erasures / r.trials]
+            for r in records]
+    dat = ["# epsilon uer uer_lo uer_hi",
+           *(" ".join(map(_fmt, row[2:3] + row[7:10])) for row in rows), ""]
+    # one record per (snr, epsilon), epsilon fastest; one wall time per snr
+    per_snr = records[::len(cfg.epsilon_grid)]
+    _write_table(paths, cfg, "uer", header, rows, dat,
+                 wall_time=[r.wall_time for r in per_snr])
     return records
 
 
@@ -405,15 +425,22 @@ def run_llr_profile(cfg: SimConfig):
     one SNR point of the grid.
     """
     _one_point(cfg, "the LLR profile")
-    plan = _plan_for(cfg)
     paths = _open_outputs(cfg, "diag_llr")
     # rounds of whole batches keep the batch grid of trial 0 at any
     # round_trials, so the sums add up in one order
     whole = replace(cfg, round_trials=cfg.batch_size * cfg.workers)
-    ((acc, _),) = _sweep(whole, plan, _profile_batch)
+    ((acc, wall),) = _sweep(whole, _profile_batch)
     n = cfg.dims.n_code
     profile = {"inner": acc[:n] / cfg.trials, "outer": acc[n:] / cfg.trials}
-    _write_profile_csv(paths, profile, cfg)
+    header = ["schema_version", "series", "rank", "mean_abs_llr"]
+    rows = [[SCHEMA_VERSION, series, rank, v]
+            for series, values in profile.items() for rank, v in enumerate(values)]
+    dat = []
+    for series, values in profile.items():
+        dat += [f"# {series}: rank mean_abs_llr",
+                *(f"{rank} {_fmt(v)}" for rank, v in enumerate(values)), "", ""]
+    _write_table(paths, cfg, "diag_llr", header, rows, dat, trials=cfg.trials,
+                 wall_time=wall)
     return profile
 
 
@@ -447,21 +474,22 @@ def _open_outputs(cfg: SimConfig, kind: str) -> dict:
     return paths
 
 
-def _write_rows(path: Path, header: list[str], rows: list[list]):
-    with open(path, "w", newline="") as fh:
+def _write_table(paths: dict, cfg: SimConfig, kind: str, header: list[str],
+                 rows: list[list], dat: list[str], **sidecar):
+    """Write one table: the CSV of ``header`` and ``rows``; the JSON sidecar
+    of ``cfg``, ``kind`` and the ``sidecar`` entries; and, under
+    ``emit_plot``, the ``.dat`` lines ``dat`` joined by newlines."""
+    with open(paths["csv"], "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\r\n")
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
-
-
-def _sidecar(paths: dict, cfg: SimConfig, extra: dict):
-    blob = {"schema_version": SCHEMA_VERSION, "config": _config_dict(cfg)}
-    blob.update(extra)
+        w.writerows([_fmt(v) for v in row] for row in rows)
+    blob = {"schema_version": SCHEMA_VERSION, "config": _config_dict(cfg),
+            "kind": kind, **sidecar}
     # serialised first, so a value JSON cannot write leaves no partial file
     text = json.dumps(blob, indent=2, sort_keys=True) + "\n"
-    with open(paths["json"], "w") as fh:
-        fh.write(text)
+    paths["json"].write_text(text)
+    if paths["plot"]:
+        paths["plot"].write_text("\n".join(dat))
 
 
 def _config_dict(cfg: SimConfig) -> dict:
@@ -471,90 +499,3 @@ def _config_dict(cfg: SimConfig) -> dict:
     if cfg.epsilon_grid is not None:
         d["epsilon_grid"] = list(cfg.epsilon_grid)
     return d
-
-
-def _write_bler_csv(paths, records: list[SimRecord], cfg: SimConfig):
-    header = ["schema_version", "snr_db", "trials", "block_errors",
-              "undetected_errors", "erasures", "inner_crc_failures",
-              "outer_rescues", "mean_outer_queries", "bler", "bler_lo", "bler_hi"]
-    rows = []
-    for r in records:
-        lo, hi = wilson_interval(r.block_errors, r.trials)
-        rows.append([SCHEMA_VERSION, r.snr_db, r.trials, r.block_errors,
-                     r.undetected_errors, r.erasures, r.inner_crc_failures,
-                     r.outer_rescues, r.mean_outer_queries, r.bler, lo, hi])
-    _write_rows(paths["csv"], header, rows)
-    _sidecar(paths, cfg, {"kind": "bler",
-                          "wall_time": [r.wall_time for r in records]})
-    if paths["plot"]:
-        lines = ["# snr_db bler bler_lo bler_hi"]
-        for row in rows:
-            lines.append(" ".join(_fmt(v) for v in row[1:2] + row[9:12]))
-        paths["plot"].write_text("\n".join(lines) + "\n")
-
-
-def _write_calibration_csv(paths, result, cfg: SimConfig, decoded: int, wall):
-    header = ["schema_version", "estimator", "bin_lower", "bin_upper", "count",
-              "mean_predicted", "errors", "empirical_error_rate", "err_lo", "err_hi"]
-    rows = []
-    for key, bins in result.items():
-        for b in bins:
-            lo, hi = wilson_interval(b.errors, b.count) if b.count else (0.0, 1.0)
-            rows.append([SCHEMA_VERSION, key, b.lower, b.upper, b.count,
-                         b.mean_predicted, b.errors, b.empirical_error_rate,
-                         lo, hi])
-    _write_rows(paths["csv"], header, rows)
-    _sidecar(paths, cfg, {"kind": "calibrate", "trials": cfg.trials,
-                          "decoded": decoded, "wall_time": wall})
-    if paths["plot"]:
-        lines = []
-        for key, bins in result.items():
-            lines.append(f"# {key}: mean_predicted empirical_error_rate")
-            for b in bins:
-                if b.count:
-                    lines.append(f"{_fmt(b.mean_predicted)} "
-                                 f"{_fmt(b.empirical_error_rate)}")
-            lines.append("")
-            lines.append("")
-        paths["plot"].write_text("\n".join(lines))
-
-
-def _write_uer_csv(paths, records: list[SimRecord], cfg: SimConfig):
-    header = ["schema_version", "snr_db", "epsilon", "trials", "block_errors",
-              "undetected_errors", "erasures", "uer", "uer_lo", "uer_hi",
-              "erasure_rate"]
-    rows = []
-    for r in records:
-        lo, hi = wilson_interval(r.undetected_errors, r.trials)
-        rows.append([SCHEMA_VERSION, r.snr_db, r.epsilon, r.trials,
-                     r.block_errors, r.undetected_errors, r.erasures,
-                     r.uer, lo, hi, r.erasures / r.trials])
-    _write_rows(paths["csv"], header, rows)
-    # one record per (snr, epsilon), epsilon fastest; one wall time per snr
-    per_snr = records[::len(cfg.epsilon_grid)]
-    _sidecar(paths, cfg, {"kind": "uer",
-                          "wall_time": [r.wall_time for r in per_snr]})
-    if paths["plot"]:
-        lines = ["# epsilon uer uer_lo uer_hi"]
-        for row in rows:
-            lines.append(" ".join(_fmt(v) for v in row[2:3] + row[7:10]))
-        paths["plot"].write_text("\n".join(lines) + "\n")
-
-
-def _write_profile_csv(paths, profile, cfg: SimConfig):
-    header = ["schema_version", "series", "rank", "mean_abs_llr"]
-    rows = []
-    for series in ("inner", "outer"):
-        for rank, v in enumerate(profile[series]):
-            rows.append([SCHEMA_VERSION, series, rank, v])
-    _write_rows(paths["csv"], header, rows)
-    _sidecar(paths, cfg, {"kind": "diag_llr", "trials": cfg.trials})
-    if paths["plot"]:
-        lines = []
-        for series in ("inner", "outer"):
-            lines.append(f"# {series}: rank mean_abs_llr")
-            for rank, v in enumerate(profile[series]):
-                lines.append(f"{rank} {_fmt(v)}")
-            lines.append("")
-            lines.append("")
-        paths["plot"].write_text("\n".join(lines))

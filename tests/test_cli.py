@@ -206,11 +206,11 @@ def test_every_setting_is_a_flag_and_a_config_key(tmp_path):
             flags.append(flag)
         else:
             flags += [flag, value]
-    by_flag = _build_simconfig(build_parser().parse_args(["bler"] + flags), (), {})
+    by_flag = _build_simconfig(build_parser().parse_args(["bler"] + flags), {})
     cfgfile = tmp_path / "all.cfg"
     cfgfile.write_text("".join(f"{key} = {value}\n" for key, value in text.items()))
     by_file = _build_simconfig(
-        build_parser().parse_args(["bler", "--config", str(cfgfile)]), (), {})
+        build_parser().parse_args(["bler", "--config", str(cfgfile)]), {})
     assert by_flag == by_file
     default = SimConfig(CodeDims(64, 48, 24), (0.0,))
     for key, setting in _SETTINGS.items():

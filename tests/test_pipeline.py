@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -200,14 +202,15 @@ def low_so_selection(so):
 
 
 def test_retry_keeps_better_decision():
-    # a low-confidence inner decision at or below the retry bound goes
-    # through the outer decoder; the retry fills only the alt columns and
-    # replaces the inner word only where the threshold rule takes it
+    # a low-confidence inner decision that fails the threshold goes through
+    # the outer decoder; the retry fills only the alt columns and replaces
+    # the inner word only where the threshold rule takes it
     msg, llr = noisy_llr(31, 0, params=ChannelParams(6.0, DIMS.rate))
     cfg = PipelineConfig(CODE, SPEC, 4)
     out = sogrand_decode_block(outer_llr(llr, CODE)[None], SPEC)
     for epsilon, taken in ((0.5, True), (1e-9, False)):
-        cols = decide_block(low_so_selection(0.4), llr[None], cfg, retry_below=1.0 - epsilon)
+        retry = replace(cfg, epsilon=epsilon, retry_on_threshold_fail=True)
+        cols = decide_block(low_so_selection(0.4), llr[None], retry)
         assert cols["retried"][0] and cols["origin"][0] == INNER
         assert cols["so"][0] == 0.4 and not cols["message"].any() and cols["queries"][0] == 0
         assert np.array_equal(cols["alt_message"][0], out["candidates"][0, 0, :24])
@@ -216,8 +219,9 @@ def test_retry_keeps_better_decision():
                                                                 out["queries"][0])
         accepted, retry_taken = apply_threshold(cols, epsilon)
         assert (accepted[0], retry_taken[0]) == (False, taken)
-    # above the retry bound the inner decision stands alone
-    kept = decide_block(low_so_selection(0.4), llr[None], cfg, retry_below=0.3)
+    # an inner decision that passes the threshold stands alone
+    kept = decide_block(low_so_selection(0.4), llr[None],
+                        replace(cfg, epsilon=0.7, retry_on_threshold_fail=True))
     assert not kept["retried"][0] and kept["alt_so"][0] == 0.0
     assert kept["alt_queries"][0] == 0 and not kept["alt_message"].any()
 

@@ -17,7 +17,6 @@ from capolar.sim import (
     SCHEMA_VERSION,
     SimConfig,
     _decide_batch,
-    _plan_for,
     _trial_wave,
     run_bler_sweep,
     run_calibration,
@@ -69,6 +68,18 @@ def test_config_validation():
         SimConfig(DIMS, (3.0,), epsilon_grid=(1.0,))
     with pytest.raises(ValueError):
         SimConfig(DIMS, (3.0,), retry_on_threshold_fail=True)
+
+
+@pytest.mark.parametrize("kw, match", [
+    ({"dims": CodeDims(16, 9, 4)}, "no default CRC"),  # r = 5 parity bits
+    ({"method": "gauss"}, "unknown construction method"),
+])
+def test_unbuildable_code_is_refused_at_construction(tmp_path, kw, match):
+    # SimConfig builds its decoder settings once, so a code it cannot build
+    # is refused before any sweep opens its outputs
+    with pytest.raises(ValueError, match=match):
+        small_cfg(tmp_path, **kw)
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("snr", [float("nan"), float("inf"), float("-inf")])
@@ -144,30 +155,32 @@ def test_decide_batch_equals_reference_resolve(tmp_path, outer):
     eps_grid = (1e-1, 1e-3)
     cfg = small_cfg(tmp_path, outer_decoder=outer, outer_list_size=2,
                     epsilon_grid=eps_grid, retry_on_threshold_fail=True)
-    plan = _plan_for(cfg)
-    assert plan.retry_below == 1.0 - 1e-3
-    cols = _decide_batch((plan, 2.0, 300, 200))
-    msgs, llr = _trial_wave(plan, 2.0, range(300, 500))
-    sel = ca_select_batch(scl_decode_batch(llr, plan.pipe.code, 2), plan.pipe.spec)
-    lo = outer_llr(llr, plan.pipe.code)
+    # the batch retries at the strictest threshold of the grid
+    assert (cfg.pipe.epsilon, cfg.pipe.retry_on_threshold_fail) == (1e-3, True)
+    # the per-trial rule with no threshold: each decision as it comes
+    plain = dataclasses.replace(cfg.pipe, epsilon=None, retry_on_threshold_fail=False)
+    cols = _decide_batch((cfg, 2.0, 300, 200))
+    msgs, llr = _trial_wave(cfg, 2.0, range(300, 500))
+    sel = ca_select_batch(scl_decode_batch(llr, cfg.pipe.code, 2), cfg.pipe.spec)
+    lo = outer_llr(llr, cfg.pipe.code)
     retried = erased_retry = 0
     for t in range(200):
         inner = None
         if sel["found"][t]:
             inner = (sel["message"][t], float(sel["so"][t]), int(sel["pass_count"][t]))
-        res = reference_resolve(lo[t], inner, plan.pipe)
+        res = reference_resolve(lo[t], inner, plain)
         assert (cols["correct"][t], cols["so"][t], ORIGINS[cols["origin"][t]],
                 cols["queries"][t], cols["pass_count"][t]) == (
             np.array_equal(res.message, msgs[t]), res.so, res.origin,
             res.outer_queries, res.inner_pass_count), t
         want_so, want_ok = 0.0, False
-        if inner is not None and inner[1] <= plan.retry_below:
-            alt = reference_resolve(lo[t], None, plan.pipe)
+        if inner is not None and inner[1] <= 1.0 - min(eps_grid):
+            alt = reference_resolve(lo[t], None, plain)
             want_so, want_ok = alt.so, np.array_equal(alt.message, msgs[t])
             retried += 1
         assert (cols["alt_so"][t], cols["alt_correct"][t]) == (want_so, want_ok), t
         for eps in eps_grid:
-            pipe = dataclasses.replace(plan.pipe, epsilon=eps, retry_on_threshold_fail=True)
+            pipe = dataclasses.replace(plain, epsilon=eps, retry_on_threshold_fail=True)
             want = reference_resolve(lo[t], inner, pipe)
             assert same_result(cca_scl_decode(llr[t], pipe), want), (t, eps)
             erased_retry += want.erased and want.origin == "outer" and inner is not None
@@ -178,21 +191,21 @@ def test_decide_batch_equals_reference_resolve(tmp_path, outer):
 def test_trial_wave_rows_do_not_depend_on_grouping(tmp_path):
     # a trial is a pure function of its index: regenerating any subset in
     # one wave gives the same rows as the contiguous wave it came from
-    plan = _plan_for(small_cfg(tmp_path))
-    msgs, llr = _trial_wave(plan, 2.0, range(0, 40))
+    cfg = small_cfg(tmp_path)
+    msgs, llr = _trial_wave(cfg, 2.0, range(0, 40))
     picks = [33, 2, 17, 5]
-    sub_msgs, sub_llr = _trial_wave(plan, 2.0, picks)
+    sub_msgs, sub_llr = _trial_wave(cfg, 2.0, picks)
     assert np.array_equal(sub_msgs, msgs[picks])
     assert np.array_equal(sub_llr, llr[picks])
 
 
-def per_trial_wave(plan, snr_db, trials):
+def per_trial_wave(cfg, snr_db, trials):
     """_trial_wave written one trial at a time, each with its own streams."""
-    params = ChannelParams(snr_db, plan.dims.rate)
-    seed, m = plan.master_seed, plan.dims.m_msg
+    params = ChannelParams(snr_db, cfg.dims.rate)
+    seed, m = cfg.master_seed, cfg.dims.m_msg
     msgs = np.stack([message_rng(seed, t).integers(0, 2, m).astype(np.uint8)
                      for t in trials])
-    s = modulate(ca_encode(msgs, plan.pipe.code, plan.pipe.spec))
+    s = modulate(ca_encode(msgs, cfg.pipe.code, cfg.pipe.spec))
     y = np.stack([transmit(s[i], params, seed, t) for i, t in enumerate(trials)])
     return msgs, saturate_llr(llr_from_channel(y, params))
 
@@ -204,9 +217,9 @@ def per_trial_wave(plan, snr_db, trials):
     [2**32, 2**32 + 1, 2**40 + 9, 2**63 + 5, 2**64 - 1, 1],
 ])
 def test_trial_wave_equals_per_trial_streams(tmp_path, trials):
-    plan = _plan_for(small_cfg(tmp_path, dims=CodeDims(64, 43, 32), master_seed=-3))
-    msgs, llr = _trial_wave(plan, 2.0, trials)
-    ref_msgs, ref_llr = per_trial_wave(plan, 2.0, trials)
+    cfg = small_cfg(tmp_path, dims=CodeDims(64, 43, 32), master_seed=-3)
+    msgs, llr = _trial_wave(cfg, 2.0, trials)
+    ref_msgs, ref_llr = per_trial_wave(cfg, 2.0, trials)
     assert msgs.dtype == ref_msgs.dtype and llr.dtype == ref_llr.dtype
     assert np.array_equal(msgs, ref_msgs)
     assert np.array_equal(llr, ref_llr)
@@ -214,12 +227,12 @@ def test_trial_wave_equals_per_trial_streams(tmp_path, trials):
 
 def test_trial_waves_share_no_stream_state(tmp_path):
     # a draw from another stream between two waves leaves the second alone
-    plan = _plan_for(small_cfg(tmp_path))
-    first = _trial_wave(plan, 2.0, [4, 9, 1])
-    again = _trial_wave(plan, 2.0, [4, 9, 1])
-    noise_rng(plan.master_seed, 9).standard_normal(5)
-    message_rng(plan.master_seed, 4).integers(0, 2, 3)
-    after = _trial_wave(plan, 2.0, [4, 9, 1])
+    cfg = small_cfg(tmp_path)
+    first = _trial_wave(cfg, 2.0, [4, 9, 1])
+    again = _trial_wave(cfg, 2.0, [4, 9, 1])
+    noise_rng(cfg.master_seed, 9).standard_normal(5)
+    message_rng(cfg.master_seed, 4).integers(0, 2, 3)
+    after = _trial_wave(cfg, 2.0, [4, 9, 1])
     for a, b, c in zip(first, again, after):
         assert np.array_equal(a, b) and np.array_equal(a, c)
 
@@ -307,7 +320,7 @@ def test_paired_decoders_share_the_error_budget(tmp_path):
 def test_bler_csv_shape(tmp_path):
     cfg = small_cfg(tmp_path, snr_grid_db=(3.0, 25.0), out_stem="shape",
                     emit_plot=True)
-    run_bler_sweep(cfg)
+    records = run_bler_sweep(cfg)
     raw = (tmp_path / "shape.csv").read_bytes()
     lines = raw.decode().split("\r\n")
     assert raw.count(b"\r\n") == 3 and lines[-1] == ""
@@ -322,19 +335,24 @@ def test_bler_csv_shape(tmp_path):
     assert blob["kind"] == "bler"
     assert blob["config"]["dims"] == [16, 9, 3]
     assert blob["config"]["master_seed"] == 5
+    # the config block is the fields, and only the fields
+    assert set(blob["config"]) == {f.name for f in dataclasses.fields(SimConfig)}
     assert len(blob["wall_time"]) == 2
     assert b"wall" not in raw
 
-    dat = (tmp_path / "shape.dat").read_text().splitlines()
-    assert dat[0] == "# snr_db bler bler_lo bler_hi"
-    assert len(dat) == 3 and len(dat[1].split()) == 4
+    dat = ["# snr_db bler bler_lo bler_hi"] + [
+        " ".join(repr(float(v)) for v in (r.snr_db, r.bler,
+                                          *wilson_interval(r.block_errors, r.trials)))
+        for r in records]
+    assert (tmp_path / "shape.dat").read_text() == "\n".join(dat) + "\n"
 
 
 def test_calibration_bins(tmp_path):
     assert len(CALIBRATION_EDGES) == 11
     assert CALIBRATION_EDGES[0] == pytest.approx(1e-5)
     assert CALIBRATION_EDGES[-1] == 1.0
-    cfg = small_cfg(tmp_path, snr_grid_db=(25.0,), trials=512, out_stem="cal")
+    cfg = small_cfg(tmp_path, snr_grid_db=(25.0,), trials=512, out_stem="cal",
+                    emit_plot=True)
     result = run_calibration(cfg)
     assert set(result) == {"so", "so_forney"}
     for key in result:
@@ -348,6 +366,11 @@ def test_calibration_bins(tmp_path):
         assert bins[0].count == 512 and bins[0].errors == 0
     rows = (tmp_path / "cal.csv").read_bytes().decode().split("\r\n")
     assert len(rows) == 2 + 2 * len(CALIBRATION_EDGES)
+    # one gnuplot block per estimator, a "# title" line and its nonempty
+    # bins, the blocks separated by a blank-line pair
+    blocks = [f"# {key}: mean_predicted empirical_error_rate\n"
+              f"{result[key][0].mean_predicted!r} 0.0" for key in ("so", "so_forney")]
+    assert (tmp_path / "cal.dat").read_text() == "\n\n\n".join(blocks) + "\n\n"
 
 
 def test_calibration_rejects_bad_edges(tmp_path):
@@ -486,7 +509,7 @@ def test_uer_sweep_equals_the_full_pipeline_per_epsilon(tmp_path, dims, list_siz
     recs = run_uer_sweep(cfg)
     small = run_uer_sweep(dataclasses.replace(cfg, batch_size=40, round_trials=80,
                                               out_stem="small"))
-    code, spec = cfg.build_code(), cfg.crc()
+    code, spec = cfg.pipe.code, cfg.pipe.spec
     params = ChannelParams(3.0, dims.rate)
     undetected = dict.fromkeys(eps_grid, 0)
     erased = dict.fromkeys(eps_grid, 0)
@@ -533,16 +556,15 @@ def test_uer_sweep_equals_the_full_pipeline_per_epsilon(tmp_path, dims, list_siz
 def test_llr_profile_orders_reliability(tmp_path):
     cfg = SimConfig(CodeDims(128, 114, 90), (6.0,), trials=400,
                     list_size=1, master_seed=3, batch_size=64, round_trials=100,
-                    out_dir=str(tmp_path), out_stem="prof")
+                    out_dir=str(tmp_path), out_stem="prof", emit_plot=True)
     profile = run_llr_profile(cfg)
     inner, outer = profile["inner"], profile["outer"]
     # the sums add whole batches of batch_size from trial 0, whatever the
     # round size
-    plan = _plan_for(cfg)
     sums = [np.zeros(128), np.zeros(114)]
     for start in range(0, cfg.trials, cfg.batch_size):
-        _, llr = _trial_wave(plan, 6.0, range(start, min(start + cfg.batch_size, cfg.trials)))
-        for acc, v in zip(sums, (llr, outer_llr(llr, plan.pipe.code))):
+        _, llr = _trial_wave(cfg, 6.0, range(start, min(start + cfg.batch_size, cfg.trials)))
+        for acc, v in zip(sums, (llr, outer_llr(llr, cfg.pipe.code))):
             acc += np.sort(np.abs(v), axis=1).sum(axis=0)
     assert np.array_equal(inner, sums[0] / cfg.trials)
     assert np.array_equal(outer, sums[1] / cfg.trials)
@@ -553,6 +575,15 @@ def test_llr_profile_orders_reliability(tmp_path):
     assert outer.mean() < inner.mean()
     rows = (tmp_path / "prof.csv").read_bytes().decode().split("\r\n")
     assert len(rows) == 2 + 128 + 114
+    blob = json.loads((tmp_path / "prof.json").read_text())
+    assert (blob["kind"], blob["trials"]) == ("diag_llr", 400)
+    assert isinstance(blob["wall_time"], float) and blob["wall_time"] > 0
+    # one gnuplot block per series, a "# title" line and one line per rank,
+    # the blocks separated by a blank-line pair
+    blocks = ["\n".join([f"# {series}: rank mean_abs_llr",
+                         *(f"{rank} {float(v)!r}" for rank, v in enumerate(values))])
+              for series, values in (("inner", inner), ("outer", outer))]
+    assert (tmp_path / "prof.dat").read_text() == "\n\n\n".join(blocks) + "\n\n"
 
 
 def test_default_stem_names_the_experiment(tmp_path):
