@@ -104,10 +104,17 @@ def _build_schedule(k: int, rows: int) -> np.ndarray:
     return np.ascontiguousarray(np.concatenate(by_weight)[:rows].T)
 
 
-# rows per slice when gcd_decode_block evaluates its budget (temporaries of
-# this many float64s stay in a core's cache) and when orbgrand_schedule
-# unpacks its masks
+# schedule rows per sum block: gcd_decode_block adds one float per block of
+# _CHUNK queries to each row's phi and psi sums, in schedule order, so its
+# outputs depend on _CHUNK but not on how many blocks a pass holds; also the
+# slice orbgrand_schedule unpacks its masks in
 _CHUNK = 8192
+
+# sum blocks per gcd_decode_block pass.  A pass builds its index planes once
+# and scores every row on them.  Sized by peak RSS: passes of two blocks
+# take ~10% off the gcd stage against one (numpy per-call overhead) for
+# ~0.4 MB of peak RSS, where passes of four blocks cost ~2.2 MB
+_PASS_BLOCKS = 2
 
 # the order depends only on the number of guessed bits; each entry holds the
 # largest prefix asked for so far
@@ -418,6 +425,14 @@ def _byte_planes(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _add_blocks(total, x: np.ndarray, block: int):
+    """``total`` plus the sum of each ``block`` entries of x in turn, the last
+    block ending with x: one float per block, whatever the length of x."""
+    for b in range(0, len(x), block):
+        total += float(x[b:b + block].sum())
+    return total
+
+
 def _merge_best(best, lp: np.ndarray, lo: int, list_size: int):
     """Fold a slice of lp (schedule rows from ``lo``) into ``best``, a pair
     (lp values, rows) of the ``list_size`` highest so far, ties to the earlier
@@ -454,7 +469,7 @@ def gcd_decode_block(llr: np.ndarray, spec: CrcSpec,
 
     The split into solved and guessed parts is one GF(2) elimination over
     the block.  The schedule over the guessed part depends only on its
-    length, so each slice of it is converted to index planes once and
+    length, so each pass over it is converted to index planes once and
     scored for every row in turn.  Returns the per-row columns of the
     module docstring; each row is what a block of that row alone gives.
     """
@@ -483,17 +498,19 @@ def gcd_decode_block(llr: np.ndarray, spec: CrcSpec,
     cost_s_tab = _byte_tables(mag_s, np.add)
     cost_p_tab = _byte_tables(mag_p, np.add)
 
-    # the whole budget prefix of the schedule over S, in slices of _CHUNK
-    # rows that keep the temporaries in cache
+    # the whole budget prefix of the schedule over S, in passes of whole sum
+    # blocks; the int and float temporaries share one scratch buffer
     planes = _schedule(sm, queries)
-    size = min(queries, _CHUNK)
-    comb, tmp_i = np.empty(size, np.int64), np.empty(size, np.int64)
+    width = _PASS_BLOCKS * _CHUNK
+    size = min(queries, width)
+    comb = np.empty(size, np.int64)
     p_index = np.empty(((r + 7) // 8, size), np.intp)
     cost_s, cost_p, lp, tmp = (np.empty(size) for _ in range(4))
+    tmp_i = tmp.view(np.int64)
     phi_sum, psi_sum = np.zeros(n), np.zeros(n)
     best = [None] * n
-    for lo in range(0, queries, _CHUNK):
-        c = min(queries, lo + _CHUNK) - lo
+    for lo in range(0, queries, width):
+        c = min(queries, lo + width) - lo
         index = planes[:, lo:lo + c].astype(np.intp)
         for t in range(n):
             _gather(comb_tab[t], index, np.bitwise_xor, comb[:c], tmp_i[:c])
@@ -502,9 +519,9 @@ def gcd_decode_block(llr: np.ndarray, spec: CrcSpec,
                     cost_p[:c], tmp[:c])
             np.subtract(log_keep[t], cost_s[:c], out=lp[:c])
             np.subtract(lp[:c], cost_p[:c], out=lp[:c])
-            phi_sum[t] += float(np.exp(lp[:c], out=tmp[:c]).sum())
+            phi_sum[t] = _add_blocks(phi_sum[t], np.exp(lp[:c], out=tmp[:c]), _CHUNK)
             np.subtract(log_keep_s[t], cost_s[:c], out=tmp[:c])
-            psi_sum[t] += float(np.exp(tmp[:c], out=tmp[:c]).sum())
+            psi_sum[t] = _add_blocks(psi_sum[t], np.exp(tmp[:c], out=tmp[:c]), _CHUNK)
             best[t] = _merge_best(best[t], lp[:c], lo, list_size)
 
     # every query is a codeword, so every row lists min(list_size, queries)

@@ -48,7 +48,12 @@ class PipelineConfig:
     outer_decoder: str = "sogrand"  # pattern guessing | "gcd" codeword guessing
 
     def __post_init__(self):
-        _checked_int(self.list_size, "list_size")
+        # the counts are stored as plain ints, which SimConfig copies back
+        for name, low in (("list_size", 1), ("outer_max_queries", 1),
+                          ("outer_list_size", 1), ("outer_max_weight", 0)):
+            value = getattr(self, name)
+            if value is not None or name != "outer_max_weight":  # None: no cap
+                object.__setattr__(self, name, _checked_int(value, name, low))
         k = len(self.code.info)
         if self.spec.degree >= k:
             raise ValueError(
@@ -59,10 +64,6 @@ class PipelineConfig:
                 raise ValueError("retry_on_threshold_fail needs a threshold epsilon")
         elif not 0.0 <= self.epsilon < 1.0:
             raise ValueError("epsilon must lie in [0, 1)")
-        _checked_int(self.outer_max_queries, "outer_max_queries")
-        _checked_int(self.outer_list_size, "outer_list_size")
-        if self.outer_max_weight is not None:
-            _checked_int(self.outer_max_weight, "outer_max_weight", low=0)
         if self.outer_decoder not in ("sogrand", "gcd"):
             raise ValueError(f"unknown outer decoder {self.outer_decoder!r}")
 

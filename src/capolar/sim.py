@@ -102,14 +102,11 @@ class SimConfig:
     emit_plot: bool = False
 
     def __post_init__(self):
-        # stored as plain ints, so the JSON sidecar can write them
+        # stored as plain ints, so the JSON sidecar can write them; pipe
+        # checks the decoder's counts below
         for name, low in (("trials", 1), ("min_errors", 1), ("batch_size", 1),
-                          ("round_trials", 1), ("workers", 1), ("master_seed", None),
-                          ("list_size", 1), ("outer_max_queries", 1),
-                          ("outer_list_size", 1), ("outer_max_weight", 0)):
-            value = getattr(self, name)
-            if value is not None or name != "outer_max_weight":  # None: no cap
-                object.__setattr__(self, name, _checked_int(value, name, low))
+                          ("round_trials", 1), ("workers", 1), ("master_seed", None)):
+            object.__setattr__(self, name, _checked_int(getattr(self, name), name, low))
         if len(self.snr_grid_db) == 0:
             raise ValueError("snr grid must be nonempty")
         if not all(math.isfinite(snr) for snr in self.snr_grid_db):
@@ -135,6 +132,8 @@ class SimConfig:
             retry_on_threshold_fail=retry, outer_max_queries=self.outer_max_queries,
             outer_list_size=self.outer_list_size, outer_max_weight=self.outer_max_weight,
             outer_decoder=self.outer_decoder))
+        for name in ("list_size", "outer_max_queries", "outer_list_size", "outer_max_weight"):
+            object.__setattr__(self, name, getattr(self.pipe, name))
 
 
 @dataclass

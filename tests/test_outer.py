@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -746,6 +747,40 @@ def test_gcd_slices_keep_the_first_of_tied_codewords(monkeypatch, list_size):
     sliced = gcd_decode_block(block, CRC6, max_queries=64, list_size=list_size)
     assert np.array_equal(sliced["candidates"], whole["candidates"])
     assert np.allclose(sliced["so"], whole["so"], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("list_size", [1, 3])
+def test_gcd_passes_keep_every_bit(monkeypatch, block_cases, list_size):
+    # a pass of one sum block, of two (the default) and of the whole budget
+    # add the same floats in the same order; 100,000 queries end on a short
+    # block inside the last pass
+    for name, spec, lo in block_cases[1:3]:
+        for budget in (5000, 1 << 16, 100_000):
+            cols = []
+            for blocks in (1, 2, -(-budget // outer._CHUNK)):
+                monkeypatch.setattr(outer, "_PASS_BLOCKS", blocks)
+                cols.append(gcd_decode_block(lo, spec, max_queries=budget,
+                                             list_size=list_size))
+            for got in cols[1:]:
+                for key in ("count", "candidates", "so", "queries"):
+                    assert got[key].dtype == cols[0][key].dtype, (name, budget, key)
+                    assert np.array_equal(got[key], cols[0][key]), (name, budget, key)
+
+
+def test_gcd_memory_stays_bounded_by_the_pass():
+    # the scratch a decode allocates grows with the pass, not the budget:
+    # with the schedule cached, a 2^20-query decode of two rows peaks at
+    # ~1.8 MB, where passes of four blocks would take ~3.5 MB and one
+    # whole-budget pass ~88 MB
+    lo = crc_failing_outer_llrs(2)
+    outer._schedule(lo.shape[1] - CRC24C.degree, 1 << 20)
+    tracemalloc.start()
+    try:
+        gcd_decode_block(lo, CRC24C, max_queries=1 << 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20, peak
 
 
 def test_results_never_depend_on_the_schedule_cache(monkeypatch):
