@@ -19,8 +19,12 @@ block):
 
 - ``count`` (n,) int: candidates found; 0 means none within the budget;
 - ``candidates`` (n, w, K) uint8: the CRC codewords, zero past ``count``;
-- ``so`` (n, w) float64: their soft outputs, zero past ``count``;
+- ``so`` (n, w) float64: their soft outputs, zero past ``count``; only
+  with ``soft=True`` (the default), since a caller that reads no soft output
+  need not pay for the likelihood sums behind it;
 - ``queries`` (n,) int64: pattern queries made.
+
+``soft=False`` leaves every other column exactly as it is.
 
 A row comes out bit for bit as it does in a block of that row alone.
 """
@@ -246,15 +250,19 @@ def _flip_masks(planes: np.ndarray, at: np.ndarray, k: int) -> np.ndarray:
 
 
 def _columns(hard: np.ndarray, perm: np.ndarray, flips: np.ndarray,
-             count: np.ndarray, so: np.ndarray, queries: np.ndarray) -> dict:
-    """The guessers' per-row columns.  Candidate j of row t is that row's
-    hard decision with position perm[t, i] flipped wherever flips[t, j, i]
-    is set; candidates and soft outputs past ``count`` read 0."""
+             count: np.ndarray, so: np.ndarray | None, queries: np.ndarray) -> dict:
+    """The guessers' per-row columns, ``so`` left out when None.  Candidate
+    j of row t is that row's hard decision with position perm[t, i] flipped
+    wherever flips[t, j, i] is set; candidates and soft outputs past
+    ``count`` read 0."""
     mask = np.zeros_like(flips)
     np.put_along_axis(mask, np.broadcast_to(perm[:, None, :], flips.shape), flips, axis=2)
     words = hard[:, None, :] ^ mask
     words[np.arange(flips.shape[1]) >= count[:, None]] = 0
-    return {"count": count, "candidates": words, "so": so, "queries": queries}
+    cols = {"count": count, "candidates": words, "so": so, "queries": queries}
+    if so is None:
+        del cols["so"]
+    return cols
 
 
 # patterns x rows that sogrand_decode_block gathers at once: each temporary
@@ -264,7 +272,7 @@ _GATHER_CELLS = 1 << 16
 
 def sogrand_decode_block(llr: np.ndarray, spec: CrcSpec,
                          max_queries: int = 1 << 16, list_size: int = 1,
-                         max_weight: int | None = None) -> dict:
+                         max_weight: int | None = None, soft: bool = True) -> dict:
     """Guess error patterns around the hard decision of each row of a
     (trials, K) block.
 
@@ -281,7 +289,8 @@ def sogrand_decode_block(llr: np.ndarray, spec: CrcSpec,
     share each round's window of the schedule, whose byte planes are
     gathered once for all of them; a row leaves at its ``list_size``-th hit.
     Returns the per-row columns of the module docstring; each row is what a
-    block of that row alone gives.
+    block of that row alone gives.  ``soft=False`` skips the queried mass
+    and R, and returns no ``so``.
     """
     llr, max_queries, list_size = _checked_block(
         llr, spec, max_queries, list_size, "sogrand_decode_block")
@@ -325,7 +334,8 @@ def sogrand_decode_block(llr: np.ndarray, spec: CrcSpec,
                 needed = list_size - n_hits[t]
                 hits = np.flatnonzero(hit[i])[:needed]
                 take = int(hits[-1]) + 1 if len(hits) == needed else width
-                queried_mass[t] += float(np.exp(lp[i, :take]).sum())
+                if soft:
+                    queried_mass[t] += float(np.exp(lp[i, :take]).sum())
                 hit_row += [t] * len(hits)
                 hit_slot += range(n_hits[t], n_hits[t] + len(hits))
                 hit_at += (queries + hits).tolist()
@@ -343,11 +353,25 @@ def sogrand_decode_block(llr: np.ndarray, spec: CrcSpec,
     phi[hit_row, hit_slot] = np.exp(hit_lp)
     at = np.zeros((n, w), dtype=np.intp)
     at[hit_row, hit_slot] = hit_at
+    # best first; a stable sort of -phi keeps the order found among equal
+    # likelihoods, and the padding after every real hit
+    rank = np.argsort(-phi, axis=1, kind="stable")
+    at = np.take_along_axis(at, rank, axis=1)
+    so = _sogrand_so(phi, rank, count, queried_mass, used, k, spec.degree) if soft else None
+    # the cached schedule, which holds every row queried
+    planes = _schedule(k, int(at.max(initial=0)) + 1)
+    return _columns(hard, order, _flip_masks(planes, at, k), count, so, used)
 
+
+def _sogrand_so(phi: np.ndarray, rank: np.ndarray, count: np.ndarray,
+                queried_mass: np.ndarray, used: np.ndarray, k: int, degree: int):
+    """sogrand's soft outputs, best first by ``rank``: phi over the list's
+    phi sum plus R, from the (n, w) hit likelihoods in the order found."""
+    n = len(count)
     # each row's phi sum adds just its own hits, in the order found: the
     # zero padding would change how numpy pairs the terms of a long row
     phi_sum = np.zeros(n)
-    for c in set(n_hits) - {0}:
+    for c in set(count.tolist()) - {0}:
         rows = count == c
         phi_sum[rows] = phi[rows, :c].sum(axis=1)
     remaining = np.maximum(0.0, 1.0 - queried_mass)
@@ -356,19 +380,12 @@ def sogrand_decode_block(llr: np.ndarray, spec: CrcSpec,
     s = max(0, k - 1000)
     unqueried = np.ldexp(1.0, k - s) - np.ldexp(used, -s)
     r_term = np.zeros(n)
-    np.divide(remaining * (np.ldexp(1.0, k - spec.degree - s) - np.ldexp(count, -s)),
+    np.divide(remaining * (np.ldexp(1.0, k - degree - s) - np.ldexp(count, -s)),
               unqueried, out=r_term, where=unqueried > 0)
     denom = phi_sum + np.maximum(0.0, r_term)
-    so = np.zeros((n, w))
+    so = np.zeros_like(phi)
     np.divide(phi, denom[:, None], out=so, where=denom[:, None] > 0.0)
-    # best first; a stable sort of -phi keeps the order found among equal
-    # likelihoods, and the padding after every real hit
-    rank = np.argsort(-phi, axis=1, kind="stable")
-    at = np.take_along_axis(at, rank, axis=1)
-    so = np.take_along_axis(so, rank, axis=1)
-    # the cached schedule, which holds every row queried
-    planes = _schedule(k, int(at.max(initial=0)) + 1)
-    return _columns(hard, order, _flip_masks(planes, at, k), count, so, used)
+    return np.take_along_axis(so, rank, axis=1)
 
 
 def _parity_split(cols: np.ndarray, syn: np.ndarray, order: np.ndarray, r: int):
@@ -453,7 +470,7 @@ def _merge_best(best, lp: np.ndarray, lo: int, list_size: int):
 
 def gcd_decode_block(llr: np.ndarray, spec: CrcSpec,
                      max_queries: int = 1 << 16, list_size: int = 1,
-                     max_weight: int | None = None) -> dict:
+                     max_weight: int | None = None, soft: bool = True) -> dict:
     """Guess only the reliable bits of each row of a (trials, K) block;
     solve the unreliable ones from parity.
 
@@ -472,6 +489,8 @@ def gcd_decode_block(llr: np.ndarray, spec: CrcSpec,
     length, so each pass over it is converted to index planes once and
     scored for every row in turn.  Returns the per-row columns of the
     module docstring; each row is what a block of that row alone gives.
+    ``soft=False`` skips both mass sums, two ``exp`` passes per query block,
+    and returns no ``so``; the candidates come from the same lp either way.
     """
     llr, max_queries, list_size = _checked_block(
         llr, spec, max_queries, list_size, "gcd_decode_block")
@@ -482,11 +501,12 @@ def gcd_decode_block(llr: np.ndarray, spec: CrcSpec,
     hard, mag, order, log_keep, cols, syn_hard = _reliability(llr, spec)
     if n == 0:
         return _columns(hard, order, np.zeros((0, 1, k), np.uint8), np.zeros(0, np.int64),
-                        np.zeros((0, 1)), np.zeros(0, np.int64))
+                        np.zeros((0, 1)) if soft else None, np.zeros(0, np.int64))
     solved, guessed, comb_s, comb_hard = _parity_split(cols[order], syn_hard, order, r)
     mag_s = np.take_along_axis(mag, guessed, axis=1)
     mag_p = np.take_along_axis(mag, solved, axis=1)
-    log_keep_s = -np.logaddexp(0.0, -mag_s).sum(axis=1)
+    if soft:
+        log_keep_s = -np.logaddexp(0.0, -mag_s).sum(axis=1)
 
     # the P flips are a linear image of the syndrome, so each S flip maps to
     # the P combination that cancels its column and a query's P flips are
@@ -519,9 +539,10 @@ def gcd_decode_block(llr: np.ndarray, spec: CrcSpec,
                     cost_p[:c], tmp[:c])
             np.subtract(log_keep[t], cost_s[:c], out=lp[:c])
             np.subtract(lp[:c], cost_p[:c], out=lp[:c])
-            phi_sum[t] = _add_blocks(phi_sum[t], np.exp(lp[:c], out=tmp[:c]), _CHUNK)
-            np.subtract(log_keep_s[t], cost_s[:c], out=tmp[:c])
-            psi_sum[t] = _add_blocks(psi_sum[t], np.exp(tmp[:c], out=tmp[:c]), _CHUNK)
+            if soft:
+                phi_sum[t] = _add_blocks(phi_sum[t], np.exp(lp[:c], out=tmp[:c]), _CHUNK)
+                np.subtract(log_keep_s[t], cost_s[:c], out=tmp[:c])
+                psi_sum[t] = _add_blocks(psi_sum[t], np.exp(tmp[:c], out=tmp[:c]), _CHUNK)
             best[t] = _merge_best(best[t], lp[:c], lo, list_size)
 
     # every query is a codeword, so every row lists min(list_size, queries)
@@ -533,9 +554,11 @@ def gcd_decode_block(llr: np.ndarray, spec: CrcSpec,
     p_comb = comb_hard[:, None] ^ np.bitwise_xor.reduce(
         np.where(s_flips.astype(bool), comb_s[:, None, :], 0), axis=2)
     p_flips = _unpack(p_comb, r)
-    denom = phi_sum + np.maximum(0.0, 1.0 - psi_sum)
-    so = np.zeros((n, w))
-    np.divide(np.exp(log_phi), denom[:, None], out=so, where=denom[:, None] > 0.0)
+    so = None
+    if soft:
+        denom = phi_sum + np.maximum(0.0, 1.0 - psi_sum)
+        so = np.zeros((n, w))
+        np.divide(np.exp(log_phi), denom[:, None], out=so, where=denom[:, None] > 0.0)
     return _columns(hard, np.concatenate((guessed, solved), axis=1),
                     np.concatenate((s_flips, p_flips), axis=2), np.full(n, w), so,
                     np.full(n, queries, dtype=np.int64))

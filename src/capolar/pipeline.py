@@ -99,7 +99,8 @@ def apply_threshold(cols: dict, epsilon: float):
     return accepted, ~accepted & threshold_test(cols["alt_so"], epsilon)
 
 
-def decide_block(sel: dict, llr: np.ndarray | None, cfg: PipelineConfig) -> dict:
+def decide_block(sel: dict, llr: np.ndarray | None, cfg: PipelineConfig,
+                 soft: bool = True) -> dict:
     """Decide each trial of a block whose inner stage already ran.
 
     ``sel`` is ``ca_select_batch`` of the block, ``llr`` its (trials, N)
@@ -113,16 +114,24 @@ def decide_block(sel: dict, llr: np.ndarray | None, cfg: PipelineConfig) -> dict
     ``alt_message``, ``alt_so`` and ``alt_queries`` (zero if not retried);
     ``found``, ``pass_count`` and ``so_forney`` from ``sel``.  A retry is
     taken only over an SO >= 0, so it is always an outer decision.
+
+    ``soft=False`` leaves out ``so`` and ``alt_so``, and the outer stage
+    computes no soft output; every other column is unchanged.  A retry is
+    judged by its SO, so it refuses ``cfg.retry_on_threshold_fail``.
     """
+    if not soft and cfg.retry_on_threshold_fail:
+        raise ValueError("a retry is judged by its soft output, which soft=False leaves out")
     m = cfg.m_msg
     found = sel["found"]
     n = len(found)
-    cols = {"message": sel["message"][:, :m].copy(), "so": sel["so"].copy(),
+    cols = {"message": sel["message"][:, :m].copy(),
             "origin": np.where(found, INNER, FALLBACK).astype(np.uint8),
             "queries": np.zeros(n, dtype=np.int64), "retried": np.zeros(n, dtype=bool),
-            "alt_message": np.zeros((n, m), dtype=np.uint8), "alt_so": np.zeros(n),
+            "alt_message": np.zeros((n, m), dtype=np.uint8),
             "alt_queries": np.zeros(n, dtype=np.int64), "found": found,
             "pass_count": sel["pass_count"], "so_forney": sel["so_forney"]}
+    if soft:
+        cols["so"], cols["alt_so"] = sel["so"].copy(), np.zeros(n)
     if llr is None:
         return cols
     llr = np.asarray(llr, dtype=np.float64)
@@ -136,17 +145,20 @@ def decide_block(sel: dict, llr: np.ndarray | None, cfg: PipelineConfig) -> dict
     lo = outer_llr(llr[rows], cfg.code)
     decode = gcd_decode_block if cfg.outer_decoder == "gcd" else sogrand_decode_block
     out = decode(lo, cfg.spec, max_queries=cfg.outer_max_queries,
-                 list_size=cfg.outer_list_size, max_weight=cfg.outer_max_weight)
+                 list_size=cfg.outer_list_size, max_weight=cfg.outer_max_weight, soft=soft)
     # the best candidate, or the hard decision with zero confidence
     # ("fallback") when the guesser found nothing within its budget
     hit = out["count"] > 0
-    message = np.where(hit[:, None], out["candidates"][:, 0, :m], hard_decision(lo)[:, :m])
-    so, queries = out["so"][:, 0], out["queries"]
+    decided = {"message": np.where(hit[:, None], out["candidates"][:, 0, :m],
+                                   hard_decision(lo)[:, :m]),
+               "queries": out["queries"]}
+    if soft:
+        decided["so"] = out["so"][:, 0]
 
     # a CRC failure takes the outer decision, a retry its alt columns
     again = found[rows]
     for mask, prefix in ((~again, ""), (again, "alt_")):
-        for key, col in (("message", message), ("so", so), ("queries", queries)):
+        for key, col in decided.items():
             cols[prefix + key][rows[mask]] = col[mask]
     cols["origin"][rows[~again]] = np.where(hit[~again], OUTER, FALLBACK)
     return cols

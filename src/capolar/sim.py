@@ -14,8 +14,9 @@ batch order: tallies for bler and uer, bin counts and sums for calibrate,
 sorted-|LLR| sums for diag-llr.  bler and uer share one tally rule,
 ``_tally``: a decision is accepted (bler accepts every decision the decoder
 emits, uer applies each threshold of the grid), else its retry is taken,
-else it is erased, and an emitted wrong word is an undetected error.  No
-per-trial column outlives its batch.
+else it is erased, and an emitted wrong word is an undetected error.  bler
+reads no soft output, so its outer stage computes none (``soft=False``);
+uer and calibrate read the SO.  No per-trial column outlives its batch.
 
 Output is RFC 4180 CSV plus a JSON sidecar carrying the full configuration,
 seed, and wall times; wall times stay out of the CSV so the CSV stays
@@ -196,20 +197,21 @@ def _trial_wave(cfg: SimConfig, snr_db: float, trials):
     return msgs, saturate_llr(llr_from_channel(y, params))
 
 
-def _decide_batch(args):
+def _decide_batch(args, soft=True):
     """Per-trial decision columns for one batch of the bler, calibrate and
     uer tables.
 
-    ``decide_block``'s columns plus ``correct`` and ``alt_correct``, whether
-    the decision and the retry equal the sent message.  Under ``ca_scl`` no
-    outer stage runs and a CRC failure, no decision, is never correct.
+    ``decide_block``'s columns, without ``so`` and ``alt_so`` unless
+    ``soft``, plus ``correct`` and ``alt_correct``, whether the decision and
+    the retry equal the sent message.  Under ``ca_scl`` no outer stage runs
+    and a CRC failure, no decision, is never correct.
     """
     cfg, snr_db, start, count = args
     msgs, llr = _trial_wave(cfg, snr_db, range(start, start + count))
     sel = ca_select_batch(scl_decode_batch(llr, cfg.pipe.code, cfg.pipe.list_size),
                           cfg.pipe.spec)
     outer = cfg.decoder == "cca_scl"
-    cols = decide_block(sel, llr if outer else None, cfg.pipe)
+    cols = decide_block(sel, llr if outer else None, cfg.pipe, soft=soft)
     cols["correct"] = (cols["message"] == msgs).all(axis=1) & (cols["found"] | outer)
     cols["alt_correct"] = (cols["alt_message"] == msgs).all(axis=1) & cols["retried"]
     return cols
@@ -221,7 +223,9 @@ def _tally(cols, accepted, retry_taken):
     rescues, outer queries).  An accepted decision or a taken retry is
     emitted, and wrong if it is not the sent message; the rest are erased.
     Every CRC failure is an outer decision under ``cca_scl``, and has no
-    queries under ``ca_scl``, so queries / CRC failures is their mean."""
+    queries under ``ca_scl``, so queries / CRC failures is their mean.
+    Reads no soft output: the SO enters only through ``accepted`` and
+    ``retry_taken``, and bler accepts every decision."""
     correct, failed = cols["correct"], ~cols["found"]
     undetected = (accepted & ~correct) | (retry_taken & ~cols["alt_correct"])
     return np.array([len(correct), (~correct).sum(), undetected.sum(),
@@ -232,8 +236,8 @@ def _tally(cols, accepted, retry_taken):
 def _table_batch(args, epsilons=None):
     """The batch's tallies, one row per threshold of ``epsilons`` (uer); or
     one row that accepts every decision (bler), where a ``ca_scl`` CRC
-    failure is the only erasure."""
-    cols = _decide_batch(args)
+    failure is the only erasure and no soft output is computed."""
+    cols = _decide_batch(args, soft=epsilons is not None)
     if epsilons is None:
         accepted = cols["found"] | (args[0].decoder == "cca_scl")
         return _tally(cols, accepted, np.zeros_like(accepted))[None]

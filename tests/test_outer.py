@@ -688,12 +688,16 @@ def test_block_decoders_match_reference_and_single_rows(block, single, reference
     # every row of a block decodes exactly as a block of that row alone,
     # soft outputs bit for bit, and as the query-at-a-time reference; an
     # F-ordered block (outer_llr's own output is not C-ordered) gives the
-    # same columns
+    # same columns; soft=False gives the same columns but ``so``
     for name, spec, lo in block_cases:
         got = block(lo, spec, **kwargs)
         check_columns(got, *lo.shape)
         got_f = block(np.asfortranarray(lo), spec, **kwargs)
         assert all(np.array_equal(got_f[key], got[key]) for key in got), name
+        hard = block(lo, spec, soft=False, **kwargs)
+        assert "so" not in hard and hard.keys() == got.keys() - {"so"}, name
+        assert all(hard[key].dtype == got[key].dtype and np.array_equal(hard[key], got[key])
+                   for key in ("count", "candidates", "queries")), name
         for t, row in enumerate(lo):
             out = row_of(got, t)
             assert same_row(out, single(row, spec, **kwargs)), (name, t)

@@ -226,6 +226,33 @@ def test_retry_keeps_better_decision():
     assert kept["alt_queries"][0] == 0 and not kept["alt_message"].any()
 
 
+@pytest.mark.parametrize("outer", ["sogrand", "gcd"])
+def test_decide_block_without_soft_outputs(outer, monkeypatch):
+    # soft=False drops so and alt_so and leaves every other column as it is,
+    # with and without the outer stage; a retry needs the SO, so it is
+    # refused before any outer call
+    cfg = PipelineConfig(CODE, SPEC, 4, outer_decoder=outer, outer_max_queries=1 << 10,
+                         outer_list_size=2)
+    llrs = np.stack([noisy_llr(23, t, params=ChannelParams(2.0, DIMS.rate))[1]
+                     for t in range(40)])
+    sel = ca_select_batch(scl_decode_batch(llrs, CODE, 4), SPEC)
+    assert (~sel["found"]).any() and sel["found"].any()
+    for llr in (llrs, None):
+        full = decide_block(sel, llr, cfg)
+        bare = decide_block(sel, llr, cfg, soft=False)
+        assert bare.keys() == full.keys() - {"so", "alt_so"}
+        for key, col in bare.items():
+            assert col.dtype == full[key].dtype and np.array_equal(col, full[key]), key
+
+    def no_outer(*args):
+        raise AssertionError("the outer stage ran")
+
+    monkeypatch.setattr("capolar.pipeline.outer_llr", no_outer)
+    retry = replace(cfg, epsilon=1e-2, retry_on_threshold_fail=True)
+    with pytest.raises(ValueError, match="soft"):
+        decide_block(sel, llrs, retry, soft=False)
+
+
 def test_decide_block_refuses_mismatched_llrs():
     # the selection's rows and the channel LLRs must be the same trials, N
     # wide: the K outer LLRs, or another block, would decode without complaint

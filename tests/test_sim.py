@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import capolar.pipeline
 from capolar.channel import (ChannelParams, llr_from_channel, message_rng,
                              modulate, noise_rng, saturate_llr, transmit)
 from capolar.outer import gcd_decode_block, hard_decision, outer_llr, sogrand_decode_block
@@ -17,6 +18,8 @@ from capolar.sim import (
     SCHEMA_VERSION,
     SimConfig,
     _decide_batch,
+    _table_batch,
+    _tally,
     _trial_wave,
     run_bler_sweep,
     run_calibration,
@@ -295,6 +298,38 @@ def test_calibration_never_runs_the_outer_stage(tmp_path, monkeypatch):
                                   out_stem=decoder))
         outs.append((tmp_path / f"{decoder}.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("outer", ["gcd", "sogrand"])
+@pytest.mark.parametrize("systematic", [False, True])
+def test_bler_asks_the_guessers_for_no_soft_output(tmp_path, monkeypatch, outer,
+                                                   systematic):
+    # bler reads no SO, so its outer stage computes none; uer reads it.  Each
+    # bler batch must tally as the decisions with their SO computed do
+    calls = []
+
+    def recording(decode):
+        def wrapped(*args, **kwargs):
+            calls.append(kwargs.get("soft", True))
+            return decode(*args, **kwargs)
+        return wrapped
+
+    for name in ("gcd_decode_block", "sogrand_decode_block"):
+        monkeypatch.setattr(f"capolar.pipeline.{name}",
+                            recording(getattr(capolar.pipeline, name)))
+    cfg = small_cfg(tmp_path, outer_decoder=outer, outer_list_size=2, systematic=systematic,
+                    snr_grid_db=(1.0,), trials=1024)
+    run_bler_sweep(cfg)
+    assert calls and set(calls) == {False}
+    calls.clear()
+    run_uer_sweep(dataclasses.replace(cfg, epsilon_grid=(1e-1, 1e-3),
+                                      retry_on_threshold_fail=True))
+    assert calls and set(calls) == {True}
+    for start in range(0, 1024, 256):
+        args = (cfg, 1.0, start, 256)
+        cols = _decide_batch(args)
+        want = _tally(cols, np.ones(256, dtype=bool), np.zeros(256, dtype=bool))
+        assert np.array_equal(_table_batch(args), want[None]), start
 
 
 def test_rerun_is_byte_identical(tmp_path):
