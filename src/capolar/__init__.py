@@ -13,8 +13,8 @@ from .crc import (CRC6, CRC11, CRC24C, CrcSpec, crc_encode, crc_spec_for,
 from .analysis import bit_prob, convert_llr, pair_covariance
 from .outer import (gcd_decode_block, hard_decision, orbgrand_schedule,
                     outer_llr, sogrand_decode_block)
-from .pipeline import (ORIGINS, DecodeResult, PipelineConfig, apply_threshold,
-                       cca_scl_decode, decide_block, threshold_test)
+from .pipeline import (ORIGINS, PipelineConfig, apply_threshold, decide_block,
+                       threshold_test)
 from .polar import (CodeDims, PolarCode, ca_encode, construct_polar,
                     encode_nonsystematic, encode_systematic, polar_transform)
 from .reliability import bhattacharyya_order, sequence_for
@@ -33,8 +33,8 @@ __all__ = [
     "bit_prob", "convert_llr", "pair_covariance",
     "hard_decision", "orbgrand_schedule", "outer_llr", "sogrand_decode_block",
     "gcd_decode_block",
-    "DecodeResult", "PipelineConfig", "ORIGINS", "apply_threshold",
-    "cca_scl_decode", "decide_block", "threshold_test",
+    "PipelineConfig", "ORIGINS", "apply_threshold", "decide_block",
+    "threshold_test",
     "CodeDims", "PolarCode", "ca_encode", "construct_polar",
     "encode_nonsystematic", "encode_systematic", "polar_transform",
     "bhattacharyya_order", "sequence_for",

@@ -10,6 +10,7 @@ epsilon values accept ``10^-1.5`` alongside plain floats.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Callable, NamedTuple
 
@@ -35,18 +36,22 @@ def _parse_dims(text: str) -> CodeDims:
 
 
 def _parse_count(text: str) -> int:
-    n = int(float(text))
-    if float(text) != n:
-        raise ValueError(f"{text!r} is not a whole number")
-    return n
+    value = float(text)
+    if not value.is_integer():  # fractions, inf and NaN
+        raise ValueError(f"{text!r} is not a finite whole number")
+    return int(value)
 
 
 def _parse_value(tok: str) -> float:
-    tok = tok.strip()
-    if "^" in tok:
-        base, exp = tok.split("^", 1)
-        return float(base) ** float(exp)
-    return float(tok)
+    """A finite real number, plain or as base^exponent."""
+    base, caret, exp = tok.strip().partition("^")
+    try:
+        value = math.pow(float(base), float(exp)) if caret else float(base)
+    except (OverflowError, ValueError):  # too large, complex, or not a number
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{tok.strip()!r} is not a finite real number")
+    return value
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:

@@ -8,25 +8,24 @@ threshold on the blockwise soft output turns low-confidence decisions into
 flagged erasures, with an optional single retry through the outer decoder
 when the inner decision is the one that failed the test.
 
-``decide_block`` decides a block of trials whose inner stage already ran,
-in one outer block; ``apply_threshold`` is the threshold rule on its
-columns.  Every sweep decides, and the UER sweep thresholds, through them;
-``cca_scl_decode`` is both on one row.
+A decision is a row of ``decide_block``'s columns: it decides a block of
+trials whose inner stage already ran, in one outer block.
+``apply_threshold`` is the one erasure rule on those columns.  Every sweep
+decides, and the UER sweep thresholds, through them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .crc import CrcSpec
 from .outer import gcd_decode_block, hard_decision, outer_llr, sogrand_decode_block
 from .polar import PolarCode, _checked_int
-from .scl import ca_select_batch, scl_decode_batch
 
-__all__ = ["PipelineConfig", "DecodeResult", "ORIGINS", "threshold_test",
-           "apply_threshold", "decide_block", "cca_scl_decode"]
+__all__ = ["PipelineConfig", "ORIGINS", "threshold_test", "apply_threshold",
+           "decide_block"]
 
 # the origin column's codes: ORIGINS[code] names the stage that decided
 ORIGINS = ("inner", "outer", "fallback")
@@ -40,8 +39,7 @@ class PipelineConfig:
     code: PolarCode
     spec: CrcSpec
     list_size: int
-    epsilon: float | None = None
-    retry_on_threshold_fail: bool = False
+    retry_epsilon: float | None = None  # retry inner decisions failing this threshold
     outer_max_queries: int = 1 << 16
     outer_list_size: int = 1
     outer_max_weight: int | None = None
@@ -59,29 +57,14 @@ class PipelineConfig:
             raise ValueError(
                 f"{self.spec.degree} parity bits leave no message in {k} info bits"
             )
-        if self.epsilon is None:
-            if self.retry_on_threshold_fail:
-                raise ValueError("retry_on_threshold_fail needs a threshold epsilon")
-        elif not 0.0 <= self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in [0, 1)")
+        if self.retry_epsilon is not None and not 0.0 <= self.retry_epsilon < 1.0:
+            raise ValueError("retry_epsilon must lie in [0, 1)")
         if self.outer_decoder not in ("sogrand", "gcd"):
             raise ValueError(f"unknown outer decoder {self.outer_decoder!r}")
 
     @property
     def m_msg(self) -> int:
         return len(self.code.info) - self.spec.degree
-
-
-@dataclass(frozen=True)
-class DecodeResult:
-    """One decision: the message, its confidence, and where it came from."""
-
-    message: np.ndarray
-    so: float
-    origin: str  # one of ORIGINS
-    erased: bool
-    inner_pass_count: int
-    outer_queries: int
 
 
 def threshold_test(so, epsilon: float):
@@ -105,9 +88,9 @@ def decide_block(sel: dict, llr: np.ndarray | None, cfg: PipelineConfig,
 
     ``sel`` is ``ca_select_batch`` of the block, ``llr`` its (trials, N)
     channel LLRs, or None for plain CA-SCL (no outer stage: a CRC failure
-    is no decision).  The CRC failures and, under
-    ``cfg.retry_on_threshold_fail``, the inner decisions that fail
-    ``threshold_test`` at ``cfg.epsilon`` are outer decoded in one block.
+    is no decision).  The CRC failures and, unless ``cfg.retry_epsilon`` is
+    None, the inner decisions that fail ``threshold_test`` at it are outer
+    decoded in one block.  NaN LLRs are refused.
 
     Returns per-row columns: ``message``, ``so``, ``origin`` (ORIGINS
     codes) and ``queries`` of the decision; ``retried`` and the retry's
@@ -117,9 +100,9 @@ def decide_block(sel: dict, llr: np.ndarray | None, cfg: PipelineConfig,
 
     ``soft=False`` leaves out ``so`` and ``alt_so``, and the outer stage
     computes no soft output; every other column is unchanged.  A retry is
-    judged by its SO, so it refuses ``cfg.retry_on_threshold_fail``.
+    judged by its SO, so it refuses a ``cfg.retry_epsilon``.
     """
-    if not soft and cfg.retry_on_threshold_fail:
+    if not soft and cfg.retry_epsilon is not None:
         raise ValueError("a retry is judged by its soft output, which soft=False leaves out")
     m = cfg.m_msg
     found = sel["found"]
@@ -138,8 +121,10 @@ def decide_block(sel: dict, llr: np.ndarray | None, cfg: PipelineConfig,
     if llr.shape != (n, cfg.code.n_code):
         raise ValueError(f"expected the ({n}, {cfg.code.n_code}) channel LLRs of the "
                          f"selection's trials, got shape {llr.shape}")
-    if cfg.retry_on_threshold_fail:
-        cols["retried"] = found & ~threshold_test(cols["so"], cfg.epsilon)
+    if np.isnan(llr).any():
+        raise ValueError("channel LLRs contain NaN")
+    if cfg.retry_epsilon is not None:
+        cols["retried"] = found & ~threshold_test(cols["so"], cfg.retry_epsilon)
     rows = np.flatnonzero(~found | cols["retried"])
 
     lo = outer_llr(llr[rows], cfg.code)
@@ -163,30 +148,3 @@ def decide_block(sel: dict, llr: np.ndarray | None, cfg: PipelineConfig,
     cols["origin"][rows[~again]] = np.where(hit[~again], OUTER, FALLBACK)
     return cols
 
-
-def cca_scl_decode(llr: np.ndarray, cfg: PipelineConfig) -> DecodeResult:
-    """Decode one word end to end: ``decide_block`` and ``apply_threshold``
-    on a single row.
-
-    Never raises on a valid config and N LLRs without NaN.
-    """
-    llr = np.asarray(llr, dtype=np.float64)
-    if llr.ndim != 1:
-        raise ValueError(f"cca_scl_decode takes one word of channel LLRs, got shape {llr.shape}")
-    sel = ca_select_batch(scl_decode_batch(llr, cfg.code, cfg.list_size), cfg.spec)
-    cols = decide_block(sel, llr[None], cfg)
-    row = {key: col[0] for key, col in cols.items()}
-    pass_count = int(row["pass_count"])
-    queries = int(row["queries"] + row["alt_queries"])
-    own = DecodeResult(row["message"], float(row["so"]), ORIGINS[row["origin"]], False,
-                       pass_count, queries)
-    if cfg.epsilon is None:
-        return own
-    accepted, retry_taken = (bool(mask[0]) for mask in apply_threshold(cols, cfg.epsilon))
-    if accepted:
-        return own
-    if retry_taken or row["alt_so"] > row["so"]:
-        # an erased retry still shows the better of the two words
-        return DecodeResult(row["alt_message"], float(row["alt_so"]), "outer",
-                            not retry_taken, pass_count, queries)
-    return replace(own, erased=True)

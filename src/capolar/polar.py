@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crc import CrcSpec, crc_encode, crc_spec_for
+from .crc import CrcSpec, crc_encode
 from .reliability import bhattacharyya_order, sequence_for
 
 __all__ = [
@@ -68,17 +68,6 @@ class CodeDims:
     def rate(self) -> float:
         """Overall rate M/N used for Eb/N0 accounting."""
         return self.m_msg / self.n_code
-
-    def crc_spec(self, poly=None) -> CrcSpec:
-        """CRC matching K - M parity bits, or an explicit polynomial."""
-        if poly is not None:
-            spec = CrcSpec(tuple(int(c) for c in poly))
-            if spec.degree != self.parity_bits:
-                raise ValueError(
-                    f"polynomial degree {spec.degree} != K - M = {self.parity_bits}"
-                )
-            return spec
-        return crc_spec_for(self.parity_bits)
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,7 @@ from .channel import ChannelParams, llr_from_channel, message_rng, modulate, tra
 from .crc import CRC6, CRC11, CRC24C, crc_encode, crc_syndrome
 from .analysis import pair_covariance
 from .outer import gcd_decode_block, orbgrand_schedule, outer_llr, sogrand_decode_block
-from .pipeline import PipelineConfig, cca_scl_decode
+from .pipeline import INNER, decide_block
 from .polar import (CodeDims, ca_encode, construct_polar, encode_systematic,
                     polar_transform)
 from .scl import ca_select_batch, scl_decode_batch
@@ -224,22 +224,22 @@ def _check_gcd_posterior():
 
 
 def _check_pipeline_totality():
-    code = construct_polar(64, 48)
-    cfg = PipelineConfig(code, CRC24C, 4)
-    dims = CodeDims(64, 48, 24)
-    params = ChannelParams(0.0, dims.rate)
-    seed = 13
-    for t in range(60):
-        msg = message_rng(seed, t).integers(0, 2, 24).astype(np.uint8)
-        y = transmit(modulate(ca_encode(msg, code, CRC24C)), params, seed, t)
-        res = cca_scl_decode(llr_from_channel(y, params), cfg)
-        if res.message.shape != (24,) or not 0.0 <= res.so <= 1.0 + 1e-12:
-            return False, f"trial {t}: malformed result"
-    clean = cca_scl_decode(
-        llr_from_channel(modulate(ca_encode(msg, code, CRC24C)), params), cfg)
-    if clean.origin != "inner" or not np.array_equal(clean.message, msg):
+    # 60 noisy trials and, as one more row of the block, the last one's
+    # codeword sent without noise
+    cfg = SimConfig(CodeDims(64, 48, 24), (0.0,), list_size=4, master_seed=13)
+    code, spec = cfg.pipe.code, cfg.pipe.spec
+    msgs, llr = _trial_wave(cfg, 0.0, range(60))
+    clean = llr_from_channel(modulate(ca_encode(msgs[-1], code, spec)),
+                             ChannelParams(0.0, cfg.dims.rate))
+    llr = np.vstack([llr, clean])
+    sel = ca_select_batch(scl_decode_batch(llr, code, cfg.list_size), spec)
+    cols = decide_block(sel, llr, cfg.pipe)
+    if cols["message"].shape != (61, 24) or not (
+            (cols["so"] >= 0.0) & (cols["so"] <= 1.0 + 1e-12)).all():
+        return False, "malformed decisions"
+    if cols["origin"][-1] != INNER or not np.array_equal(cols["message"][-1], msgs[-1]):
         return False, "noiseless decode failed"
-    return True, "60 noisy + 1 noiseless trials, decision always emitted"
+    return True, "60 noisy + 1 noiseless trials in one block, decision always emitted"
 
 
 CHECKS = [

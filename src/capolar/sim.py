@@ -74,10 +74,10 @@ class SimConfig:
 
     Construction also builds and checks ``pipe``, the ``PipelineConfig`` of
     the code, the default CRC of its parity length, the list size and the
-    outer settings; with ``retry_on_threshold_fail`` its threshold is the
-    strictest of the grid, ``min(epsilon_grid)``.  ``pipe`` is a plain
-    attribute, not a field, so ``asdict`` and the JSON sidecar leave it out
-    and ``replace`` builds it anew.
+    outer settings; with ``retry_on_threshold_fail`` its ``retry_epsilon``
+    is the strictest threshold of the grid, ``min(epsilon_grid)``.  ``pipe``
+    is a plain attribute, not a field, so ``asdict`` and the JSON sidecar
+    leave it out and ``replace`` builds it anew.
     """
 
     dims: CodeDims
@@ -126,11 +126,10 @@ class SimConfig:
             raise ValueError("retry_on_threshold_fail needs an epsilon grid")
         code = construct_polar(self.dims.n_code, self.dims.k_crc,
                                method=self.method, systematic=self.systematic)
-        retry = self.retry_on_threshold_fail
         object.__setattr__(self, "pipe", PipelineConfig(
             code, crc_spec_for(self.dims.parity_bits), self.list_size,
-            epsilon=min(self.epsilon_grid) if retry else None,
-            retry_on_threshold_fail=retry, outer_max_queries=self.outer_max_queries,
+            retry_epsilon=min(self.epsilon_grid) if self.retry_on_threshold_fail else None,
+            outer_max_queries=self.outer_max_queries,
             outer_list_size=self.outer_list_size, outer_max_weight=self.outer_max_weight,
             outer_decoder=self.outer_decoder))
         for name in ("list_size", "outer_max_queries", "outer_list_size", "outer_max_weight"):
@@ -391,10 +390,10 @@ def run_uer_sweep(cfg: SimConfig):
 
     Decodes each trial once and tallies it under every threshold of the
     grid.  With retry enabled, every inner decision that fails the
-    strictest threshold of the grid (the smallest epsilon, the threshold of
-    ``cfg.pipe``) also gets its one outer attempt, in its batch's outer
-    block; the outer decision is a pure function of the trial's LLRs, so
-    this matches running the full pipeline per epsilon.  Runs exactly
+    strictest threshold of the grid (the smallest epsilon,
+    ``cfg.pipe.retry_epsilon``) also gets its one outer attempt, in its
+    batch's outer block; the outer decision is a pure function of the
+    trial's LLRs, so this matches running the full pipeline per epsilon.  Runs exactly
     cfg.trials trials per SNR point.
     """
     if cfg.epsilon_grid is None:

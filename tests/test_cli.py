@@ -100,9 +100,14 @@ def test_invalid_dims_names_the_invariant(capsys):
     assert err.startswith("error:") and "power of two" in err
 
 
-@pytest.mark.parametrize("snr", ["nan", "inf", "-inf"])
-def test_non_finite_snr_exits_2_before_any_output(tmp_path, capsys, snr):
-    rc = main(["bler"] + DIMS + [f"--snr=3,{snr}", "--trials", "64",
+@pytest.mark.parametrize("snr, trials", [
+    ("3,nan", "64"), ("3,inf", "64"), ("3,-inf", "64"),
+    ("-1^0.5", "64"),  # a complex power
+    ("10^400", "64"),  # overflows a float
+    ("3", "1e400"),
+], ids=["nan", "inf", "-inf", "complex", "overflow", "trials-overflow"])
+def test_non_finite_snr_exits_2_before_any_output(tmp_path, capsys, snr, trials):
+    rc = main(["bler"] + DIMS + [f"--snr={snr}", "--trials", trials,
                "--out", str(tmp_path), "--stem", "t"])
     assert rc == 2
     assert "finite" in capsys.readouterr().err

@@ -6,11 +6,11 @@ import pytest
 from capolar.channel import ChannelParams, llr_from_channel, message_rng, modulate, transmit
 from capolar.crc import crc_spec_for
 from capolar.pipeline import (
+    FALLBACK,
     INNER,
-    DecodeResult,
+    OUTER,
     PipelineConfig,
     apply_threshold,
-    cca_scl_decode,
     decide_block,
     threshold_test,
 )
@@ -31,10 +31,9 @@ def noisy_llr(seed, trial, code=CODE, params=PARAMS, m=24, spec=SPEC):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="epsilon"):
-        PipelineConfig(CODE, SPEC, 4, epsilon=None, retry_on_threshold_fail=True)
-    with pytest.raises(ValueError):
-        PipelineConfig(CODE, SPEC, 4, epsilon=1.0)
+    for eps in (1.0, -0.1):
+        with pytest.raises(ValueError, match="retry_epsilon"):
+            PipelineConfig(CODE, SPEC, 4, retry_epsilon=eps)
     with pytest.raises(ValueError):
         PipelineConfig(CODE, SPEC, 0)
     for size in (2.5, 4.0, "4"):
@@ -72,125 +71,131 @@ def test_threshold_is_strict():
     assert retry_taken.tolist() == [False, True, False, False, False]
 
 
+def decide(llr, cfg):
+    """The complete decoder on a (trials, N) block: SCL, CRC selection and
+    ``decide_block``."""
+    sel = ca_select_batch(scl_decode_batch(llr, cfg.code, cfg.list_size), cfg.spec)
+    return decide_block(sel, llr, cfg)
+
+
+def noiseless_llr(seed=5):
+    msg = message_rng(seed, 0).integers(0, 2, 24).astype(np.uint8)
+    return msg, llr_from_channel(modulate(ca_encode(msg, CODE, SPEC)).astype(float), PARAMS)
+
+
+def noisy_block(seed, trials, snr_db):
+    params = ChannelParams(snr_db, DIMS.rate)
+    msgs, llrs = zip(*(noisy_llr(seed, t, params=params) for t in range(trials)))
+    return np.stack(msgs), np.stack(llrs)
+
+
 def test_noiseless_inner_decision():
-    cfg = PipelineConfig(CODE, SPEC, 4)
-    msg = message_rng(5, 0).integers(0, 2, 24).astype(np.uint8)
-    x = ca_encode(msg, CODE, SPEC)
-    res = cca_scl_decode(llr_from_channel(modulate(x).astype(float), PARAMS), cfg)
-    assert isinstance(res, DecodeResult)
-    assert res.origin == "inner" and not res.erased
-    assert np.array_equal(res.message, msg)
-    assert res.so > 0.999
-    assert res.outer_queries == 0
-    assert res.inner_pass_count >= 1
+    msg, llr = noiseless_llr()
+    cols = decide(llr[None], PipelineConfig(CODE, SPEC, 4))
+    assert cols["origin"][0] == INNER and not cols["retried"][0]
+    assert np.array_equal(cols["message"][0], msg)
+    assert cols["so"][0] > 0.999
+    assert cols["queries"][0] == 0 and cols["alt_queries"][0] == 0
+    assert cols["pass_count"][0] >= 1
 
 
 def test_zero_epsilon_always_erases():
-    cfg = PipelineConfig(CODE, SPEC, 4, epsilon=0.0)
-    msg = message_rng(5, 0).integers(0, 2, 24).astype(np.uint8)
-    x = ca_encode(msg, CODE, SPEC)
-    res = cca_scl_decode(llr_from_channel(modulate(x).astype(float), PARAMS), cfg)
-    assert res.erased
-    # the best decision is still emitted alongside the flag
-    assert np.array_equal(res.message, msg)
+    msg, llr = noiseless_llr()
+    cols = decide(llr[None], PipelineConfig(CODE, SPEC, 4))
+    accepted, retry_taken = apply_threshold(cols, 0.0)
+    assert not accepted[0] and not retry_taken[0]
+    # the erased decision is still a row of the columns
+    assert np.array_equal(cols["message"][0], msg)
 
 
 def test_inner_pass_trials_match_plain_ca_scl():
-    # each single-word decode must agree with its row of one batched
-    # CA-SCL pass over all 300 words
+    # the decisions of the CRC-passing trials are the rows of one batched
+    # CA-SCL pass over all 300 words; the others go to the outer stage
     cfg = PipelineConfig(CODE, SPEC, 4)
-    llrs = np.stack([noisy_llr(17, t)[1] for t in range(300)])
+    _, llrs = noisy_block(17, 300, 3.0)
     sel = ca_select_batch(scl_decode_batch(llrs, CODE, 4), SPEC)
-    for t in range(300):
-        res = cca_scl_decode(llrs[t], cfg)
-        if not sel["found"][t]:
-            assert res.origin in ("outer", "fallback")
-            assert res.outer_queries > 0
-        else:
-            assert res.origin == "inner"
-            assert np.array_equal(res.message, sel["message"][t][:24])
-            assert res.so == pytest.approx(sel["so"][t])
-            assert res.inner_pass_count == sel["pass_count"][t]
+    cols = decide_block(sel, llrs, cfg)
+    found = sel["found"]
+    assert found.any() and (~found).any()
+    assert np.isin(cols["origin"][~found], (OUTER, FALLBACK)).all()
+    assert (cols["queries"][~found] > 0).all()
+    assert (cols["origin"][found] == INNER).all() and (cols["queries"][found] == 0).all()
+    assert np.array_equal(cols["message"][found], sel["message"][found][:, :24])
+    assert np.array_equal(cols["so"][found], sel["so"][found])
+    assert np.array_equal(cols["pass_count"], sel["pass_count"])
+
+
+@pytest.mark.parametrize("outer", ["sogrand", "gcd"])
+def test_one_row_decides_as_its_row_of_the_block(outer):
+    # a trial's decision does not depend on the block it is decided in:
+    # deciding one row alone gives that row of the block, in every column,
+    # for CRC failures, retries and plain inner decisions alike
+    cfg = PipelineConfig(CODE, SPEC, 4, retry_epsilon=1e-9, outer_decoder=outer,
+                         outer_max_queries=1 << 10, outer_list_size=2)
+    _, llrs = noisy_block(23, 40, 2.0)
+    cols = decide(llrs, cfg)
+    assert (~cols["found"]).any() and cols["retried"].any()
+    for t in range(len(llrs)):
+        row = decide(llrs[t:t + 1], cfg)
+        assert row.keys() == cols.keys()
+        for key, col in row.items():
+            assert col.dtype == cols[key].dtype and np.array_equal(col[0], cols[key][t]), (
+                t, key)
 
 
 def test_every_trial_yields_a_decision():
     # well below the waterfall nothing is reliable, yet the decoder must
     # always emit an M-bit message and a probability
-    cfg = PipelineConfig(CODE, SPEC, 4, epsilon=1e-2)
-    params = ChannelParams(-2.0, DIMS.rate)
-    for t in range(60):
-        msg = message_rng(99, t).integers(0, 2, 24).astype(np.uint8)
-        y = transmit(modulate(ca_encode(msg, CODE, SPEC)), params, 99, t)
-        res = cca_scl_decode(llr_from_channel(y, params), cfg)
-        assert res.message.shape == (24,)
-        assert 0.0 <= res.so <= 1.0
-        assert res.origin in ("inner", "outer", "fallback")
+    _, llrs = noisy_block(99, 60, -2.0)
+    cols = decide(llrs, PipelineConfig(CODE, SPEC, 4))
+    assert cols["message"].shape == (60, 24)
+    assert ((cols["so"] >= 0.0) & (cols["so"] <= 1.0)).all()
+    assert np.isin(cols["origin"], (INNER, OUTER, FALLBACK)).all()
+    accepted, retry_taken = apply_threshold(cols, 1e-2)
+    assert accepted.shape == retry_taken.shape == (60,) and not retry_taken.any()
 
 
 def test_codeword_guessing_outer_never_falls_back():
     # completing every query through the parity equations guarantees a
     # candidate, so CRC failures always resolve to an outer decision
-    cfg = PipelineConfig(CODE, SPEC, 4, outer_decoder="gcd",
-                         outer_max_queries=1 << 8)
-    params = ChannelParams(4.0, DIMS.rate)
-    origins = set()
-    for t in range(100):
-        msg = message_rng(31, t).integers(0, 2, 24).astype(np.uint8)
-        y = transmit(modulate(ca_encode(msg, CODE, SPEC)), params, 31, t)
-        res = cca_scl_decode(llr_from_channel(y, params), cfg)
-        origins.add(res.origin)
-        if res.origin == "outer":
-            assert res.outer_queries == 1 << 8
-    assert origins == {"inner", "outer"}
+    cfg = PipelineConfig(CODE, SPEC, 4, outer_decoder="gcd", outer_max_queries=1 << 8)
+    _, llrs = noisy_block(31, 100, 4.0)
+    cols = decide(llrs, cfg)
+    assert set(cols["origin"].tolist()) == {INNER, OUTER}
+    assert (cols["queries"][cols["origin"] == OUTER] == 1 << 8).all()
 
 
 def test_origin_mix_in_the_waterfall():
     # mid-waterfall some trials clear the inner CRC and some do not, so both
     # kinds of origin must show up
-    cfg = PipelineConfig(CODE, SPEC, 4, epsilon=1e-2)
-    params = ChannelParams(4.0, DIMS.rate)
-    origins = set()
-    for t in range(150):
-        msg = message_rng(99, t).integers(0, 2, 24).astype(np.uint8)
-        y = transmit(modulate(ca_encode(msg, CODE, SPEC)), params, 99, t)
-        res = cca_scl_decode(llr_from_channel(y, params), cfg)
-        origins.add(res.origin)
-    assert "inner" in origins
-    assert origins & {"outer", "fallback"}
+    _, llrs = noisy_block(99, 150, 4.0)
+    origins = set(decide(llrs, PipelineConfig(CODE, SPEC, 4))["origin"].tolist())
+    assert INNER in origins
+    assert origins & {OUTER, FALLBACK}
 
 
 def test_fallback_when_outer_budget_tiny():
     # 1 query cannot fix a CRC failure unless the hard decision already
     # passes, so fallbacks must appear at low SNR
-    cfg = PipelineConfig(CODE, SPEC, 1, outer_max_queries=1)
-    params = ChannelParams(-2.0, DIMS.rate)
-    seen = set()
-    for t in range(60):
-        msg, llr = noisy_llr(7, t, params=params)
-        res = cca_scl_decode(llr, cfg)
-        seen.add(res.origin)
-        if res.origin == "fallback":
-            assert res.so == 0.0
-    assert "fallback" in seen
+    _, llrs = noisy_block(7, 60, -2.0)
+    cols = decide(llrs, PipelineConfig(CODE, SPEC, 1, outer_max_queries=1))
+    fallback = cols["origin"] == FALLBACK
+    assert fallback.any()
+    assert (cols["so"][fallback] == 0.0).all()
 
 
 def test_retry_reaches_outer_decoder():
-    # epsilon so tight that every inner decision fails the threshold: with
-    # retry enabled the outer decoder must have been consulted on every
-    # erased inner trial
-    cfg = PipelineConfig(CODE, SPEC, 4, epsilon=1e-9, retry_on_threshold_fail=True)
-    plain = PipelineConfig(CODE, SPEC, 4, epsilon=1e-9)
-    saw_retry = False
-    for t in range(40):
-        msg, llr = noisy_llr(29, t)
-        res = cca_scl_decode(llr, cfg)
-        if res.erased and res.inner_pass_count > 0:
-            assert res.outer_queries > 0
-            saw_retry = True
-        res_plain = cca_scl_decode(llr, plain)
-        if res_plain.erased and res_plain.inner_pass_count > 0:
-            assert res_plain.outer_queries == 0
-    assert saw_retry
+    # a threshold so tight that every inner decision fails it: with a retry
+    # the outer decoder must have been consulted on every inner decision,
+    # and without one on none
+    _, llrs = noisy_block(29, 40, 3.0)
+    cols = decide(llrs, PipelineConfig(CODE, SPEC, 4, retry_epsilon=1e-9))
+    found = cols["found"]
+    assert found.any()
+    assert np.array_equal(cols["retried"], found)
+    assert (cols["alt_queries"][found] > 0).all() and (cols["alt_queries"][~found] == 0).all()
+    plain = decide(llrs, PipelineConfig(CODE, SPEC, 4))
+    assert not plain["retried"].any() and not plain["alt_queries"].any()
 
 
 def low_so_selection(so):
@@ -209,7 +214,7 @@ def test_retry_keeps_better_decision():
     cfg = PipelineConfig(CODE, SPEC, 4)
     out = sogrand_decode_block(outer_llr(llr, CODE)[None], SPEC)
     for epsilon, taken in ((0.5, True), (1e-9, False)):
-        retry = replace(cfg, epsilon=epsilon, retry_on_threshold_fail=True)
+        retry = replace(cfg, retry_epsilon=epsilon)
         cols = decide_block(low_so_selection(0.4), llr[None], retry)
         assert cols["retried"][0] and cols["origin"][0] == INNER
         assert cols["so"][0] == 0.4 and not cols["message"].any() and cols["queries"][0] == 0
@@ -221,7 +226,7 @@ def test_retry_keeps_better_decision():
         assert (accepted[0], retry_taken[0]) == (False, taken)
     # an inner decision that passes the threshold stands alone
     kept = decide_block(low_so_selection(0.4), llr[None],
-                        replace(cfg, epsilon=0.7, retry_on_threshold_fail=True))
+                        replace(cfg, retry_epsilon=0.7))
     assert not kept["retried"][0] and kept["alt_so"][0] == 0.0
     assert kept["alt_queries"][0] == 0 and not kept["alt_message"].any()
 
@@ -233,8 +238,7 @@ def test_decide_block_without_soft_outputs(outer, monkeypatch):
     # refused before any outer call
     cfg = PipelineConfig(CODE, SPEC, 4, outer_decoder=outer, outer_max_queries=1 << 10,
                          outer_list_size=2)
-    llrs = np.stack([noisy_llr(23, t, params=ChannelParams(2.0, DIMS.rate))[1]
-                     for t in range(40)])
+    _, llrs = noisy_block(23, 40, 2.0)
     sel = ca_select_batch(scl_decode_batch(llrs, CODE, 4), SPEC)
     assert (~sel["found"]).any() and sel["found"].any()
     for llr in (llrs, None):
@@ -248,7 +252,7 @@ def test_decide_block_without_soft_outputs(outer, monkeypatch):
         raise AssertionError("the outer stage ran")
 
     monkeypatch.setattr("capolar.pipeline.outer_llr", no_outer)
-    retry = replace(cfg, epsilon=1e-2, retry_on_threshold_fail=True)
+    retry = replace(cfg, retry_epsilon=1e-2)
     with pytest.raises(ValueError, match="soft"):
         decide_block(sel, llrs, retry, soft=False)
 
@@ -262,14 +266,19 @@ def test_decide_block_refuses_mismatched_llrs():
     for bad in (llr, llr[None], np.stack([llr] * 3), outer_llr(np.stack([llr, llr]), CODE)):
         with pytest.raises(ValueError, match="channel LLRs"):
             decide_block(sel, bad, cfg)
-    with pytest.raises(ValueError, match="one word"):
-        cca_scl_decode(np.stack([llr, llr]), cfg)
 
 
 def test_nan_llr_is_refused_not_decoded():
+    # in any row of the block, whether its inner decision passed the CRC or not
     cfg = PipelineConfig(CODE, SPEC, 4)
-    _, llr = noisy_llr(3, 0)
-    llr[10] = np.nan
+    _, llrs = noisy_block(23, 40, 2.0)
+    sel = ca_select_batch(scl_decode_batch(llrs, CODE, 4), SPEC)
+    assert sel["found"].any() and (~sel["found"]).any()
+    for row in (np.argmax(sel["found"]), np.argmin(sel["found"])):
+        bad = llrs.copy()
+        bad[row, 10] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            decide_block(sel, bad, cfg)
     with pytest.raises(ValueError, match="NaN"):
-        cca_scl_decode(llr, cfg)
+        decide(bad, cfg)
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capolar.crc import CRC6, CRC11, crc_encode
+from capolar.crc import CRC11, crc_encode, crc_spec_for
 from capolar.polar import (
     CodeDims,
     PolarCode,
@@ -174,9 +174,7 @@ def test_code_dims_helpers():
     dims = CodeDims(64, 43, 32)
     assert dims.parity_bits == 11
     assert dims.rate == 0.5
-    assert dims.crc_spec() is CRC11
-    with pytest.raises(ValueError, match="degree"):
-        dims.crc_spec(poly=CRC6.poly)
+    assert crc_spec_for(dims.parity_bits) is CRC11
 
 
 def test_ca_encode_places_crc_word():

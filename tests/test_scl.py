@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from capolar.channel import (LLR_LIMIT, ChannelParams, llr_from_channel,
                              message_rng, modulate, transmit)
-from capolar.crc import CRC6, CRC11, CRC24C, crc_syndrome
-from capolar.polar import (CodeDims, ca_encode, construct_polar,
-                           encode_nonsystematic, polar_transform)
+from capolar.crc import CRC6, CRC11, CRC24C, crc_spec_for, crc_syndrome
+from capolar.polar import (ca_encode, construct_polar, encode_nonsystematic,
+                           polar_transform)
 from capolar.scl import (_add_dropped, _boxplus, _log_mass_factors, _penalty,
                          ca_select_batch, scl_decode_batch)
 
@@ -537,7 +537,7 @@ def test_decoder_agrees_with_leafwise_reference(case):
 def test_soft_outputs_survive_long_codes(n, k, m, method, list_size):
     # pm of a correct path passes ~708 here, where exp(-pm) is zero: the
     # soft outputs of correct decodes must still be positive
-    code, spec = construct_polar(n, k, method), CodeDims(n, k, m).crc_spec()
+    code, spec = construct_polar(n, k, method), crc_spec_for(k - m)
     rng = np.random.default_rng(n + k)
     msg = rng.integers(0, 2, (64, m)).astype(np.uint8)
     x = ca_encode(msg, code, spec)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ import capolar.pipeline
 from capolar.channel import (ChannelParams, llr_from_channel, message_rng,
                              modulate, noise_rng, saturate_llr, transmit)
 from capolar.outer import gcd_decode_block, hard_decision, outer_llr, sogrand_decode_block
-from capolar.pipeline import (ORIGINS, DecodeResult, PipelineConfig,
-                              cca_scl_decode)
+from capolar.pipeline import ORIGINS, apply_threshold
 from capolar.polar import CodeDims, ca_encode
 from capolar.scl import ca_select_batch, scl_decode_batch
 from capolar.sim import (
@@ -123,70 +123,79 @@ def reference_outer(lo, cfg):
     return hard_decision(lo)[:cfg.m_msg], 0.0, "fallback", queries
 
 
-def reference_resolve(lo, inner, cfg):
+class Decision(NamedTuple):
+    message: np.ndarray
+    so: float
+    origin: str
+    erased: bool
+    pass_count: int
+    queries: int
+
+
+def reference_resolve(lo, inner, cfg, epsilon=None, retry=False):
     """The complete-decoding rule written out for one trial, one outer call
     at a time.  ``lo`` holds the trial's outer LLRs; ``inner`` is the
-    CRC-passing selection as (K-bit window, so, pass count), or None."""
+    CRC-passing selection as (K-bit window, so, pass count), or None.  With
+    an ``epsilon`` a decision that fails its threshold is erased, unless
+    ``retry`` lets an inner one be replaced by an outer decision that passes;
+    ``queries`` are those of the last outer call."""
     if inner is not None:
         window, so, pass_count = inner
         message, origin, queries = window[:cfg.m_msg], "inner", 0
     else:
         message, so, origin, queries = reference_outer(lo, cfg)
         pass_count = 0
-    if cfg.epsilon is None or so > 1.0 - cfg.epsilon:
-        return DecodeResult(message, so, origin, False, pass_count, queries)
-    if cfg.retry_on_threshold_fail and origin == "inner":
+    if epsilon is None or so > 1.0 - epsilon:
+        return Decision(message, so, origin, False, pass_count, queries)
+    if retry and origin == "inner":
         alt_msg, alt_so, alt_origin, queries = reference_outer(lo, cfg)
-        if alt_so > 1.0 - cfg.epsilon:
-            return DecodeResult(alt_msg, alt_so, alt_origin, False, pass_count, queries)
-        if alt_so > so:
-            return DecodeResult(alt_msg, alt_so, alt_origin, True, pass_count, queries)
-    return DecodeResult(message, so, origin, True, pass_count, queries)
-
-
-def same_result(a, b):
-    return (np.array_equal(a.message, b.message) and a.message.dtype == b.message.dtype
-            and (a.so, a.origin, a.erased, a.inner_pass_count, a.outer_queries)
-            == (b.so, b.origin, b.erased, b.inner_pass_count, b.outer_queries))
+        if alt_so > 1.0 - epsilon:
+            return Decision(alt_msg, alt_so, alt_origin, False, pass_count, queries)
+    return Decision(message, so, origin, True, pass_count, queries)
 
 
 @pytest.mark.parametrize("outer", ["sogrand", "gcd"])
 def test_decide_batch_equals_reference_resolve(tmp_path, outer):
     # the batch decodes its CRC failures and its retries in one outer block
     # and applies one threshold rule afterwards; each trial must come out as
-    # the per-trial rule makes it alone, and so must cca_scl_decode
+    # the per-trial rule makes it alone, at every threshold of the grid
     eps_grid = (1e-1, 1e-3)
     cfg = small_cfg(tmp_path, outer_decoder=outer, outer_list_size=2,
                     epsilon_grid=eps_grid, retry_on_threshold_fail=True)
     # the batch retries at the strictest threshold of the grid
-    assert (cfg.pipe.epsilon, cfg.pipe.retry_on_threshold_fail) == (1e-3, True)
-    # the per-trial rule with no threshold: each decision as it comes
-    plain = dataclasses.replace(cfg.pipe, epsilon=None, retry_on_threshold_fail=False)
+    assert cfg.pipe.retry_epsilon == 1e-3
     cols = _decide_batch((cfg, 2.0, 300, 200))
     msgs, llr = _trial_wave(cfg, 2.0, range(300, 500))
     sel = ca_select_batch(scl_decode_batch(llr, cfg.pipe.code, 2), cfg.pipe.spec)
     lo = outer_llr(llr, cfg.pipe.code)
+    masks = {eps: apply_threshold(cols, eps) for eps in eps_grid}
     retried = erased_retry = 0
     for t in range(200):
         inner = None
         if sel["found"][t]:
             inner = (sel["message"][t], float(sel["so"][t]), int(sel["pass_count"][t]))
-        res = reference_resolve(lo[t], inner, plain)
+        # with no threshold: each decision as it comes
+        res = reference_resolve(lo[t], inner, cfg.pipe)
         assert (cols["correct"][t], cols["so"][t], ORIGINS[cols["origin"][t]],
                 cols["queries"][t], cols["pass_count"][t]) == (
             np.array_equal(res.message, msgs[t]), res.so, res.origin,
-            res.outer_queries, res.inner_pass_count), t
+            res.queries, res.pass_count), t
         want_so, want_ok = 0.0, False
         if inner is not None and inner[1] <= 1.0 - min(eps_grid):
-            alt = reference_resolve(lo[t], None, plain)
+            alt = reference_resolve(lo[t], None, cfg.pipe)
             want_so, want_ok = alt.so, np.array_equal(alt.message, msgs[t])
             retried += 1
         assert (cols["alt_so"][t], cols["alt_correct"][t]) == (want_so, want_ok), t
-        for eps in eps_grid:
-            pipe = dataclasses.replace(plain, epsilon=eps, retry_on_threshold_fail=True)
-            want = reference_resolve(lo[t], inner, pipe)
-            assert same_result(cca_scl_decode(llr[t], pipe), want), (t, eps)
-            erased_retry += want.erased and want.origin == "outer" and inner is not None
+        for eps, (accepted, retry_taken) in masks.items():
+            want = reference_resolve(lo[t], inner, cfg.pipe, eps, retry=True)
+            got = (False, cols["so"][t], cols["correct"][t])
+            if retry_taken[t]:
+                got = (False, cols["alt_so"][t], cols["alt_correct"][t])
+            elif not accepted[t]:
+                got = (True,)
+            assert got == ((True,) if want.erased else (
+                False, want.so, np.array_equal(want.message, msgs[t]))), (t, eps)
+            erased_retry += want.erased and inner is not None and want.queries > 0
     assert retried and (~cols["found"]).any() and cols["alt_correct"].any()
     assert erased_retry
 
@@ -556,21 +565,22 @@ def test_uer_sweep_equals_the_full_pipeline_per_epsilon(tmp_path, dims, list_siz
         msg = message_rng(11, t).integers(0, 2, dims.m_msg).astype(np.uint8)
         y = transmit(modulate(ca_encode(msg, code, spec)), params, 11, t)
         llr = saturate_llr(llr_from_channel(y, params))
-        res = cca_scl_decode(llr, PipelineConfig(code, spec, list_size, outer_decoder=outer))
         sel = ca_select_batch(scl_decode_batch(llr, code, list_size), spec)
         found = bool(sel["found"][0])
+        inner = None
+        if found:
+            inner = (sel["message"][0], float(sel["so"][0]), int(sel["pass_count"][0]))
+        lo = outer_llr(llr[None], code)[0]
+        res = reference_resolve(lo, inner, cfg.pipe)
         ok = np.array_equal(res.message, msg)
         ca_ok = found and np.array_equal(sel["message"][0, :dims.m_msg], msg)
-        bler["cca_scl"] += [not ok, not ok, 0, not found, ok and not found,
-                            res.outer_queries]
+        bler["cca_scl"] += [not ok, not ok, 0, not found, ok and not found, res.queries]
         bler["ca_scl"] += [not ca_ok, found and not ca_ok, not found, not found, 0, 0]
         for eps in eps_grid:
-            res = cca_scl_decode(llr, PipelineConfig(
-                code, spec, list_size, epsilon=eps, retry_on_threshold_fail=True,
-                outer_decoder=outer))
+            res = reference_resolve(lo, inner, cfg.pipe, eps, retry=True)
             erased[eps] += res.erased
             undetected[eps] += not res.erased and not np.array_equal(res.message, msg)
-            retry = res.inner_pass_count > 0 and res.outer_queries > 0
+            retry = res.pass_count > 0 and res.queries > 0
             consulted += retry
             accepted += retry and not res.erased
     assert [(r.undetected_errors, r.erasures) for r in recs] == [
