@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -24,6 +25,8 @@ from .sim import (SimConfig, run_bler_sweep, run_calibration, run_llr_profile,
 __all__ = ["main", "cli_entry"]
 
 _DEFAULT_EPSILON = "10^-1,10^-1.5,10^-2,10^-2.5,10^-3"
+# the most points a start:step:stop range may hold
+_MAX_GRID_POINTS = 10_000
 # the settings every subcommand but selftest needs
 _REQUIRED = ("dims", "snr")
 
@@ -36,6 +39,12 @@ def _parse_dims(text: str) -> CodeDims:
 
 
 def _parse_count(text: str) -> int:
+    """A whole number: an integer literal, read exactly, or a float form
+    such as 1e6 whose value is one."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
     value = float(text)
     if not value.is_integer():  # fractions, inf and NaN
         raise ValueError(f"{text!r} is not a finite whole number")
@@ -54,17 +63,30 @@ def _parse_value(tok: str) -> float:
     return value
 
 
+def _exact_value(tok: str) -> Fraction:
+    """A grid token's exact value: its decimal text, or the float of a ^ form."""
+    value = _parse_value(tok)  # refuses what is not a finite real
+    return Fraction(value) if "^" in tok else Fraction(tok)
+
+
 def _parse_grid(text: str) -> tuple[float, ...]:
+    """A comma list, or an inclusive start:step:stop range whose point i is
+    the float nearest start + i * step.  A range of more than
+    _MAX_GRID_POINTS points, or whose points repeat as floats, is refused."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"range must be start:step:stop; got {text!r}")
-        start, step, stop = (_parse_value(p) for p in parts)
+        start, step, stop = (_exact_value(p) for p in parts)
         if step <= 0 or stop < start:
             raise ValueError(f"bad range {text!r}: need step > 0 and stop >= start")
-        n = int(round((stop - start) / step))
-        grid = tuple(start + i * step for i in range(n + 1))
-        return tuple(g for g in grid if g <= stop + 1e-9)
+        last = (stop - start) // step
+        if last >= _MAX_GRID_POINTS:
+            raise ValueError(f"range {text!r} holds more than {_MAX_GRID_POINTS} points")
+        grid = tuple(float(start + i * step) for i in range(last + 1))
+        if len(set(grid)) < len(grid):
+            raise ValueError(f"range {text!r} repeats points: its step is below float spacing")
+        return grid
     return tuple(_parse_value(p) for p in text.split(","))
 
 
@@ -107,29 +129,28 @@ _SETTINGS = {
     "snr": _Setting("snr_grid_db", _parse_grid,
                     "Eb/N0 grid in dB: start:step:stop or comma list"),
     "systematic": _Setting("systematic", _parse_bool, "systematic inner code"),
-    "list": _Setting("list_size", int, "inner list size L"),
+    "list": _Setting("list_size", _parse_count, "inner list size L"),
     "decoder": _Setting("decoder", str, "plain list decoding or the complete pipeline",
                         ("ca_scl", "cca_scl")),
     "epsilon": _Setting("epsilon_grid", _parse_grid,
                         "threshold grid (uer); accepts 10^-1.5 forms"),
     "trials": _Setting("trials", _parse_count, "trial budget per point; accepts 1e6 forms"),
-    "min_errors": _Setting("min_errors", int,
+    "min_errors": _Setting("min_errors", _parse_count,
                            "stop a point early after this many block errors"),
-    "seed": _Setting("master_seed", int, "master seed for the per-trial RNG keys"),
+    "seed": _Setting("master_seed", _parse_count, "master seed for the per-trial RNG keys"),
     "method": _Setting("method", str, "information-set construction", ("5g", "bhattacharyya")),
     "outer": _Setting("outer_decoder", str,
                       "outer decoder: pattern guessing or codeword guessing",
                       ("sogrand", "gcd")),
     "outer_budget": _Setting("outer_max_queries", _parse_count,
                              "max outer-decoder pattern queries"),
-    "outer_list": _Setting("outer_list_size", int, "outer-decoder list size"),
-    "outer_max_weight": _Setting("outer_max_weight", int,
-                                 "cap on the outer pattern logistic weight"),
+    "outer_list": _Setting("outer_list_size", _parse_count, "outer-decoder list size"),
     "retry": _Setting("retry_on_threshold_fail", _parse_bool,
                       "retry threshold failures through the outer decoder"),
-    "workers": _Setting("workers", int, "process pool width (results do not depend on it)"),
-    "batch_size": _Setting("batch_size", int, "trials per batch"),
-    "round_trials": _Setting("round_trials", int, "trials per stop-rule round"),
+    "workers": _Setting("workers", _parse_count,
+                        "process pool width (results do not depend on it)"),
+    "batch_size": _Setting("batch_size", _parse_count, "trials per batch"),
+    "round_trials": _Setting("round_trials", _parse_count, "trials per stop-rule round"),
     "out": _Setting("out_dir", str, "output directory (default $CAPOLAR_OUT_DIR or .)"),
     "stem": _Setting("out_stem", str, "output file stem"),
 }

@@ -24,7 +24,10 @@ block):
   need not pay for the likelihood sums behind it;
 - ``queries`` (n,) int64: pattern queries made.
 
-``soft=False`` leaves every other column exactly as it is.
+``soft=False`` leaves every other column exactly as it is.  A guesser over
+k guessed bits (k = K for sogrand, K - degree for gcd) queries at most
+min(max_queries, 2^k) patterns of the ORBGRAND order; to cap the logistic
+weight at w instead, pass the number of rank sets over 1..k of weight <= w.
 
 A row comes out bit for bit as it does in a block of that row alone.
 """
@@ -110,8 +113,7 @@ def _build_schedule(k: int, rows: int) -> np.ndarray:
 
 # schedule rows per sum block: gcd_decode_block adds one float per block of
 # _CHUNK queries to each row's phi and psi sums, in schedule order, so its
-# outputs depend on _CHUNK but not on how many blocks a pass holds; also the
-# slice orbgrand_schedule unpacks its masks in
+# outputs depend on _CHUNK but not on how many blocks a pass holds
 _CHUNK = 8192
 
 # sum blocks per gcd_decode_block pass.  A pass builds its index planes once
@@ -132,21 +134,6 @@ def _schedule(k: int, rows: int) -> np.ndarray:
     if have is None or have.shape[1] < min(rows, 2 ** k):
         have = _schedules[k] = _build_schedule(k, rows)
     return have
-
-
-def _budget(k: int, max_queries: int, max_weight: int | None) -> int:
-    """How many rank sets of the order over k ranks a guesser may query:
-    ``max_queries``, capped by the 2^k sets there are and by the sets of
-    logistic weight <= ``max_weight`` (checked here, its one reader).  Class
-    sizes saturate at 2^62, further than any caller queries."""
-    budget = min(max_queries, 2 ** k)
-    if max_weight is not None:
-        max_weight = _checked_int(max_weight, "max_weight", low=0)
-        # weights 0..k(k+1)/2 each have a set, so none past budget - 1 can
-        # lower the cap
-        top = min(max_weight, k * (k + 1) // 2, budget - 1)
-        budget = min(budget, sum(_class_sizes(k, top, min(budget, 1 << 62)).tolist()))
-    return budget
 
 
 def _byte_tables(values: np.ndarray, combine) -> np.ndarray:
@@ -216,31 +203,25 @@ def _reliability(llr: np.ndarray, spec: CrcSpec):
     return hard, mag, order, log_keep, cols, syn_hard
 
 
-def orbgrand_schedule(order: np.ndarray, max_weight: int | None = None):
-    """Yield error patterns in non-decreasing logistic weight.
+def orbgrand_schedule(order: np.ndarray, rows: int) -> np.ndarray:
+    """The first ``rows`` error patterns in non-decreasing logistic weight
+    (all 2^K if fewer), as a (rows, K) uint8 array of flip masks.
 
     ``order`` lists bit positions from least to most reliable; the rank of a
     position is its 1-based index in this list, and a pattern's logistic
     weight is the sum of the ranks it flips.  The all-zero pattern comes
     first; ties inside a weight class break lexicographically on the flipped
-    rank sets.  Patterns are uint8 masks over the original positions,
-    unpacked from the schedule the guessing decoders evaluate.
+    rank sets.  The masks are over the original positions, unpacked from the
+    schedule the guessing decoders evaluate.
     """
     order = np.asarray(order, dtype=np.int64)
     k = len(order)
     if sorted(order.tolist()) != list(range(k)):
         raise ValueError("order must be a permutation of 0..K-1")
-    budget = _budget(k, 2 ** k, max_weight)
-    done = 0
-    while done < budget:
-        planes = _schedule(k, min(budget, max(4 * done, 256)))
-        stop = min(budget, planes.shape[1])
-        for lo in range(done, stop, _CHUNK):
-            at = np.arange(lo, min(lo + _CHUNK, stop))
-            masks = np.empty((len(at), k), dtype=np.uint8)
-            masks[:, order] = _flip_masks(planes, at, k)
-            yield from masks
-        done = stop
+    rows = min(_checked_int(rows, "rows"), 2 ** k)
+    masks = np.empty((rows, k), dtype=np.uint8)
+    masks[:, order] = _flip_masks(_schedule(k, rows), np.arange(rows), k)
+    return masks
 
 
 def _flip_masks(planes: np.ndarray, at: np.ndarray, k: int) -> np.ndarray:
@@ -272,16 +253,16 @@ _GATHER_CELLS = 1 << 16
 
 def sogrand_decode_block(llr: np.ndarray, spec: CrcSpec,
                          max_queries: int = 1 << 16, list_size: int = 1,
-                         max_weight: int | None = None, soft: bool = True) -> dict:
+                         soft: bool = True) -> dict:
     """Guess error patterns around the hard decision of each row of a
     (trials, K) block.
 
-    A row stops after ``list_size`` syndrome-zero candidates or
-    ``max_queries`` pattern queries.  Each candidate's soft output is
-    phi(c) / (sum of phi over the list + R), where phi is the pattern
-    likelihood and R estimates the codeword mass left in the unqueried
-    patterns: the leftover pattern mass times the fraction of unqueried
-    patterns expected to be codewords.
+    A row stops after ``list_size`` syndrome-zero candidates, after
+    ``max_queries`` pattern queries, or when all 2^K patterns are queried.
+    Each candidate's soft output is phi(c) / (sum of phi over the list +
+    R), where phi is the pattern likelihood and R estimates the codeword
+    mass left in the unqueried patterns: the leftover pattern mass times
+    the fraction of unqueried patterns expected to be codewords.
 
     Each round doubles the queries made so far (the first makes 64), up to
     the budget.
@@ -295,7 +276,7 @@ def sogrand_decode_block(llr: np.ndarray, spec: CrcSpec,
     llr, max_queries, list_size = _checked_block(
         llr, spec, max_queries, list_size, "sogrand_decode_block")
     n, k = llr.shape
-    budget = _budget(k, max_queries, max_weight)
+    budget = min(max_queries, 2 ** k)
     hard, mag, order, log_keep, cols, syn_hard = _reliability(llr, spec)
     # a hit is a pattern whose syndrome cancels the hard decision's
     syn_tab = _byte_tables(cols[order], np.bitwise_xor)
@@ -470,7 +451,7 @@ def _merge_best(best, lp: np.ndarray, lo: int, list_size: int):
 
 def gcd_decode_block(llr: np.ndarray, spec: CrcSpec,
                      max_queries: int = 1 << 16, list_size: int = 1,
-                     max_weight: int | None = None, soft: bool = True) -> dict:
+                     soft: bool = True) -> dict:
     """Guess only the reliable bits of each row of a (trials, K) block;
     solve the unreliable ones from parity.
 
@@ -478,7 +459,8 @@ def gcd_decode_block(llr: np.ndarray, spec: CrcSpec,
     linearly independent form the solved part; the remaining K - degree
     positions form the guessed part.  Each query flips an ORBGRAND pattern
     over the guessed part and completes the word through the parity
-    equations, so every query lands on a codeword.  Candidates are the
+    equations, so every query lands on a codeword.  Every row makes the
+    same min(``max_queries``, 2^(K - degree)) queries.  Candidates are the
     ``list_size`` highest-likelihood completions; their soft output divides
     phi(c) by the phi mass of all queried codewords plus the guessed-part
     pattern mass left unqueried, which never exceeds the mass of the missed
@@ -497,7 +479,7 @@ def gcd_decode_block(llr: np.ndarray, spec: CrcSpec,
     n, k = llr.shape
     r = spec.degree
     sm = k - r
-    queries = _budget(sm, max_queries, max_weight)
+    queries = min(max_queries, 2 ** sm)
     hard, mag, order, log_keep, cols, syn_hard = _reliability(llr, spec)
     if n == 0:
         return _columns(hard, order, np.zeros((0, 1, k), np.uint8), np.zeros(0, np.int64),

@@ -42,16 +42,12 @@ class PipelineConfig:
     retry_epsilon: float | None = None  # retry inner decisions failing this threshold
     outer_max_queries: int = 1 << 16
     outer_list_size: int = 1
-    outer_max_weight: int | None = None
     outer_decoder: str = "sogrand"  # pattern guessing | "gcd" codeword guessing
 
     def __post_init__(self):
         # the counts are stored as plain ints, which SimConfig copies back
-        for name, low in (("list_size", 1), ("outer_max_queries", 1),
-                          ("outer_list_size", 1), ("outer_max_weight", 0)):
-            value = getattr(self, name)
-            if value is not None or name != "outer_max_weight":  # None: no cap
-                object.__setattr__(self, name, _checked_int(value, name, low))
+        for name in ("list_size", "outer_max_queries", "outer_list_size"):
+            object.__setattr__(self, name, _checked_int(getattr(self, name), name))
         k = len(self.code.info)
         if self.spec.degree >= k:
             raise ValueError(
@@ -130,7 +126,7 @@ def decide_block(sel: dict, llr: np.ndarray | None, cfg: PipelineConfig,
     lo = outer_llr(llr[rows], cfg.code)
     decode = gcd_decode_block if cfg.outer_decoder == "gcd" else sogrand_decode_block
     out = decode(lo, cfg.spec, max_queries=cfg.outer_max_queries,
-                 list_size=cfg.outer_list_size, max_weight=cfg.outer_max_weight, soft=soft)
+                 list_size=cfg.outer_list_size, soft=soft)
     # the best candidate, or the hard decision with zero confidence
     # ("fallback") when the guesser found nothing within its budget
     hit = out["count"] > 0

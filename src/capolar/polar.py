@@ -84,7 +84,6 @@ class PolarCode:
     frozen: np.ndarray
     info: np.ndarray
     systematic: bool = False
-    method: str = "5g"
 
     def __post_init__(self):
         n = _checked_int(self.n_code, "n_code", None)
@@ -153,7 +152,6 @@ def construct_polar(n_code: int, k_crc: int, method: str = "5g",
         frozen=order[: n_code - k_crc],
         info=order[n_code - k_crc:],
         systematic=systematic,
-        method=method,
     )
 
 

@@ -174,7 +174,7 @@ def _check_orbgrand_order():
 
     every = sorted(itertools.product([0, 1], repeat=k),
                    key=lambda m: key(np.array(m)))
-    got = [tuple(m) for _, m in zip(range(100), orbgrand_schedule(order))]
+    got = [tuple(m) for m in orbgrand_schedule(order, 100)]
     if got != [tuple(m) for m in every[:100]]:
         return False, "first 100 patterns disagree with exhaustive sort"
     return True, "first 100 of 2^8 patterns in logistic-weight order"

@@ -64,7 +64,8 @@ SCHEMA_VERSION = 1
 OUT_DIR_ENV = "CAPOLAR_OUT_DIR"
 
 # ascending predicted-error edges 10^-5 .. 10^0; samples below 10^-5 land in
-# an extra underflow bin so overconfident estimators stay visible
+# an extra underflow bin so overconfident estimators stay visible, and the
+# top edge is 1 because every predicted error 1 - SO lies in [0, 1]
 CALIBRATION_EDGES = tuple(10.0 ** (-0.5 * i) for i in reversed(range(11)))
 
 
@@ -92,7 +93,6 @@ class SimConfig:
     method: str = "5g"
     outer_max_queries: int = 1 << 16
     outer_list_size: int = 1
-    outer_max_weight: int | None = None
     outer_decoder: str = "sogrand"
     retry_on_threshold_fail: bool = False
     workers: int = 1
@@ -130,9 +130,8 @@ class SimConfig:
             code, crc_spec_for(self.dims.parity_bits), self.list_size,
             retry_epsilon=min(self.epsilon_grid) if self.retry_on_threshold_fail else None,
             outer_max_queries=self.outer_max_queries,
-            outer_list_size=self.outer_list_size, outer_max_weight=self.outer_max_weight,
-            outer_decoder=self.outer_decoder))
-        for name in ("list_size", "outer_max_queries", "outer_list_size", "outer_max_weight"):
+            outer_list_size=self.outer_list_size, outer_decoder=self.outer_decoder))
+        for name in ("list_size", "outer_max_queries", "outer_list_size"):
             object.__setattr__(self, name, getattr(self.pipe, name))
 
 
@@ -243,17 +242,17 @@ def _table_batch(args, epsilons=None):
     return np.stack([_tally(cols, *apply_threshold(cols, eps)) for eps in epsilons])
 
 
-def _calibrate_batch(args, edges=CALIBRATION_EDGES):
+def _calibrate_batch(args):
     """Per estimator (so, so_forney), the decoded trials' count, errors and
     predicted-error sum in each bin, as float64 of shape (2, 3, bins)."""
     cols = _decide_batch(args)
     found = cols["found"]
     wrong = ~cols["correct"][found]
-    nbins = len(edges)  # one bin per edge pair plus the underflow bin
+    nbins = len(CALIBRATION_EDGES)  # one bin per edge pair plus the underflow bin
     out = []
     for key in ("so", "so_forney"):
         pred = np.clip(1.0 - cols[key][found], 0.0, 1.0)
-        idx = np.searchsorted(edges, pred, side="left")
+        idx = np.searchsorted(CALIBRATION_EDGES, pred, side="left")
         out.append([np.bincount(idx, minlength=nbins),
                     np.bincount(idx[wrong], minlength=nbins),
                     np.bincount(idx, weights=pred, minlength=nbins)])
@@ -346,23 +345,18 @@ def run_bler_sweep(cfg: SimConfig):
     return records
 
 
-def run_calibration(cfg: SimConfig, edges=None):
+def run_calibration(cfg: SimConfig):
     """Bin decoded trials by predicted error 1-SO; writes CSV + sidecar.
 
     Returns {"so": [CalibrationBin...], "so_forney": [...]} for the one SNR
     point of the grid, with bins ordered from the underflow bin upward.
     """
     _one_point(cfg, "calibration")
-    edges = CALIBRATION_EDGES if edges is None else tuple(float(e) for e in edges)
-    # every predicted error 1 - SO lies in [0, 1], so the top edge is 1
-    if list(edges) != sorted(set(edges)) or edges[0] <= 0.0 or edges[-1] != 1.0:
-        raise ValueError("edges must be strictly ascending within (0, 1] and end at 1")
     paths = _open_outputs(cfg, "calibrate")
     # the bins read the inner soft outputs only, so no outer stage runs, and
     # with it no retry
-    ((acc, wall),) = _sweep(replace(cfg, decoder="ca_scl"),
-                            functools.partial(_calibrate_batch, edges=edges))
-    asc = (0.0,) + edges
+    ((acc, wall),) = _sweep(replace(cfg, decoder="ca_scl"), _calibrate_batch)
+    asc = (0.0,) + CALIBRATION_EDGES
     result = {}
     for key, (cnts, errs, sums) in zip(("so", "so_forney"), acc):
         result[key] = [CalibrationBin(

@@ -50,6 +50,69 @@ def test_parse_helpers():
         _parse_bool("maybe")
 
 
+def test_counts_parse_exactly_and_accept_float_forms(tmp_path):
+    assert _parse_count("1e3") == 1000 and _parse_count("-3") == -3
+    # an integer literal is read as one, not through a float
+    seed = "18446744073709551615"
+    assert _parse_count(seed) == 2 ** 64 - 1
+    args = build_parser().parse_args(["bler"] + SMALL + ["--seed", seed])
+    assert _build_simconfig(args, {}).master_seed == 2 ** 64 - 1
+    rc = main(["bler"] + SMALL + ["--min-errors", "1e3", "--batch-size", "3.2e1",
+               "--out", str(tmp_path), "--stem", "n"])
+    assert rc == 0
+    config = json.loads((tmp_path / "n.json").read_text())["config"]
+    assert config["min_errors"] == 1000 and config["batch_size"] == 32
+
+
+@pytest.mark.parametrize("value", ["2.5", "1e400"])
+@pytest.mark.parametrize("flag", ["--list", "--min-errors", "--outer-list", "--workers",
+                                  "--batch-size", "--round-trials", "--seed"])
+def test_count_flags_refuse_what_is_not_a_whole_number(tmp_path, capsys, flag, value):
+    rc = main(["bler"] + SMALL + [flag, value, "--out", str(tmp_path), "--stem", "t"])
+    assert rc == 2
+    assert "whole number" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_ranges_step_exactly():
+    # point i is the float nearest start + i * step, so no point drifts
+    assert _parse_grid("-1:0.2:1") == (-1.0, -0.8, -0.6, -0.4, -0.2, 0.0, 0.2, 0.4,
+                                       0.6, 0.8, 1.0)
+    assert _parse_grid("0:0.3:1") == (0.0, 0.3, 0.6, 0.9)
+    assert _parse_grid("10^0:10^-1:1.25") == (1.0, 1.1, 1.2)
+    # dyadic grids, such as the scripts', give the floats they always gave
+    assert _parse_grid("5:0.5:8") == tuple(5 + 0.5 * i for i in range(7))
+    for grid in ("5.0:0.25:8.0", "4.5:0.25:7.0", "4.0:0.25:6.5"):
+        start, step, stop = map(float, grid.split(":"))
+        n = int((stop - start) / step)
+        assert _parse_grid(grid) == tuple(start + step * i for i in range(n + 1))
+
+
+@pytest.mark.parametrize("grid, match", [
+    ("1:1e-17:1.0000000000000002", "repeats points"),
+    ("0:1e-12:1", "more than 10000 points"),  # refused before it is built
+    ("0:0.5:5000", "more than 10000 points"),
+])
+def test_ranges_that_repeat_or_overflow_are_refused(tmp_path, capsys, grid, match):
+    with pytest.raises(ValueError, match=match):
+        _parse_grid(grid)
+    rc = main(["bler"] + DIMS + [f"--snr={grid}", "--out", str(tmp_path), "--stem", "t"])
+    assert rc == 2 and match in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_outer_max_weight_is_no_setting(tmp_path, capsys):
+    # the budget is max_queries alone; a weight cap is the budget S(k, w)
+    with pytest.raises(SystemExit) as exc:
+        main(["bler"] + SMALL + ["--outer-max-weight", "20"])
+    assert exc.value.code == 2
+    cfgfile = tmp_path / "w.cfg"
+    cfgfile.write_text("outer_max_weight = 20\n")
+    rc = main(["bler"] + SMALL + ["--config", str(cfgfile), "--out", str(tmp_path)])
+    assert rc == 2 and "outer_max_weight" in capsys.readouterr().err
+    assert not any(p.suffix == ".csv" for p in tmp_path.iterdir())
+
+
 def test_bler_row_per_snr(tmp_path, capsys):
     rc = main(["bler"] + DIMS + ["--snr", "3,25", "--trials", "64",
                "--list", "2", "--outer-budget", "64",
@@ -198,7 +261,7 @@ def test_every_setting_is_a_flag_and_a_config_key(tmp_path):
     text = {"dims": "16,9,3", "snr": "3,4", "systematic": "1", "list": "2",
             "decoder": "ca_scl", "epsilon": "10^-2", "trials": "1e3", "min_errors": "7",
             "seed": "-3", "method": "bhattacharyya", "outer": "gcd", "outer_budget": "64",
-            "outer_list": "2", "outer_max_weight": "20", "retry": "1", "workers": "2",
+            "outer_list": "2", "retry": "1", "workers": "2",
             "batch_size": "32", "round_trials": "64", "out": str(tmp_path), "stem": "s"}
     assert set(text) == set(_SETTINGS)
     fields = {f.name for f in dataclasses.fields(SimConfig)}

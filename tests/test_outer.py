@@ -166,16 +166,23 @@ def distinct_partitions(total, max_part):
 
 
 def oracle_rank_sets(k, max_weight=None):
-    """ORBGRAND rank sets over k ranks: by weight, then lexicographic."""
-    top = k * (k + 1) // 2 if max_weight is None else max_weight
+    """ORBGRAND rank sets over k ranks: by weight, then lexicographic; only
+    those of weight <= ``max_weight`` when it is given."""
+    top = k * (k + 1) // 2 if max_weight is None else min(max_weight, k * (k + 1) // 2)
     for weight in range(top + 1):
         yield from distinct_partitions(weight, k)
 
 
-def oracle_schedule(order, max_weight=None):
+def weight_budget(k, max_weight):
+    """S(k, w): the rank sets over k ranks of weight <= w, the query budget
+    that caps a guesser at logistic weight w."""
+    return sum(1 for _ in oracle_rank_sets(k, max_weight))
+
+
+def oracle_schedule(order):
     """uint8 flip masks over positions, one per oracle rank set."""
     order = np.asarray(order)
-    for ranks in oracle_rank_sets(len(order), max_weight):
+    for ranks in oracle_rank_sets(len(order)):
         mask = np.zeros(len(order), dtype=np.uint8)
         mask[order[np.array(ranks, dtype=np.int64) - 1]] = 1
         yield mask
@@ -190,7 +197,7 @@ def rank_sets(masks, order):
 def test_orbgrand_schedule_matches_recursive_oracle(k, rows):
     # byte planes hold any K; 114 ranks need 15 planes, past 64 bits
     order = np.random.default_rng(k).permutation(k)
-    got = rank_sets(itertools.islice(orbgrand_schedule(order), rows), order)
+    got = rank_sets(orbgrand_schedule(order, rows), order)
     want = list(itertools.islice(oracle_rank_sets(k), rows))
     assert len(got) == rows
     assert got == want
@@ -198,9 +205,16 @@ def test_orbgrand_schedule_matches_recursive_oracle(k, rows):
 
 @pytest.mark.parametrize("k, max_weight", [(24, 40), (43, 30), (114, 25), (5, 100)])
 def test_orbgrand_schedule_max_weight_truncation(k, max_weight):
+    # the first S(k, w) rows are the sets of weight <= w (904 of them at
+    # k = 114, w = 25), and the row after them, if any, weighs w + 1
     order = np.random.default_rng(k).permutation(k)
-    got = rank_sets(orbgrand_schedule(order, max_weight=max_weight), order)
-    assert got == list(oracle_rank_sets(k, min(max_weight, k * (k + 1) // 2)))
+    rows = weight_budget(k, max_weight)
+    got = orbgrand_schedule(order, rows + 1)
+    assert rank_sets(got[:rows], order) == list(oracle_rank_sets(k, max_weight))
+    if rows < 2 ** k:
+        assert sum(rank_sets(got[rows:], order)[0]) == max_weight + 1
+    else:
+        assert len(got) == rows
 
 
 class Row(NamedTuple):
@@ -230,21 +244,24 @@ def sogrand_decode(llr, spec, **kwargs):
     return row_of(sogrand_decode_block(np.asarray(llr)[None], spec, **kwargs), 0)
 
 
-def test_decoders_stop_at_max_weight():
-    # a budget past the last allowed weight class queries exactly that class
-    # prefix, in both guessers, and builds no schedule past it
+def test_decoders_stop_at_max_weight(monkeypatch):
+    # a cap at weight 12 is the budget S(k, 12): both guessers query exactly
+    # that class prefix and build no schedule past it; a budget past 2^k
+    # queries every pattern
     rng = np.random.default_rng(17)
     for _ in range(20):
         llr = rng.normal(0, 0.5, 30)
-        n_sets = len(list(oracle_rank_sets(30 - 6, 12)))
-        out = gcd_decode(llr, CRC6, max_queries=1 << 40, max_weight=12)
-        assert out.queries == n_sets
-        out = sogrand_decode(llr, CRC6, max_queries=1 << 40, list_size=1 << 10,
-                             max_weight=12)
-        assert out.queries == len(list(oracle_rank_sets(30, 12)))
-    for decode in (gcd_decode, sogrand_decode):
-        with pytest.raises(ValueError):
-            decode(np.zeros(10), CRC6, max_weight=-1)
+        monkeypatch.setattr(outer, "_schedules", {})
+        n_sets = weight_budget(30 - 6, 12)
+        out = gcd_decode(llr, CRC6, max_queries=n_sets)
+        assert out.queries == n_sets == outer._schedules[30 - 6].shape[1]
+        n_sets = weight_budget(30, 12)
+        out = sogrand_decode(llr, CRC6, max_queries=n_sets, list_size=1 << 10)
+        assert out.queries == n_sets == outer._schedules[30].shape[1]
+    llr = rng.normal(0, 0.5, 12)
+    assert gcd_decode(llr, CRC6, max_queries=1 << 40).queries == 2 ** 6
+    assert sogrand_decode(llr, CRC6, max_queries=1 << 40,
+                          list_size=1 << 10).queries == 2 ** 12
 
 
 def test_orbgrand_schedule_matches_brute_force():
@@ -260,7 +277,7 @@ def test_orbgrand_schedule_matches_brute_force():
 
         every = [np.array(m, np.uint8) for m in itertools.product([0, 1], repeat=k)]
         want = [tuple(m) for m in sorted(every, key=key)]
-        got = [tuple(m) for m in orbgrand_schedule(order)]
+        got = [tuple(m) for m in orbgrand_schedule(order, 2 ** k)]
         assert got == want
 
 
@@ -274,7 +291,7 @@ def test_orbgrand_schedule_ordering(k, seed):
     rank_of = rank_lookup(order)
     prev = -1
     seen = set()
-    for idx, mask in enumerate(orbgrand_schedule(order)):
+    for idx, mask in enumerate(orbgrand_schedule(order, 151)):
         w = int(rank_of[np.flatnonzero(mask)].sum())
         assert w >= prev
         prev = w
@@ -283,28 +300,31 @@ def test_orbgrand_schedule_ordering(k, seed):
         seen.add(key)
         if idx == 0:
             assert not mask.any()
-        if idx >= 150:
-            break
 
 
 def test_orbgrand_schedule_max_weight():
+    # the masks of weight <= 4 lead the order, and a short schedule is a
+    # prefix of the full one, which holds all 2^k masks however many rows
+    # are asked for
     order = np.arange(6)
     rank_of = rank_lookup(order)
-    masks = list(orbgrand_schedule(order, max_weight=4))
-    assert all(rank_of[np.flatnonzero(m)].sum() <= 4 for m in masks)
-    full = list(orbgrand_schedule(order))
-    assert len(masks) < len(full)
-    assert [tuple(m) for m in masks] == [
-        tuple(m) for m in full if rank_of[np.flatnonzero(m)].sum() <= 4
-    ]
+    full = orbgrand_schedule(order, 100)
+    assert full.shape == (64, 6) and full.dtype == np.uint8
+    light = [tuple(m) for m in full if rank_of[np.flatnonzero(m)].sum() <= 4]
+    masks = orbgrand_schedule(order, weight_budget(6, 4))
+    assert [tuple(m) for m in masks] == light == [tuple(m) for m in full[:len(light)]]
 
 
 def test_orbgrand_schedule_rejects_non_permutation():
     with pytest.raises(ValueError):
-        list(orbgrand_schedule(np.array([0, 0, 1])))
+        orbgrand_schedule(np.array([0, 0, 1]), 4)
+    with pytest.raises(ValueError):
+        orbgrand_schedule(np.arange(3), 0)
+    with pytest.raises(TypeError, match="rows"):
+        orbgrand_schedule(np.arange(3), 2.0)
 
 
-def reference_sogrand(llr, spec, max_queries, list_size, max_weight=None):
+def reference_sogrand(llr, spec, max_queries, list_size):
     # pattern-at-a-time rerun of the documented query procedure
     k = len(llr)
     hard = (llr > 0).astype(np.uint8)
@@ -314,7 +334,7 @@ def reference_sogrand(llr, spec, max_queries, list_size, max_weight=None):
     cands, lphi = [], []
     qmass = 0.0
     queries = 0
-    for mask in oracle_schedule(order, max_weight):
+    for mask in oracle_schedule(order):
         if queries >= max_queries or len(cands) >= list_size:
             break
         queries += 1
@@ -432,7 +452,7 @@ def gf2_reduce(m):
     return m, pivots
 
 
-def reference_gcd(llr, spec, max_queries, list_size, max_weight=None):
+def reference_gcd(llr, spec, max_queries, list_size):
     # query-at-a-time rerun: split by reliability with GF(2) rank tests on the
     # parity-check matrix, walk the recursive oracle schedule over the
     # guessed part, and solve each query through the inverse of the solved
@@ -456,7 +476,7 @@ def reference_gcd(llr, spec, max_queries, list_size, max_weight=None):
     log_keep_s = -np.logaddexp(0, -mag[guessed]).sum()
 
     scored, phi_sum, psi_sum, queries = [], 0.0, 0.0, 0
-    for mask in oracle_schedule(np.arange(len(guessed)), max_weight):
+    for mask in oracle_schedule(np.arange(len(guessed))):
         if queries >= max_queries:
             break
         queries += 1
@@ -676,7 +696,10 @@ BLOCK_DECODERS = [(gcd_decode_block, gcd_decode, reference_gcd),
 @pytest.mark.parametrize("block, single, reference", BLOCK_DECODERS)
 @pytest.mark.parametrize("kwargs", [
     dict(max_queries=2048), dict(max_queries=256, list_size=3),
-    dict(max_queries=1), dict(max_queries=4096, max_weight=9),
+    dict(max_queries=1),
+    # S(k, 9) for k >= 9, the budget of a weight-9 cap: sogrand's rounds of
+    # 64 and 128 queries end mid-round
+    dict(max_queries=33),
     # the CRC6 rows stop after 6 to 12 hits: a short row's phi sum must not
     # see the zero padding up to the longest list
     dict(max_queries=600, list_size=12),
@@ -702,8 +725,7 @@ def test_block_decoders_match_reference_and_single_rows(block, single, reference
             out = row_of(got, t)
             assert same_row(out, single(row, spec, **kwargs)), (name, t)
             want_c, want_so, want_q = reference(
-                row, spec, kwargs["max_queries"], kwargs.get("list_size", 1),
-                kwargs.get("max_weight"))
+                row, spec, kwargs["max_queries"], kwargs.get("list_size", 1))
             assert out.queries == want_q, (name, t)
             assert [tuple(c) for c in out.candidates] == want_c, (name, t)
             assert np.allclose(out.so, want_so, rtol=1e-9, atol=1e-300), (name, t)
@@ -730,13 +752,13 @@ def test_block_decoders_refuse_bad_blocks(block):
     for bad in (np.zeros((3, 6)), np.zeros(16), np.zeros((2, 3, 16))):
         with pytest.raises(ValueError):
             block(bad, CRC6)
-    for kwargs in (dict(max_queries=0), dict(list_size=0), dict(max_weight=-1)):
+    for kwargs in (dict(max_queries=0), dict(list_size=0)):
         with pytest.raises(ValueError):
             block(np.zeros((2, 16)), CRC6, **kwargs)
-    for name, value in (("max_queries", 100.5), ("list_size", 2.0), ("max_weight", 3.5)):
+    for name, value in (("max_queries", 100.5), ("list_size", 2.0)):
         with pytest.raises(TypeError, match=name):
             block(np.zeros((2, 16)), CRC6, **{name: value})
-    counts = dict(max_queries=np.int64(8), list_size=np.int64(2), max_weight=np.int64(5))
+    counts = dict(max_queries=np.int64(8), list_size=np.int64(2))
     assert block(np.zeros((2, 16)), CRC6, **counts)["queries"].tolist() == [8, 8]
 
 
@@ -789,19 +811,18 @@ def test_gcd_memory_stays_bounded_by_the_pass():
 
 def test_results_never_depend_on_the_schedule_cache(monkeypatch):
     # the cached schedule holds the longest prefix asked for so far; how
-    # long that is must not reach any output, with or without max_weight
+    # long that is must not reach any output, at a power-of-two budget or
+    # at one that ends mid-round
     rng = np.random.default_rng(34)
     llr = rng.normal(rng.choice([-2.0, 2.0], (8, 1)), 2.5, (8, 32))
     order = np.argsort(np.abs(llr[0]), kind="stable")
 
     def decode_all():
         outs = []
-        for kw in (dict(), dict(max_weight=45)):
-            outs.append(gcd_decode_block(llr, CRC11, max_queries=3000, list_size=2, **kw))
-            outs.append(sogrand_decode_block(llr, CRC11, max_queries=3000, list_size=2,
-                                             **kw))
-            masks = itertools.islice(orbgrand_schedule(order, **kw), 3000)
-            outs.append({"masks": np.array(list(masks))})
+        for budget in (3000, 777):
+            outs.append(gcd_decode_block(llr, CRC11, max_queries=budget, list_size=2))
+            outs.append(sogrand_decode_block(llr, CRC11, max_queries=budget, list_size=2))
+            outs.append({"masks": orbgrand_schedule(order, budget)})
         return outs
 
     monkeypatch.setattr(outer, "_schedules", {})

@@ -104,19 +104,11 @@ def test_bad_pipeline_config_fails_before_any_output(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("decoder", ["ca_scl", "cca_scl"])
-def test_negative_outer_max_weight_fails_before_any_output(tmp_path, decoder):
-    with pytest.raises(ValueError, match="outer_max_weight"):
-        run_bler_sweep(small_cfg(tmp_path, outer_decoder="gcd", outer_max_weight=-1,
-                                 decoder=decoder, out_stem="bad"))
-    assert not list(tmp_path.iterdir())
-
-
 def reference_outer(lo, cfg):
     """One trial's outer decision: (message, so, origin, queries)."""
     decode = gcd_decode_block if cfg.outer_decoder == "gcd" else sogrand_decode_block
     out = decode(lo[None], cfg.spec, max_queries=cfg.outer_max_queries,
-                 list_size=cfg.outer_list_size, max_weight=cfg.outer_max_weight)
+                 list_size=cfg.outer_list_size)
     queries = int(out["queries"][0])
     if out["count"][0]:
         return out["candidates"][0, 0, :cfg.m_msg], out["so"][0, 0], "outer", queries
@@ -417,21 +409,6 @@ def test_calibration_bins(tmp_path):
     assert (tmp_path / "cal.dat").read_text() == "\n\n\n".join(blocks) + "\n\n"
 
 
-def test_calibration_rejects_bad_edges(tmp_path):
-    cfg = small_cfg(tmp_path, trials=8)
-    with pytest.raises(ValueError):
-        run_calibration(cfg, edges=(0.5, 0.1, 1.0))
-    with pytest.raises(ValueError):
-        run_calibration(cfg, edges=(0.0, 0.5, 1.0))
-    with pytest.raises(ValueError):
-        run_calibration(cfg, edges=(0.5, 1.5))
-    # a top edge below 1 would leave predictions above it with no bin
-    low = small_cfg(tmp_path, snr_grid_db=(0.0,), trials=64, out_stem="low")
-    with pytest.raises(ValueError, match="end at 1"):
-        run_calibration(low, edges=(0.001, 0.01))
-    assert not list(tmp_path.iterdir())
-
-
 def test_uer_threshold_algebra(tmp_path):
     eps_grid = (0.0, 1e-3, 1e-1, 0.999999)
     cfg = small_cfg(tmp_path, epsilon_grid=eps_grid, trials=1024, out_stem="u")
@@ -492,7 +469,6 @@ def test_empty_epsilon_grid_is_refused_before_any_output(tmp_path):
     ("trials", 64.0), ("min_errors", 10.0), ("batch_size", 32.0),
     ("round_trials", 512.0), ("workers", 1.0), ("master_seed", 5.0),
     ("outer_max_queries", 256.0), ("outer_list_size", 1.0),
-    ("outer_max_weight", 2.0),
 ])
 def test_non_integer_count_is_refused_before_any_output(tmp_path, field, value):
     # SimConfig checks every count it holds before any sweep opens its outputs
@@ -503,7 +479,7 @@ def test_non_integer_count_is_refused_before_any_output(tmp_path, field, value):
 
 def test_numpy_integer_counts_are_accepted(tmp_path):
     outer = dict(list_size=np.int64(2), outer_max_queries=np.int64(256),
-                 outer_list_size=np.int32(2), outer_max_weight=np.int64(20))
+                 outer_list_size=np.int32(2))
     cfg = small_cfg(tmp_path, trials=np.int64(64), master_seed=np.int64(-5),
                     batch_size=np.int32(32), out_stem="np", **outer)
     assert type(cfg.trials) is int and cfg.master_seed == -5
