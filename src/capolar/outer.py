@@ -29,6 +29,15 @@ k guessed bits (k = K for sogrand, K - degree for gcd) queries at most
 min(max_queries, 2^k) patterns of the ORBGRAND order; to cap the logistic
 weight at w instead, pass the number of rank sets over 1..k of weight <= w.
 
+Without soft output gcd also skips the parity completion of every query
+that cannot make the list.  A query's log likelihood is computed as
+lp = (log_keep - cost_S) - cost_P, the costs summing the magnitudes it flips
+in the guessed part S and the solved part P.  cost_P >= 0 and rounding is
+monotone, so lp <= ub = log_keep - cost_S in floating point too.  A query
+whose ub falls below the ``list_size``-th best lp scored so far thus scores
+below it; that threshold only rises and a tie goes to the earlier query, so
+the query never enters the list.
+
 A row comes out bit for bit as it does in a block of that row alone.
 """
 
@@ -122,6 +131,14 @@ _CHUNK = 8192
 # ~0.4 MB of peak RSS, where passes of four blocks cost ~2.2 MB
 _PASS_BLOCKS = 2
 
+# schedule rows gcd_decode_block scores in full, as a pass of their own,
+# without soft output before it prunes by each row's list.  On the rows a
+# bler-gcd sweep and a C5 sweep hand to gcd, heads of 64 to 1024 queries ran
+# within ~10% of each other, 256 never slower than 64, and a head of one
+# query 13-22% slower (BENCH_gcd-prune.json); a head shorter than the list
+# prunes nothing until a later pass has filled it
+_HEAD = 256
+
 # the order depends only on the number of guessed bits; each entry holds the
 # largest prefix asked for so far
 _schedules: dict[int, np.ndarray] = {}
@@ -163,10 +180,11 @@ def _gather(tab: np.ndarray, index, combine, out: np.ndarray,
     ``tab`` holds (..., bytes, 256) tables, one set per leading row of
     ``out``.  ``index`` holds the planes as intp: numpy gathers through intp
     indices several times faster than through the uint8 planes themselves.
+    The ``take`` method skips ``np.take``'s Python wrapper, ~1 us a call.
     """
-    np.take(tab[..., 0, :], index[0], axis=-1, out=out, mode="clip")
+    tab[..., 0, :].take(index[0], axis=-1, out=out, mode="clip")
     for b in range(1, len(index)):
-        np.take(tab[..., b, :], index[b], axis=-1, out=tmp, mode="clip")
+        tab[..., b, :].take(index[b], axis=-1, out=tmp, mode="clip")
         combine(out, tmp, out=out)
     return out
 
@@ -431,17 +449,22 @@ def _add_blocks(total, x: np.ndarray, block: int):
     return total
 
 
-def _merge_best(best, lp: np.ndarray, lo: int, list_size: int):
-    """Fold a slice of lp (schedule rows from ``lo``) into ``best``, a pair
-    (lp values, rows) of the ``list_size`` highest so far, ties to the earlier
-    row: what a stable argsort of -lp over the whole budget would pick."""
+def _merge_best(best, lp: np.ndarray, at: np.ndarray, list_size: int):
+    """Fold scored queries (lp values at ascending schedule rows ``at``) into
+    ``best``, a pair (lp values, rows) of the ``list_size`` highest so far,
+    ties to the earlier row: what a stable argsort of -lp over the whole
+    budget would pick.  A value below the current ``list_size``-th best
+    cannot enter, so only the others are sorted."""
     if list_size == 1:
         j = int(np.argmax(lp))
         if best is None or lp[j] > best[0][0]:
-            return lp[j:j + 1].copy(), np.array([lo + j])
+            return lp[j:j + 1].copy(), at[j:j + 1].copy()
         return best
+    if best is not None and len(best[0]) == list_size:
+        keep = np.flatnonzero(lp >= best[0][-1])
+        lp, at = lp[keep], at[keep]
     pick = np.argsort(-lp, kind="stable")[:list_size]
-    vals, rows = lp[pick], lo + pick
+    vals, rows = lp[pick], at[pick]
     if best is not None:
         vals, rows = np.concatenate((best[0], vals)), np.concatenate((best[1], rows))
         keep = np.lexsort((rows, -vals))[:list_size]
@@ -473,6 +496,13 @@ def gcd_decode_block(llr: np.ndarray, spec: CrcSpec,
     module docstring; each row is what a block of that row alone gives.
     ``soft=False`` skips both mass sums, two ``exp`` passes per query block,
     and returns no ``so``; the candidates come from the same lp either way.
+    It also prunes by the bound of the module docstring.  The first
+    ``_HEAD`` queries form a pass of their own, scored in full to fill each
+    row's list; each later pass gathers only cost_S for all its queries, and
+    completes through parity just those whose ub = log_keep - cost_S reaches
+    the row's ``list_size``-th best lp so far.  Every query still counts in
+    ``queries``, and ``count`` and ``candidates`` are bit for bit those of
+    ``soft=True``.
     """
     llr, max_queries, list_size = _checked_block(
         llr, spec, max_queries, list_size, "gcd_decode_block")
@@ -501,31 +531,51 @@ def gcd_decode_block(llr: np.ndarray, spec: CrcSpec,
     cost_p_tab = _byte_tables(mag_p, np.add)
 
     # the whole budget prefix of the schedule over S, in passes of whole sum
-    # blocks; the int and float temporaries share one scratch buffer
+    # blocks; the int and float temporaries share one scratch buffer, and
+    # each pass's index planes are copied into one more (an array per pass
+    # beside the survivors' copies cost a bler-gcd sweep ~0.4 MB of peak
+    # RSS).  Without soft output the first _HEAD queries form a pass of their
+    # own, scored in full, so that the passes after it have a list to prune by
     planes = _schedule(sm, queries)
     width = _PASS_BLOCKS * _CHUNK
     size = min(queries, width)
     comb = np.empty(size, np.int64)
+    s_index = np.empty((len(planes), size), np.intp)
     p_index = np.empty(((r + 7) // 8, size), np.intp)
     cost_s, cost_p, lp, tmp = (np.empty(size) for _ in range(4))
     tmp_i = tmp.view(np.int64)
     phi_sum, psi_sum = np.zeros(n), np.zeros(n)
     best = [None] * n
-    for lo in range(0, queries, width):
-        c = min(queries, lo + width) - lo
-        index = planes[:, lo:lo + c].astype(np.intp)
+    edges = {queries, *range(0, queries, width)}
+    if not soft:
+        edges.add(min(_HEAD, queries))
+    edges = sorted(edges)
+    for lo, hi in zip(edges, edges[1:]):
+        c = hi - lo
+        index = s_index[:, :c]
+        np.copyto(index, planes[:, lo:hi])
+        rows = np.arange(lo, hi)
         for t in range(n):
-            _gather(comb_tab[t], index, np.bitwise_xor, comb[:c], tmp_i[:c])
             _gather(cost_s_tab[t], index, np.add, cost_s[:c], tmp[:c])
-            _gather(cost_p_tab[t], _byte_planes(comb[:c], p_index[:, :c]), np.add,
-                    cost_p[:c], tmp[:c])
-            np.subtract(log_keep[t], cost_s[:c], out=lp[:c])
-            np.subtract(lp[:c], cost_p[:c], out=lp[:c])
+            ub = np.subtract(log_keep[t], cost_s[:c], out=lp[:c])
+            at, idx = rows, index
+            if not soft and best[t] is not None and len(best[t][0]) == list_size:
+                # the bound of the module docstring: below a full list's
+                # worst nothing enters
+                keep = np.flatnonzero(ub >= best[t][0][-1])
+                if not len(keep):
+                    continue
+                at, idx, ub = rows[keep], index[:, keep], ub[keep]
+            m = len(at)
+            _gather(comb_tab[t], idx, np.bitwise_xor, comb[:m], tmp_i[:m])
+            _gather(cost_p_tab[t], _byte_planes(comb[:m], p_index[:, :m]), np.add,
+                    cost_p[:m], tmp[:m])
+            scored = np.subtract(ub, cost_p[:m], out=ub)  # lp, over ub
             if soft:
-                phi_sum[t] = _add_blocks(phi_sum[t], np.exp(lp[:c], out=tmp[:c]), _CHUNK)
+                phi_sum[t] = _add_blocks(phi_sum[t], np.exp(scored, out=tmp[:c]), _CHUNK)
                 np.subtract(log_keep_s[t], cost_s[:c], out=tmp[:c])
                 psi_sum[t] = _add_blocks(psi_sum[t], np.exp(tmp[:c], out=tmp[:c]), _CHUNK)
-            best[t] = _merge_best(best[t], lp[:c], lo, list_size)
+            best[t] = _merge_best(best[t], scored, at, list_size)
 
     # every query is a codeword, so every row lists min(list_size, queries)
     w = min(list_size, queries)

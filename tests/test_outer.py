@@ -741,6 +741,10 @@ def test_block_of_one_and_of_none(block, single):
     none = block(np.zeros((0, 43)), CRC11)
     check_columns(none, 0, 43)
     assert none["candidates"].shape == (0, 1, 43) and none["so"].shape == (0, 1)
+    # without soft output too the list axis is 1 wide, whatever list_size
+    hard = block(np.zeros((0, 43)), CRC11, list_size=4, soft=False)
+    assert "so" not in hard and hard["candidates"].shape == (0, 1, 43)
+    assert hard["count"].shape == hard["queries"].shape == (0,)
 
 
 @pytest.mark.parametrize("block", [d[0] for d in BLOCK_DECODERS])
@@ -765,30 +769,55 @@ def test_block_decoders_refuse_bad_blocks(block):
 @pytest.mark.parametrize("list_size", [1, 3])
 def test_gcd_slices_keep_the_first_of_tied_codewords(monkeypatch, list_size):
     # equal magnitudes tie many codewords; scored in slices of 4 queries,
-    # the best must still be the first in schedule order, as in one pass
+    # the best must still be the first in schedule order, as in one pass.
+    # Without soft output a head of 1 or 4 queries leaves the rest to the
+    # bound, where ties meet the threshold exactly, and ties broken by a few
+    # ulps sit just above it: such a query must still be scored
     llr = 2.0 * np.array([-1, 1, 1, -1, 1, 1, 1, -1, -1, 1, -1, 1.0])
     block = np.stack([llr, -llr, np.roll(llr, 5)])
     whole = gcd_decode_block(block, CRC6, max_queries=64, list_size=list_size)
+    p = llr * (1 + 1e-14 * np.arange(12))
+    near = [p, -p, np.roll(p, 5), p[::-1], np.roll(p[::-1], 3)]
+    for seed in (26, 29):  # magnitudes 1, 2 or 3, where bound and lp nearly meet
+        rng = np.random.default_rng(seed)
+        signs = rng.choice([-1.0, 1.0], 12)
+        near.append(signs * rng.choice([1.0, 2.0, 3.0], 12) * (1 + 1e-14 * rng.permutation(12)))
+    near = np.stack(near)
+    near_whole = gcd_decode_block(near, CRC6, max_queries=64, list_size=list_size)
     monkeypatch.setattr(outer, "_CHUNK", 4)
     sliced = gcd_decode_block(block, CRC6, max_queries=64, list_size=list_size)
     assert np.array_equal(sliced["candidates"], whole["candidates"])
     assert np.allclose(sliced["so"], whole["so"], rtol=1e-12, atol=0.0)
+    for head in (1, 4):
+        monkeypatch.setattr(outer, "_HEAD", head)
+        for lo, want in ((block, whole), (near, near_whole)):
+            hard = gcd_decode_block(lo, CRC6, max_queries=64, list_size=list_size, soft=False)
+            for key in ("count", "candidates", "queries"):
+                assert np.array_equal(hard[key], want[key]), (head, key)
 
 
 @pytest.mark.parametrize("list_size", [1, 3])
 def test_gcd_passes_keep_every_bit(monkeypatch, block_cases, list_size):
     # a pass of one sum block, of two (the default) and of the whole budget
     # add the same floats in the same order; 100,000 queries end on a short
-    # block inside the last pass
+    # block inside the last pass.  Without soft output, where the bound
+    # prunes every pass after the head, the list and queries are the same
     for name, spec, lo in block_cases[1:3]:
         for budget in (5000, 1 << 16, 100_000):
-            cols = []
+            cols, hard = [], []
             for blocks in (1, 2, -(-budget // outer._CHUNK)):
                 monkeypatch.setattr(outer, "_PASS_BLOCKS", blocks)
                 cols.append(gcd_decode_block(lo, spec, max_queries=budget,
                                              list_size=list_size))
+                hard.append(gcd_decode_block(lo, spec, max_queries=budget,
+                                             list_size=list_size, soft=False))
             for got in cols[1:]:
                 for key in ("count", "candidates", "so", "queries"):
+                    assert got[key].dtype == cols[0][key].dtype, (name, budget, key)
+                    assert np.array_equal(got[key], cols[0][key]), (name, budget, key)
+            for got in hard:
+                assert "so" not in got, (name, budget)
+                for key in ("count", "candidates", "queries"):
                     assert got[key].dtype == cols[0][key].dtype, (name, budget, key)
                     assert np.array_equal(got[key], cols[0][key]), (name, budget, key)
 
@@ -807,6 +836,49 @@ def test_gcd_memory_stays_bounded_by_the_pass():
     finally:
         tracemalloc.stop()
     assert peak < 3 << 20, peak
+
+
+def test_gcd_memory_without_soft_output_stays_bounded_by_the_pass():
+    # the bound's survivors and the head add scratch of their own; the
+    # same 2^20-query decode without soft output stays inside the same bound
+    lo = crc_failing_outer_llrs(2)
+    outer._schedule(lo.shape[1] - CRC24C.degree, 1 << 20)
+    tracemalloc.start()
+    try:
+        gcd_decode_block(lo, CRC24C, max_queries=1 << 20, soft=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20, peak
+
+
+@pytest.mark.parametrize("head", [1, 64, 256])
+@pytest.mark.parametrize("list_size", [1, 3])
+def test_gcd_bound_keeps_rows_with_infinite_llrs(monkeypatch, head, list_size):
+    # an infinite magnitude makes a query's lp, and its bound, -inf.  A row
+    # of infinite LLRs that is no codeword scores -inf on every query, so its
+    # threshold stays -inf and nothing may be pruned: its list is the first
+    # queries in schedule order.  Rows with a few infinite LLRs prune by a
+    # finite threshold past -inf bounds
+    monkeypatch.setattr(outer, "_HEAD", head)
+    rng = np.random.default_rng(35)
+    block = rng.normal(rng.choice([-2.0, 2.0], (6, 1)), 2.0, (6, 32))
+    block[0] = np.where(block[0] > 0, np.inf, -np.inf)
+    block[0, :2] = -np.inf, np.inf
+    assert crc_syndrome(hard_decision(block[0]), CRC11).any()
+    block[1, [3, 9, 20]] = np.inf, -np.inf, np.inf
+    block[2, :] = np.inf * np.sign(block[2])
+    block[2, 5:12] = rng.normal(0, 1, 7)
+    for budget in (100, 5000):
+        soft = gcd_decode_block(block, CRC11, max_queries=budget, list_size=list_size)
+        hard = gcd_decode_block(block, CRC11, max_queries=budget, list_size=list_size,
+                                soft=False)
+        for key in ("count", "candidates", "queries"):
+            assert np.array_equal(hard[key], soft[key]), (budget, key)
+        for t, row in enumerate(block):
+            with np.errstate(invalid="ignore"):  # row 0's soft outputs read 0/0
+                want_c, _, want_q = reference_gcd(row, CRC11, budget, list_size)
+            assert [tuple(c) for c in hard["candidates"][t]] == want_c, (budget, t)
 
 
 def test_results_never_depend_on_the_schedule_cache(monkeypatch):
