@@ -144,7 +144,6 @@ _SETTINGS = {
                       ("sogrand", "gcd")),
     "outer_budget": _Setting("outer_max_queries", _parse_count,
                              "max outer-decoder pattern queries"),
-    "outer_list": _Setting("outer_list_size", _parse_count, "outer-decoder list size"),
     "retry": _Setting("retry_on_threshold_fail", _parse_bool,
                       "retry threshold failures through the outer decoder"),
     "workers": _Setting("workers", _parse_count,

@@ -10,16 +10,15 @@ the CRC word is observed directly at the information positions.
 
 The outer decoder is a soft-input GRAND: guess error patterns around the
 hard decision in decreasing plausibility (logistic-weight order over
-reliability ranks), keep the ones whose syndrome vanishes, and report a soft
-output whose denominator charges the unqueried patterns with the expected
-mass of codewords hiding among them.  Both guessers decode a (trials, K)
-block at once (``*_decode_block``) and return a dict of per-row columns,
-lists best first along an axis of width w = max(1, longest list in the
-block):
+reliability ranks), keep the most likely one whose syndrome vanishes, and
+report a soft output whose denominator charges the unqueried patterns with
+the expected mass of codewords hiding among them.  Both guessers decode a
+(trials, K) block at once (``*_decode_block``) and return a dict of per-row
+columns:
 
-- ``count`` (n,) int: candidates found; 0 means none within the budget;
-- ``candidates`` (n, w, K) uint8: the CRC codewords, zero past ``count``;
-- ``so`` (n, w) float64: their soft outputs, zero past ``count``; only
+- ``hit`` (n,) bool: a codeword was found within the budget;
+- ``word`` (n, K) uint8: that codeword, zero where there is no hit;
+- ``so`` (n,) float64: its soft output, zero where there is no hit; only
   with ``soft=True`` (the default), since a caller that reads no soft output
   need not pay for the likelihood sums behind it;
 - ``queries`` (n,) int64: pattern queries made.
@@ -30,13 +29,13 @@ min(max_queries, 2^k) patterns of the ORBGRAND order; to cap the logistic
 weight at w instead, pass the number of rank sets over 1..k of weight <= w.
 
 Without soft output gcd also skips the parity completion of every query
-that cannot make the list.  A query's log likelihood is computed as
+that cannot win.  A query's log likelihood is computed as
 lp = (log_keep - cost_S) - cost_P, the costs summing the magnitudes it flips
 in the guessed part S and the solved part P.  cost_P >= 0 and rounding is
 monotone, so lp <= ub = log_keep - cost_S in floating point too.  A query
-whose ub falls below the ``list_size``-th best lp scored so far thus scores
-below it; that threshold only rises and a tie goes to the earlier query, so
-the query never enters the list.
+whose ub falls below the best lp scored so far thus scores below it; that
+threshold only rises and a tie goes to the earlier query, so the query
+never wins.
 
 A row comes out bit for bit as it does in a block of that row alone.
 """
@@ -132,11 +131,10 @@ _CHUNK = 8192
 _PASS_BLOCKS = 2
 
 # schedule rows gcd_decode_block scores in full, as a pass of their own,
-# without soft output before it prunes by each row's list.  On the rows a
+# without soft output before it prunes by each row's best.  On the rows a
 # bler-gcd sweep and a C5 sweep hand to gcd, heads of 64 to 1024 queries ran
 # within ~10% of each other, 256 never slower than 64, and a head of one
-# query 13-22% slower (BENCH_gcd-prune.json); a head shorter than the list
-# prunes nothing until a later pass has filled it
+# query 13-22% slower (BENCH_gcd-prune.json)
 _HEAD = 256
 
 # the order depends only on the number of guessed bits; each entry holds the
@@ -189,12 +187,12 @@ def _gather(tab: np.ndarray, index, combine, out: np.ndarray,
     return out
 
 
-def _checked_block(llr, spec: CrcSpec, max_queries: int, list_size: int, name: str):
+def _checked_block(llr, spec: CrcSpec, max_queries: int, name: str):
     """The argument checks both guessers share; NaN LLRs are refused.
 
     Returns the block C-ordered, so a sum over one of its rows adds the same
-    numbers in the same order as a sum over that row alone, and the two
-    counts as plain ints.
+    numbers in the same order as a sum over that row alone, and the budget
+    as a plain int.
     """
     llr = np.ascontiguousarray(llr, dtype=np.float64)
     if llr.ndim != 2:
@@ -202,10 +200,9 @@ def _checked_block(llr, spec: CrcSpec, max_queries: int, list_size: int, name: s
     if llr.shape[1] <= spec.degree:
         raise ValueError(f"{llr.shape[1]} bits cannot carry {spec.degree} parity bits")
     max_queries = _checked_int(max_queries, "max_queries")
-    list_size = _checked_int(list_size, "list_size")
     if np.isnan(llr).any():
         raise ValueError(f"{name} got NaN LLRs")
-    return llr, max_queries, list_size
+    return llr, max_queries
 
 
 def _reliability(llr: np.ndarray, spec: CrcSpec):
@@ -249,16 +246,15 @@ def _flip_masks(planes: np.ndarray, at: np.ndarray, k: int) -> np.ndarray:
 
 
 def _columns(hard: np.ndarray, perm: np.ndarray, flips: np.ndarray,
-             count: np.ndarray, so: np.ndarray | None, queries: np.ndarray) -> dict:
-    """The guessers' per-row columns, ``so`` left out when None.  Candidate
-    j of row t is that row's hard decision with position perm[t, i] flipped
-    wherever flips[t, j, i] is set; candidates and soft outputs past
-    ``count`` read 0."""
+             hit: np.ndarray, so: np.ndarray | None, queries: np.ndarray) -> dict:
+    """The guessers' per-row columns, ``so`` left out when None.  The word
+    of row t is that row's hard decision with position perm[t, i] flipped
+    wherever flips[t, i] is set, and reads 0 where there is no hit."""
     mask = np.zeros_like(flips)
-    np.put_along_axis(mask, np.broadcast_to(perm[:, None, :], flips.shape), flips, axis=2)
-    words = hard[:, None, :] ^ mask
-    words[np.arange(flips.shape[1]) >= count[:, None]] = 0
-    cols = {"count": count, "candidates": words, "so": so, "queries": queries}
+    np.put_along_axis(mask, perm, flips, axis=1)
+    word = hard ^ mask
+    word[~hit] = 0
+    cols = {"hit": hit, "word": word, "so": so, "queries": queries}
     if so is None:
         del cols["so"]
     return cols
@@ -270,29 +266,27 @@ _GATHER_CELLS = 1 << 16
 
 
 def sogrand_decode_block(llr: np.ndarray, spec: CrcSpec,
-                         max_queries: int = 1 << 16, list_size: int = 1,
-                         soft: bool = True) -> dict:
+                         max_queries: int = 1 << 16, soft: bool = True) -> dict:
     """Guess error patterns around the hard decision of each row of a
     (trials, K) block.
 
-    A row stops after ``list_size`` syndrome-zero candidates, after
-    ``max_queries`` pattern queries, or when all 2^K patterns are queried.
-    Each candidate's soft output is phi(c) / (sum of phi over the list +
-    R), where phi is the pattern likelihood and R estimates the codeword
-    mass left in the unqueried patterns: the leftover pattern mass times
-    the fraction of unqueried patterns expected to be codewords.
+    A row stops at its first syndrome-zero pattern, after ``max_queries``
+    pattern queries, or when all 2^K patterns are queried.  The codeword's
+    soft output is phi / (phi + R), where phi is the pattern likelihood and
+    R estimates the codeword mass left in the unqueried patterns: the
+    leftover pattern mass times the fraction of unqueried patterns expected
+    to be codewords.
 
     Each round doubles the queries made so far (the first makes 64), up to
     the budget.
     Rows still searching have all made the same number of queries, so they
     share each round's window of the schedule, whose byte planes are
-    gathered once for all of them; a row leaves at its ``list_size``-th hit.
+    gathered once for all of them; a row leaves at its hit.
     Returns the per-row columns of the module docstring; each row is what a
     block of that row alone gives.  ``soft=False`` skips the queried mass
     and R, and returns no ``so``.
     """
-    llr, max_queries, list_size = _checked_block(
-        llr, spec, max_queries, list_size, "sogrand_decode_block")
+    llr, max_queries = _checked_block(llr, spec, max_queries, "sogrand_decode_block")
     n, k = llr.shape
     budget = min(max_queries, 2 ** k)
     hard, mag, order, log_keep, cols, syn_hard = _reliability(llr, spec)
@@ -300,18 +294,15 @@ def sogrand_decode_block(llr: np.ndarray, spec: CrcSpec,
     syn_tab = _byte_tables(cols[order], np.bitwise_xor)
     cost_tab = _byte_tables(np.take_along_axis(mag, order, axis=1), np.add)
 
-    # every hit as (row, its place in that row's list, schedule row,
-    # log phi), in the order found
-    hit_row: list[int] = []
-    hit_slot: list[int] = []
-    hit_at: list[int] = []
-    hit_lp: list[float] = []
-    n_hits = [0] * n
+    # each row's hit: its schedule row and log phi
+    hit = np.zeros(n, dtype=bool)
+    at = np.zeros(n, dtype=np.intp)
+    log_phi = np.full(n, -np.inf)
     queried_mass = np.zeros(n)
     used = np.zeros(n, dtype=np.int64)
-    searching = list(range(n))
+    searching = np.arange(n)
     queries = 0
-    while searching and queries < budget:
+    while len(searching) and queries < budget:
         # a round depends on nothing but the queries so far and the budget,
         # so a row's sums group alike in any block; the schedule grows with
         # the deepest query so far, not the budget
@@ -320,71 +311,50 @@ def sogrand_decode_block(llr: np.ndarray, spec: CrcSpec,
         index = planes[:, queries:stop].astype(np.intp)
         width = stop - queries
         group = max(1, _GATHER_CELLS // width)
-        still = []
         for first in range(0, len(searching), group):
-            rows = np.array(searching[first:first + group])
+            rows = searching[first:first + group]
             shape = (len(rows), width)
             syn = _gather(syn_tab[rows], index, np.bitwise_xor,
                           np.empty(shape, np.int64), np.empty(shape, np.int64))
             cost = _gather(cost_tab[rows], index, np.add, np.empty(shape), np.empty(shape))
             lp = log_keep[rows, None] - cost
-            hit = syn == syn_hard[rows, None]
-            for i, t in enumerate(rows.tolist()):
-                needed = list_size - n_hits[t]
-                hits = np.flatnonzero(hit[i])[:needed]
-                take = int(hits[-1]) + 1 if len(hits) == needed else width
-                if soft:
-                    queried_mass[t] += float(np.exp(lp[i, :take]).sum())
-                hit_row += [t] * len(hits)
-                hit_slot += range(n_hits[t], n_hits[t] + len(hits))
-                hit_at += (queries + hits).tolist()
-                hit_lp += lp[i, hits].tolist()
-                n_hits[t] += len(hits)
-                used[t] = queries + take
-                if len(hits) < needed:
-                    still.append(t)
-        searching, queries = still, stop
+            hits = syn == syn_hard[rows, None]
+            j = hits.argmax(axis=1)
+            done = hits[np.arange(len(rows)), j]
+            take = np.where(done, j + 1, width)
+            if soft:
+                for i, t in enumerate(rows.tolist()):
+                    queried_mass[t] += float(np.exp(lp[i, :take[i]]).sum())
+            used[rows] = queries + take
+            hit[rows[done]] = True
+            at[rows[done]] = queries + j[done]
+            log_phi[rows[done]] = lp[done, j[done]]
+        searching, queries = searching[~hit[searching]], stop
 
-    # (n, w) tables of each row's hits in the order found, zero-padded
-    count = np.array(n_hits, dtype=np.int64)
-    w = max(1, max(n_hits, default=0))
-    phi = np.zeros((n, w))
-    phi[hit_row, hit_slot] = np.exp(hit_lp)
-    at = np.zeros((n, w), dtype=np.intp)
-    at[hit_row, hit_slot] = hit_at
-    # best first; a stable sort of -phi keeps the order found among equal
-    # likelihoods, and the padding after every real hit
-    rank = np.argsort(-phi, axis=1, kind="stable")
-    at = np.take_along_axis(at, rank, axis=1)
-    so = _sogrand_so(phi, rank, count, queried_mass, used, k, spec.degree) if soft else None
+    so = _sogrand_so(log_phi, queried_mass, used, k, spec.degree) if soft else None
     # the cached schedule, which holds every row queried
     planes = _schedule(k, int(at.max(initial=0)) + 1)
-    return _columns(hard, order, _flip_masks(planes, at, k), count, so, used)
+    return _columns(hard, order, _flip_masks(planes, at, k), hit, so, used)
 
 
-def _sogrand_so(phi: np.ndarray, rank: np.ndarray, count: np.ndarray,
-                queried_mass: np.ndarray, used: np.ndarray, k: int, degree: int):
-    """sogrand's soft outputs, best first by ``rank``: phi over the list's
-    phi sum plus R, from the (n, w) hit likelihoods in the order found."""
-    n = len(count)
-    # each row's phi sum adds just its own hits, in the order found: the
-    # zero padding would change how numpy pairs the terms of a long row
-    phi_sum = np.zeros(n)
-    for c in set(count.tolist()) - {0}:
-        rows = count == c
-        phi_sum[rows] = phi[rows, :c].sum(axis=1)
+def _sogrand_so(log_phi: np.ndarray, queried_mass: np.ndarray, used: np.ndarray,
+                k: int, degree: int) -> np.ndarray:
+    """sogrand's soft outputs phi / (phi + R); 0 where there is no hit,
+    whose log phi is -inf."""
+    phi = np.exp(log_phi)
     remaining = np.maximum(0.0, 1.0 - queried_mass)
-    # the unqueried patterns and codewords, both scaled by 2^-s to keep 2^k
-    # finite past K = 1000 (exact, and a no-op below)
+    # the unqueried patterns and the codewords but the hit among them, both
+    # scaled by 2^-s to keep 2^k finite past K = 1000 (exact, and a no-op
+    # below)
     s = max(0, k - 1000)
     unqueried = np.ldexp(1.0, k - s) - np.ldexp(used, -s)
-    r_term = np.zeros(n)
-    np.divide(remaining * (np.ldexp(1.0, k - degree - s) - np.ldexp(count, -s)),
+    r_term = np.zeros(len(phi))
+    np.divide(remaining * (np.ldexp(1.0, k - degree - s) - np.ldexp(1.0, -s)),
               unqueried, out=r_term, where=unqueried > 0)
-    denom = phi_sum + np.maximum(0.0, r_term)
+    denom = phi + r_term
     so = np.zeros_like(phi)
-    np.divide(phi, denom[:, None], out=so, where=denom[:, None] > 0.0)
-    return np.take_along_axis(so, rank, axis=1)
+    np.divide(phi, denom, out=so, where=denom > 0.0)
+    return so
 
 
 def _parity_split(cols: np.ndarray, syn: np.ndarray, order: np.ndarray, r: int):
@@ -449,32 +419,8 @@ def _add_blocks(total, x: np.ndarray, block: int):
     return total
 
 
-def _merge_best(best, lp: np.ndarray, at: np.ndarray, list_size: int):
-    """Fold scored queries (lp values at ascending schedule rows ``at``) into
-    ``best``, a pair (lp values, rows) of the ``list_size`` highest so far,
-    ties to the earlier row: what a stable argsort of -lp over the whole
-    budget would pick.  A value below the current ``list_size``-th best
-    cannot enter, so only the others are sorted."""
-    if list_size == 1:
-        j = int(np.argmax(lp))
-        if best is None or lp[j] > best[0][0]:
-            return lp[j:j + 1].copy(), at[j:j + 1].copy()
-        return best
-    if best is not None and len(best[0]) == list_size:
-        keep = np.flatnonzero(lp >= best[0][-1])
-        lp, at = lp[keep], at[keep]
-    pick = np.argsort(-lp, kind="stable")[:list_size]
-    vals, rows = lp[pick], at[pick]
-    if best is not None:
-        vals, rows = np.concatenate((best[0], vals)), np.concatenate((best[1], rows))
-        keep = np.lexsort((rows, -vals))[:list_size]
-        vals, rows = vals[keep], rows[keep]
-    return vals, rows
-
-
 def gcd_decode_block(llr: np.ndarray, spec: CrcSpec,
-                     max_queries: int = 1 << 16, list_size: int = 1,
-                     soft: bool = True) -> dict:
+                     max_queries: int = 1 << 16, soft: bool = True) -> dict:
     """Guess only the reliable bits of each row of a (trials, K) block;
     solve the unreliable ones from parity.
 
@@ -482,12 +428,13 @@ def gcd_decode_block(llr: np.ndarray, spec: CrcSpec,
     linearly independent form the solved part; the remaining K - degree
     positions form the guessed part.  Each query flips an ORBGRAND pattern
     over the guessed part and completes the word through the parity
-    equations, so every query lands on a codeword.  Every row makes the
-    same min(``max_queries``, 2^(K - degree)) queries.  Candidates are the
-    ``list_size`` highest-likelihood completions; their soft output divides
-    phi(c) by the phi mass of all queried codewords plus the guessed-part
-    pattern mass left unqueried, which never exceeds the mass of the missed
-    codewords, so the quoted posteriors are conservative.
+    equations, so every query lands on a codeword and every row hits.  Every
+    row makes the same min(``max_queries``, 2^(K - degree)) queries.  The
+    word is the highest-likelihood completion, ties to the earlier query;
+    its soft output divides phi(c) by the phi mass of all queried codewords
+    plus the guessed-part pattern mass left unqueried, which never exceeds
+    the mass of the missed codewords, so the quoted posterior is
+    conservative.
 
     The split into solved and guessed parts is one GF(2) elimination over
     the block.  The schedule over the guessed part depends only on its
@@ -495,25 +442,20 @@ def gcd_decode_block(llr: np.ndarray, spec: CrcSpec,
     scored for every row in turn.  Returns the per-row columns of the
     module docstring; each row is what a block of that row alone gives.
     ``soft=False`` skips both mass sums, two ``exp`` passes per query block,
-    and returns no ``so``; the candidates come from the same lp either way.
+    and returns no ``so``; the word comes from the same lp either way.
     It also prunes by the bound of the module docstring.  The first
-    ``_HEAD`` queries form a pass of their own, scored in full to fill each
-    row's list; each later pass gathers only cost_S for all its queries, and
+    ``_HEAD`` queries form a pass of their own, scored in full to set each
+    row's best; each later pass gathers only cost_S for all its queries, and
     completes through parity just those whose ub = log_keep - cost_S reaches
-    the row's ``list_size``-th best lp so far.  Every query still counts in
-    ``queries``, and ``count`` and ``candidates`` are bit for bit those of
-    ``soft=True``.
+    the row's best lp so far.  Every query still counts in ``queries``, and
+    ``word`` is bit for bit that of ``soft=True``.
     """
-    llr, max_queries, list_size = _checked_block(
-        llr, spec, max_queries, list_size, "gcd_decode_block")
+    llr, max_queries = _checked_block(llr, spec, max_queries, "gcd_decode_block")
     n, k = llr.shape
     r = spec.degree
     sm = k - r
     queries = min(max_queries, 2 ** sm)
     hard, mag, order, log_keep, cols, syn_hard = _reliability(llr, spec)
-    if n == 0:
-        return _columns(hard, order, np.zeros((0, 1, k), np.uint8), np.zeros(0, np.int64),
-                        np.zeros((0, 1)) if soft else None, np.zeros(0, np.int64))
     solved, guessed, comb_s, comb_hard = _parity_split(cols[order], syn_hard, order, r)
     mag_s = np.take_along_axis(mag, guessed, axis=1)
     mag_p = np.take_along_axis(mag, solved, axis=1)
@@ -535,7 +477,7 @@ def gcd_decode_block(llr: np.ndarray, spec: CrcSpec,
     # each pass's index planes are copied into one more (an array per pass
     # beside the survivors' copies cost a bler-gcd sweep ~0.4 MB of peak
     # RSS).  Without soft output the first _HEAD queries form a pass of their
-    # own, scored in full, so that the passes after it have a list to prune by
+    # own, scored in full, so that the passes after it have a best to prune by
     planes = _schedule(sm, queries)
     width = _PASS_BLOCKS * _CHUNK
     size = min(queries, width)
@@ -545,7 +487,8 @@ def gcd_decode_block(llr: np.ndarray, spec: CrcSpec,
     cost_s, cost_p, lp, tmp = (np.empty(size) for _ in range(4))
     tmp_i = tmp.view(np.int64)
     phi_sum, psi_sum = np.zeros(n), np.zeros(n)
-    best = [None] * n
+    # each row's best lp and its schedule row; a first -inf keeps query 0
+    best_lp, best_at = np.full(n, -np.inf), np.zeros(n, dtype=np.intp)
     edges = {queries, *range(0, queries, width)}
     if not soft:
         edges.add(min(_HEAD, queries))
@@ -559,10 +502,9 @@ def gcd_decode_block(llr: np.ndarray, spec: CrcSpec,
             _gather(cost_s_tab[t], index, np.add, cost_s[:c], tmp[:c])
             ub = np.subtract(log_keep[t], cost_s[:c], out=lp[:c])
             at, idx = rows, index
-            if not soft and best[t] is not None and len(best[t][0]) == list_size:
-                # the bound of the module docstring: below a full list's
-                # worst nothing enters
-                keep = np.flatnonzero(ub >= best[t][0][-1])
+            if not soft and lo:
+                # the bound of the module docstring: below the best nothing wins
+                keep = np.flatnonzero(ub >= best_lp[t])
                 if not len(keep):
                     continue
                 at, idx, ub = rows[keep], index[:, keep], ub[keep]
@@ -575,22 +517,19 @@ def gcd_decode_block(llr: np.ndarray, spec: CrcSpec,
                 phi_sum[t] = _add_blocks(phi_sum[t], np.exp(scored, out=tmp[:c]), _CHUNK)
                 np.subtract(log_keep_s[t], cost_s[:c], out=tmp[:c])
                 psi_sum[t] = _add_blocks(psi_sum[t], np.exp(tmp[:c], out=tmp[:c]), _CHUNK)
-            best[t] = _merge_best(best[t], scored, at, list_size)
+            j = int(np.argmax(scored))
+            if scored[j] > best_lp[t]:
+                best_lp[t], best_at[t] = scored[j], at[j]
 
-    # every query is a codeword, so every row lists min(list_size, queries)
-    w = min(list_size, queries)
-    log_phi = np.array([pair[0] for pair in best]).reshape(n, w)
-    at = np.array([pair[1] for pair in best], dtype=np.intp).reshape(n, w)
-    # a candidate's P flips: the hard decision's solve XOR its S flips' solves
-    s_flips = _flip_masks(planes, at, sm)
-    p_comb = comb_hard[:, None] ^ np.bitwise_xor.reduce(
-        np.where(s_flips.astype(bool), comb_s[:, None, :], 0), axis=2)
-    p_flips = _unpack(p_comb, r)
+    # the word's P flips: the hard decision's solve XOR its S flips' solves
+    s_flips = _flip_masks(planes, best_at, sm)
+    p_comb = comb_hard ^ np.bitwise_xor.reduce(
+        np.where(s_flips.astype(bool), comb_s, 0), axis=1)
     so = None
     if soft:
         denom = phi_sum + np.maximum(0.0, 1.0 - psi_sum)
-        so = np.zeros((n, w))
-        np.divide(np.exp(log_phi), denom[:, None], out=so, where=denom[:, None] > 0.0)
+        so = np.zeros(n)
+        np.divide(np.exp(best_lp), denom, out=so, where=denom > 0.0)
     return _columns(hard, np.concatenate((guessed, solved), axis=1),
-                    np.concatenate((s_flips, p_flips), axis=2), np.full(n, w), so,
-                    np.full(n, queries, dtype=np.int64))
+                    np.concatenate((s_flips, _unpack(p_comb, r)), axis=1),
+                    np.ones(n, dtype=bool), so, np.full(n, queries, dtype=np.int64))

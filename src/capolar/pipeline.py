@@ -41,12 +41,11 @@ class PipelineConfig:
     list_size: int
     retry_epsilon: float | None = None  # retry inner decisions failing this threshold
     outer_max_queries: int = 1 << 16
-    outer_list_size: int = 1
     outer_decoder: str = "sogrand"  # pattern guessing | "gcd" codeword guessing
 
     def __post_init__(self):
         # the counts are stored as plain ints, which SimConfig copies back
-        for name in ("list_size", "outer_max_queries", "outer_list_size"):
+        for name in ("list_size", "outer_max_queries"):
             object.__setattr__(self, name, _checked_int(getattr(self, name), name))
         k = len(self.code.info)
         if self.spec.degree >= k:
@@ -125,16 +124,15 @@ def decide_block(sel: dict, llr: np.ndarray | None, cfg: PipelineConfig,
 
     lo = outer_llr(llr[rows], cfg.code)
     decode = gcd_decode_block if cfg.outer_decoder == "gcd" else sogrand_decode_block
-    out = decode(lo, cfg.spec, max_queries=cfg.outer_max_queries,
-                 list_size=cfg.outer_list_size, soft=soft)
-    # the best candidate, or the hard decision with zero confidence
-    # ("fallback") when the guesser found nothing within its budget
-    hit = out["count"] > 0
-    decided = {"message": np.where(hit[:, None], out["candidates"][:, 0, :m],
+    out = decode(lo, cfg.spec, max_queries=cfg.outer_max_queries, soft=soft)
+    # the guesser's word, or the hard decision with zero confidence
+    # ("fallback") when it found nothing within its budget
+    hit = out["hit"]
+    decided = {"message": np.where(hit[:, None], out["word"][:, :m],
                                    hard_decision(lo)[:, :m]),
                "queries": out["queries"]}
     if soft:
-        decided["so"] = out["so"][:, 0]
+        decided["so"] = out["so"]
 
     # a CRC failure takes the outer decision, a retry its alt columns
     again = found[rows]

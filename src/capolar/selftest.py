@@ -181,25 +181,48 @@ def _check_orbgrand_order():
 
 
 def _check_sogrand_coset():
+    # at the full budget the word is the first codeword of the exhaustive
+    # ORBGRAND walk over all 2^12 patterns, by weight and then rank tuple,
+    # and its soft output phi / (phi + R) charges R with the pattern mass
+    # left after the patterns queried up to it
     rng = np.random.default_rng(8)
     k, spec = 12, CRC6
-    msgs = np.array(list(itertools.product([0, 1], repeat=k - 6)), dtype=np.uint8)
-    book = crc_encode(msgs, spec)
+    patterns = list(itertools.product([0, 1], repeat=k))
+    worst = 0.0
     for trial in range(50):
         llr = rng.normal(0.5, 2.0, k)
-        out = sogrand_decode_block(llr[None], spec, max_queries=1 << 12, list_size=1 << 6)
-        cands = out["candidates"][0, :out["count"][0]]
-        if {tuple(c) for c in cands} != {tuple(c) for c in book}:
-            return False, f"trial {trial}: candidate set != codebook"
-        ml_word, _ = oracle.ml_decode(llr, book)
-        if not np.array_equal(cands[0], ml_word):
-            return False, f"trial {trial}: top candidate != ML"
-    return True, "50 trials, full coset recovered, top = ML"
+        out = sogrand_decode_block(llr[None], spec, max_queries=1 << k)
+        hard, mag = (llr > 0).astype(np.uint8), np.abs(llr)
+        rank_of = np.empty(k, dtype=int)
+        rank_of[np.argsort(mag, kind="stable")] = np.arange(1, k + 1)
+
+        def key(mask):
+            ranks = tuple(sorted(r for r, bit in zip(rank_of.tolist(), mask) if bit))
+            return sum(ranks), ranks
+
+        log_keep = -np.logaddexp(0.0, -mag).sum()
+        mass = 0.0
+        for used, mask in enumerate(sorted(patterns, key=key), 1):
+            mask = np.array(mask, dtype=np.uint8)
+            lp = log_keep - mag[mask == 1].sum()
+            mass += np.exp(lp)
+            if not crc_syndrome(hard ^ mask, spec).any():
+                break
+        if (not out["hit"][0] or out["queries"][0] != used
+                or not np.array_equal(out["word"][0], hard ^ mask)):
+            return False, f"trial {trial}: word != first codeword of the walk"
+        phi = np.exp(lp)
+        r_term = max(0.0, 1.0 - mass) * (2.0 ** (k - spec.degree) - 1) / (2.0 ** k - used)
+        worst = max(worst, abs(out["so"][0] * (phi + r_term) / phi - 1.0))
+    if worst > 1e-9:
+        return False, f"SO rel err {worst:.2e}"
+    return True, f"50 trials, word = first codeword of the walk, max SO rel err {worst:.1e}"
 
 
 def _check_gcd_posterior():
-    # at the full budget every guessed-part prefix is queried once, so the
-    # list is the whole codebook and the soft outputs its exact posterior
+    # at the full budget every guessed-part prefix is queried once, so every
+    # codeword is scored: the word is the ML word and its soft output that
+    # word's exact posterior
     rng = np.random.default_rng(9)
     k, spec = 10, CRC6
     msgs = np.array(list(itertools.product([0, 1], repeat=k - 6)), dtype=np.uint8)
@@ -207,20 +230,16 @@ def _check_gcd_posterior():
     worst = 0.0
     for trial in range(50):
         llr = rng.normal(0.0, 2.0, k)
-        out = gcd_decode_block(llr[None], spec, max_queries=len(book), list_size=len(book))
-        if out["queries"][0] != len(book) or out["count"][0] != len(book):
+        out = gcd_decode_block(llr[None], spec, max_queries=len(book))
+        if out["queries"][0] != len(book):
             return False, f"trial {trial}: codebook not covered"
-        post = np.exp(book @ llr - (book @ llr).max())
-        post /= post.sum()
-        for c, s in zip(out["candidates"][0], out["so"][0]):
-            idx = np.flatnonzero((book == c).all(axis=1))[0]
-            worst = max(worst, abs(s - post[idx]))
-        ml_word, _ = oracle.ml_decode(llr, book)
-        if not np.array_equal(out["candidates"][0, 0], ml_word):
-            return False, f"trial {trial}: top candidate != ML"
+        ml_word, post = oracle.ml_decode(llr, book)
+        if not np.array_equal(out["word"][0], ml_word):
+            return False, f"trial {trial}: word != ML"
+        worst = max(worst, abs(out["so"][0] - post))
     if worst > 1e-9:
         return False, f"posterior err {worst:.2e}"
-    return True, f"50 trials, full codebook, top = ML, max SO err {worst:.1e}"
+    return True, f"50 trials, full codebook, word = ML, max SO err {worst:.1e}"
 
 
 def _check_pipeline_totality():
@@ -251,7 +270,7 @@ CHECKS = [
     ("outer LLR magnitude contraction", _check_contraction_bound),
     ("pair covariance closed form", _check_covariance_closed_form),
     ("guess schedule ordering", _check_orbgrand_order),
-    ("guessing decoder coset recovery", _check_sogrand_coset),
+    ("pattern guessing first codeword", _check_sogrand_coset),
     ("codeword guessing exact posterior", _check_gcd_posterior),
     ("pipeline totality", _check_pipeline_totality),
 ]

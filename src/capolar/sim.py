@@ -92,7 +92,6 @@ class SimConfig:
     master_seed: int = 1
     method: str = "5g"
     outer_max_queries: int = 1 << 16
-    outer_list_size: int = 1
     outer_decoder: str = "sogrand"
     retry_on_threshold_fail: bool = False
     workers: int = 1
@@ -129,9 +128,8 @@ class SimConfig:
         object.__setattr__(self, "pipe", PipelineConfig(
             code, crc_spec_for(self.dims.parity_bits), self.list_size,
             retry_epsilon=min(self.epsilon_grid) if self.retry_on_threshold_fail else None,
-            outer_max_queries=self.outer_max_queries,
-            outer_list_size=self.outer_list_size, outer_decoder=self.outer_decoder))
-        for name in ("list_size", "outer_max_queries", "outer_list_size"):
+            outer_max_queries=self.outer_max_queries, outer_decoder=self.outer_decoder))
+        for name in ("list_size", "outer_max_queries"):
             object.__setattr__(self, name, getattr(self.pipe, name))
 
 

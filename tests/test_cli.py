@@ -65,7 +65,7 @@ def test_counts_parse_exactly_and_accept_float_forms(tmp_path):
 
 
 @pytest.mark.parametrize("value", ["2.5", "1e400"])
-@pytest.mark.parametrize("flag", ["--list", "--min-errors", "--outer-list", "--workers",
+@pytest.mark.parametrize("flag", ["--list", "--min-errors", "--workers",
                                   "--batch-size", "--round-trials", "--seed"])
 def test_count_flags_refuse_what_is_not_a_whole_number(tmp_path, capsys, flag, value):
     rc = main(["bler"] + SMALL + [flag, value, "--out", str(tmp_path), "--stem", "t"])
@@ -261,7 +261,7 @@ def test_every_setting_is_a_flag_and_a_config_key(tmp_path):
     text = {"dims": "16,9,3", "snr": "3,4", "systematic": "1", "list": "2",
             "decoder": "ca_scl", "epsilon": "10^-2", "trials": "1e3", "min_errors": "7",
             "seed": "-3", "method": "bhattacharyya", "outer": "gcd", "outer_budget": "64",
-            "outer_list": "2", "retry": "1", "workers": "2",
+            "retry": "1", "workers": "2",
             "batch_size": "32", "round_trials": "64", "out": str(tmp_path), "stem": "s"}
     assert set(text) == set(_SETTINGS)
     fields = {f.name for f in dataclasses.fields(SimConfig)}
@@ -285,3 +285,12 @@ def test_every_setting_is_a_flag_and_a_config_key(tmp_path):
         want = setting.parse(text[key])
         assert getattr(by_flag, setting.field) == want, key
         assert want != getattr(default, setting.field), key
+
+    # the guessers return one word, so an outer list is no setting
+    out = ["--out", str(tmp_path), "--stem", "ol"]
+    with pytest.raises(SystemExit) as exc:
+        main(["bler"] + SMALL + ["--outer-list", "2"] + out)
+    assert exc.value.code == 2
+    cfgfile.write_text("outer_list = 2\n")
+    assert main(["bler"] + SMALL + ["--config", str(cfgfile)] + out) == 2
+    assert not list(tmp_path.glob("ol*"))

@@ -218,20 +218,17 @@ def test_orbgrand_schedule_max_weight_truncation(k, max_weight):
 
 
 class Row(NamedTuple):
-    """One row of a guesser's columns, its list cut to its count."""
+    """One row of a guesser's columns."""
 
-    candidates: np.ndarray
-    so: np.ndarray
+    found: bool
+    word: np.ndarray
+    so: float
     queries: int
-
-    @property
-    def found(self) -> bool:
-        return len(self.so) > 0
 
 
 def row_of(cols, t):
-    c = cols["count"][t]
-    return Row(cols["candidates"][t, :c], cols["so"][t, :c], int(cols["queries"][t]))
+    return Row(bool(cols["hit"][t]), cols["word"][t], float(cols["so"][t]),
+               int(cols["queries"][t]))
 
 
 def gcd_decode(llr, spec, **kwargs):
@@ -246,8 +243,8 @@ def sogrand_decode(llr, spec, **kwargs):
 
 def test_decoders_stop_at_max_weight(monkeypatch):
     # a cap at weight 12 is the budget S(k, 12): both guessers query exactly
-    # that class prefix and build no schedule past it; a budget past 2^k
-    # queries every pattern
+    # that class prefix and build no schedule past it (sogrand under CRC24C,
+    # where no pattern of the prefix hits); a budget past 2^k is 2^k
     rng = np.random.default_rng(17)
     for _ in range(20):
         llr = rng.normal(0, 0.5, 30)
@@ -256,12 +253,13 @@ def test_decoders_stop_at_max_weight(monkeypatch):
         out = gcd_decode(llr, CRC6, max_queries=n_sets)
         assert out.queries == n_sets == outer._schedules[30 - 6].shape[1]
         n_sets = weight_budget(30, 12)
-        out = sogrand_decode(llr, CRC6, max_queries=n_sets, list_size=1 << 10)
+        out = sogrand_decode(llr, CRC24C, max_queries=n_sets)
+        assert not out.found
         assert out.queries == n_sets == outer._schedules[30].shape[1]
     llr = rng.normal(0, 0.5, 12)
     assert gcd_decode(llr, CRC6, max_queries=1 << 40).queries == 2 ** 6
-    assert sogrand_decode(llr, CRC6, max_queries=1 << 40,
-                          list_size=1 << 10).queries == 2 ** 12
+    assert same_row(sogrand_decode(llr, CRC6, max_queries=1 << 40),
+                    sogrand_decode(llr, CRC6, max_queries=2 ** 12))
 
 
 def test_orbgrand_schedule_matches_brute_force():
@@ -324,36 +322,46 @@ def test_orbgrand_schedule_rejects_non_permutation():
         orbgrand_schedule(np.arange(3), 2.0)
 
 
-def reference_sogrand(llr, spec, max_queries, list_size):
-    # pattern-at-a-time rerun of the documented query procedure
+def reference_sogrand(llr, spec, max_queries):
+    # pattern-at-a-time rerun of the documented query procedure: the word
+    # (None when the budget ran out first), its soft output and the queries
     k = len(llr)
     hard = (llr > 0).astype(np.uint8)
     mag = np.abs(llr)
     order = np.argsort(mag, kind="stable")
     log_keep = -np.logaddexp(0, -mag).sum()
-    cands, lphi = [], []
-    qmass = 0.0
-    queries = 0
+    word, qmass, queries = None, 0.0, 0
     for mask in oracle_schedule(order):
-        if queries >= max_queries or len(cands) >= list_size:
+        if queries >= max_queries:
             break
         queries += 1
         lp = log_keep - mag[mask.astype(bool)].sum()
         qmass += np.exp(lp)
-        word = hard ^ mask
-        if not crc_syndrome(word, spec).any():
-            cands.append(word)
-            lphi.append(lp)
+        if not crc_syndrome(hard ^ mask, spec).any():
+            word = hard ^ mask
+            break
+    if word is None:
+        return None, 0.0, queries
     n_cw = 2.0 ** (k - spec.degree)
     n_pat = 2.0 ** k
     r_term = 0.0
     if n_pat > queries:
-        r_term = max(0.0, (1.0 - qmass) * (n_cw - len(cands)) / (n_pat - queries))
-    phi = np.exp(np.array(lphi)) if cands else np.array([])
-    denom = phi.sum() + r_term
-    so = phi / denom if denom > 0 and len(cands) else np.zeros(len(cands))
-    rank = np.argsort(-phi, kind="stable") if len(cands) else []
-    return [tuple(cands[i]) for i in rank], [float(so[i]) for i in rank], queries
+        r_term = max(0.0, (1.0 - qmass) * (n_cw - 1) / (n_pat - queries))
+    phi = np.exp(lp)
+    denom = phi + r_term
+    return tuple(word), float(phi / denom) if denom > 0 else 0.0, queries
+
+
+def check_against_reference(got, want, rtol=1e-9):
+    """A guesser's row against a reference's (word, so, queries)."""
+    want_word, want_so, want_q = want
+    assert got.queries == want_q
+    assert got.found == (want_word is not None)
+    if got.found:
+        assert tuple(got.word) == want_word
+    else:
+        assert not got.word.any()
+    assert np.isclose(got.so, want_so, rtol=rtol, atol=1e-300)
 
 
 def test_sogrand_matches_reference():
@@ -361,44 +369,20 @@ def test_sogrand_matches_reference():
     for trial in range(150):
         llr = rng.normal(rng.choice([-2, 0, 2]), rng.uniform(0.5, 4), 12)
         mq = int(rng.integers(1, 300))
-        ls = int(rng.integers(1, 4))
-        got = sogrand_decode(llr, CRC6, max_queries=mq, list_size=ls)
-        want_c, want_so, want_q = reference_sogrand(llr, CRC6, mq, ls)
-        assert got.queries == want_q, trial
-        assert [tuple(c) for c in got.candidates] == want_c, trial
-        assert np.allclose(got.so, want_so, rtol=1e-12, atol=1e-300), trial
-        assert got.found == (len(want_c) > 0)
-
-
-def test_sogrand_exhaustive_list_recovers_posterior():
-    # querying every pattern with an unlimited list leaves no residual mass:
-    # the soft outputs are the exact codebook posterior
-    rng = np.random.default_rng(14)
-    msgs = np.array(list(itertools.product([0, 1], repeat=4)), dtype=np.uint8)
-    cws = crc_encode(msgs, CRC6)
-    for _ in range(10):
-        llr = rng.normal(0, 2, 10)
-        out = sogrand_decode(llr, CRC6, max_queries=1 << 20, list_size=1 << 4)
-        assert len(out.candidates) == 16
-        p1 = bit_prob(llr)
-        lik = np.prod(np.where(cws, p1, 1 - p1), axis=1)
-        post = lik / lik.sum()
-        for c, s in zip(out.candidates, out.so):
-            idx = np.flatnonzero((cws == np.asarray(c)).all(axis=1))[0]
-            assert s == pytest.approx(post[idx], abs=1e-9)
-        assert sum(out.so) == pytest.approx(1.0, abs=1e-9)
+        got = sogrand_decode(llr, CRC6, max_queries=mq)
+        check_against_reference(got, reference_sogrand(llr, CRC6, mq), rtol=1e-12)
 
 
 def test_sogrand_noiseless_single_query():
     rng = np.random.default_rng(15)
     cw = crc_encode(rng.integers(0, 2, 4).astype(np.uint8), CRC6)
     llr = (2.0 * cw - 1.0) * 6.0
-    out = sogrand_decode(llr, CRC6, max_queries=1 << 16, list_size=1)
+    out = sogrand_decode(llr, CRC6, max_queries=1 << 16)
     assert out.queries == 1 and out.found
-    assert np.array_equal(out.candidates[0], cw)
+    assert np.array_equal(out.word, cw)
     phi0 = np.prod(1 / (1 + np.exp(-np.abs(llr))))
     r_term = (1 - phi0) * (2**4 - 1) / (2**10 - 1)
-    assert out.so[0] == pytest.approx(phi0 / (phi0 + r_term), abs=1e-12)
+    assert out.so == pytest.approx(phi0 / (phi0 + r_term), abs=1e-12)
 
 
 def test_sogrand_exhausted_budget_reports_nothing():
@@ -408,11 +392,10 @@ def test_sogrand_exhausted_budget_reports_nothing():
     bad = cw.copy()
     bad[0] ^= 1
     llr = (2.0 * bad - 1.0) * 5.0
-    out = sogrand_decode(llr, CRC6, max_queries=1, list_size=1)
+    out = sogrand_decode(llr, CRC6, max_queries=1)
     assert not out.found
     assert out.queries == 1
-    assert len(out.candidates) == 0
-    assert len(out.so) == 0
+    assert not out.word.any() and out.so == 0.0
 
 
 def test_sogrand_past_k_1000():
@@ -424,14 +407,14 @@ def test_sogrand_past_k_1000():
     llr[517] *= -0.125  # one weak wrong bit, the least reliable
     out = sogrand_decode(llr, CRC24C, max_queries=64)
     assert out.found and out.queries == 2
-    assert np.array_equal(out.candidates[0], cw)
+    assert np.array_equal(out.word, cw)
     # the hard decision and then the weak bit flipped: R charges the mass
     # left with 2^1076 - 1 codewords among 2^1100 - 2 patterns
     log_keep = -(1099 * np.log1p(np.exp(-4.0)) + np.log1p(np.exp(-0.5)))
     phi = np.exp(log_keep - 0.5)
     r_term = (1.0 - np.exp(log_keep) - phi) * 2.0 ** -24
-    assert 0.0 < out.so[0] <= 1.0
-    assert out.so[0] == pytest.approx(phi / (phi + r_term), rel=1e-9)
+    assert 0.0 < out.so <= 1.0
+    assert out.so == pytest.approx(phi / (phi + r_term), rel=1e-9)
 
 
 def gf2_reduce(m):
@@ -452,11 +435,12 @@ def gf2_reduce(m):
     return m, pivots
 
 
-def reference_gcd(llr, spec, max_queries, list_size):
+def reference_gcd(llr, spec, max_queries):
     # query-at-a-time rerun: split by reliability with GF(2) rank tests on the
     # parity-check matrix, walk the recursive oracle schedule over the
     # guessed part, and solve each query through the inverse of the solved
-    # columns
+    # columns; returns the best word (ties to the earlier query), its soft
+    # output and the queries
     k = len(llr)
     r = spec.degree
     hard = (llr > 0).astype(np.uint8)
@@ -495,11 +479,9 @@ def reference_gcd(llr, spec, max_queries, list_size):
         phi_sum += np.exp(lp)
         psi_sum += np.exp(lp_s)
         scored.append((lp, queries, word))
-    scored.sort(key=lambda t: (-t[0], t[1]))
-    scored = scored[:list_size]
+    lp, _, word = min(scored, key=lambda t: (-t[0], t[1]))
     denom = phi_sum + max(0.0, 1.0 - psi_sum)
-    return ([tuple(w) for _, _, w in scored],
-            [float(np.exp(lp) / denom) for lp, _, _ in scored], queries)
+    return tuple(word), float(np.exp(lp) / denom), queries
 
 
 def crc_failing_outer_llrs(count, dims=(64, 48, 24), snr_db=5.0, list_size=4,
@@ -527,12 +509,8 @@ def test_gcd_matches_reference():
     for trial in range(100):
         llr = rng.normal(rng.choice([-2, 0, 2]), rng.uniform(0.5, 4), 12)
         mq = int(rng.integers(1, 65))
-        ls = int(rng.integers(1, 4))
-        got = gcd_decode(llr, CRC6, max_queries=mq, list_size=ls)
-        want_c, want_so, want_q = reference_gcd(llr, CRC6, mq, ls)
-        assert got.queries == want_q, trial
-        assert [tuple(c) for c in got.candidates] == want_c, trial
-        assert np.allclose(got.so, want_so, rtol=1e-9, atol=1e-300), trial
+        got = gcd_decode(llr, CRC6, max_queries=mq)
+        check_against_reference(got, reference_gcd(llr, CRC6, mq))
         assert got.found
 
 
@@ -543,34 +521,28 @@ def test_gcd_matches_reference_on_crc24_outer_llrs(chunk, monkeypatch):
     # the budget span several evaluation slices
     if chunk:
         monkeypatch.setattr(outer, "_CHUNK", chunk)
-    for trial, llr in enumerate(crc_failing_outer_llrs(12)):
-        for ls in (1, 3):
-            got = gcd_decode(llr, CRC24C, max_queries=256, list_size=ls)
-            want_c, want_so, want_q = reference_gcd(llr, CRC24C, 256, ls)
-            assert got.queries == want_q == 256, trial
-            assert [tuple(c) for c in got.candidates] == want_c, trial
-            assert np.allclose(got.so, want_so, rtol=1e-9, atol=0.0), trial
+    for llr in crc_failing_outer_llrs(12):
+        got = gcd_decode(llr, CRC24C, max_queries=256)
+        assert got.queries == 256
+        check_against_reference(got, reference_gcd(llr, CRC24C, 256))
 
 
 def test_gcd_exhaustive_budget_recovers_posterior():
     # one query per guessed-part prefix covers the whole codebook exactly
-    # once, so the leftover mass vanishes and the soft outputs are the
-    # codebook posterior
+    # once, so the leftover mass vanishes: the word is the ML codeword and
+    # its soft output that word's codebook posterior
     rng = np.random.default_rng(24)
     msgs = np.array(list(itertools.product([0, 1], repeat=4)), dtype=np.uint8)
     cws = crc_encode(msgs, CRC6)
     for _ in range(10):
         llr = rng.normal(0, 2, 10)
-        out = gcd_decode(llr, CRC6, max_queries=1 << 4, list_size=1 << 4)
-        assert out.queries == 16 and len(out.candidates) == 16
+        out = gcd_decode(llr, CRC6, max_queries=1 << 4)
+        assert out.queries == 16
         p1 = bit_prob(llr)
         lik = np.prod(np.where(cws, p1, 1 - p1), axis=1)
-        post = lik / lik.sum()
-        for c, s in zip(out.candidates, out.so):
-            idx = np.flatnonzero((cws == np.asarray(c)).all(axis=1))[0]
-            assert s == pytest.approx(post[idx], abs=1e-9)
-        assert np.array_equal(out.candidates[0], cws[np.argmax(lik)])
-        assert sum(out.so) == pytest.approx(1.0, abs=1e-9)
+        best = np.argmax(lik)
+        assert np.array_equal(out.word, cws[best])
+        assert out.so == pytest.approx(lik[best] / lik.sum(), abs=1e-9)
 
 
 def test_gcd_so_never_exceeds_true_posterior():
@@ -580,30 +552,27 @@ def test_gcd_so_never_exceeds_true_posterior():
     cws = crc_encode(msgs, CRC6)
     for _ in range(100):
         llr = rng.normal(0, 2, 10)
-        out = gcd_decode(llr, CRC6, max_queries=int(rng.integers(1, 16)),
-                         list_size=3)
+        out = gcd_decode(llr, CRC6, max_queries=int(rng.integers(1, 16)))
         p1 = bit_prob(llr)
         lik = np.prod(np.where(cws, p1, 1 - p1), axis=1)
         post = lik / lik.sum()
-        for c, s in zip(out.candidates, out.so):
-            assert not crc_syndrome(np.asarray(c), CRC6).any()
-            idx = np.flatnonzero((cws == np.asarray(c)).all(axis=1))[0]
-            assert s <= post[idx] + 1e-9
-        assert list(out.so) == sorted(out.so, reverse=True)
+        assert not crc_syndrome(out.word, CRC6).any()
+        idx = np.flatnonzero((cws == out.word).all(axis=1))[0]
+        assert out.so <= post[idx] + 1e-9
 
 
 def test_gcd_noiseless_single_query():
     rng = np.random.default_rng(26)
     cw = crc_encode(rng.integers(0, 2, 4).astype(np.uint8), CRC6)
     llr = (2.0 * cw - 1.0) * 6.0
-    out = gcd_decode(llr, CRC6, max_queries=1, list_size=1)
+    out = gcd_decode(llr, CRC6, max_queries=1)
     assert out.queries == 1 and out.found
-    assert np.array_equal(out.candidates[0], cw)
+    assert np.array_equal(out.word, cw)
     # uniform magnitudes: phi and the guessed-part mass have closed forms
     keep = 1 / (1 + np.exp(-6.0))
     phi0 = keep**10
     r_term = 1 - keep**4
-    assert out.so[0] == pytest.approx(phi0 / (phi0 + r_term), abs=1e-12)
+    assert out.so == pytest.approx(phi0 / (phi0 + r_term), abs=1e-12)
 
 
 def test_gcd_always_completes_to_a_codeword():
@@ -613,25 +582,23 @@ def test_gcd_always_completes_to_a_codeword():
     bad = cw.copy()
     bad[0] ^= 1
     llr = (2.0 * bad - 1.0) * 5.0
-    out = gcd_decode(llr, CRC6, max_queries=1, list_size=1)
+    out = gcd_decode(llr, CRC6, max_queries=1)
     assert out.found and out.queries == 1
-    assert len(out.candidates) == 1
-    assert not crc_syndrome(out.candidates[0], CRC6).any()
+    assert not crc_syndrome(out.word, CRC6).any()
 
 
 def test_guessers_at_the_63_check_limit():
     # the largest CRC the packed parity checks hold, at K = 82: every
-    # candidate either guesser reports passes the true syndrome (a degree
-    # past the limit is refused when the spec is built, test_crc)
+    # word either guesser reports passes the true syndrome (a degree past
+    # the limit is refused when the spec is built, test_crc)
     rng = np.random.default_rng(63)
     spec = CrcSpec((1,) + tuple(int(c) for c in rng.integers(0, 2, 63)))
     words = crc_encode(rng.integers(0, 2, (20, 19)).astype(np.uint8), spec)
     llr = (2.0 * words - 1.0) * 3.0 + rng.normal(0.0, 2.0, words.shape)
     for decode in (sogrand_decode_block, gcd_decode_block):
-        res = decode(llr, spec, max_queries=4096, list_size=2)
-        assert res["count"].sum() > 0
-        for cands, count in zip(res["candidates"], res["count"]):
-            assert not crc_syndrome(cands[:count], spec).any()
+        res = decode(llr, spec, max_queries=4096)
+        assert res["hit"].any()
+        assert not crc_syndrome(res["word"][res["hit"]], spec).any()
 
 
 def test_gcd_validation():
@@ -640,8 +607,6 @@ def test_gcd_validation():
             gcd_decode_block(bad, CRC6)
     with pytest.raises(ValueError):
         gcd_decode_block(np.zeros((1, 10)), CRC6, max_queries=0)
-    with pytest.raises(ValueError):
-        gcd_decode_block(np.zeros((1, 10)), CRC6, list_size=0)
 
 
 @pytest.mark.parametrize("decode", [gcd_decode, sogrand_decode])
@@ -652,27 +617,25 @@ def test_outer_decoders_refuse_nan(decode):
         decode(llr, CRC6)
     llr[3] = np.inf  # infinite reliability is a valid input
     out = decode(llr, CRC6)
-    assert out.found and 0.0 < out.so[0] <= 1.0
+    assert out.found and 0.0 < out.so <= 1.0
 
 
 def same_row(a, b):
-    """Equal rows: candidates, queries and soft outputs exact."""
-    return (a.queries == b.queries and len(a.so) == len(b.so)
-            and np.array_equal(a.candidates, b.candidates) and np.array_equal(a.so, b.so))
+    """Equal rows: hit, word, queries and soft output exact."""
+    return (a.found == b.found and a.queries == b.queries
+            and np.array_equal(a.word, b.word) and a.so == b.so)
 
 
 def check_columns(cols, n, k):
-    """The guessers' column format: lists best first along an axis as wide
-    as the longest list (at least 1), zero past each row's count."""
-    count = cols["count"]
-    w = max(1, int(count.max(initial=0)))
-    assert count.shape == cols["queries"].shape == (n,)
-    assert cols["candidates"].shape == (n, w, k) and cols["candidates"].dtype == np.uint8
-    assert cols["so"].shape == (n, w) and cols["so"].dtype == np.float64
-    assert cols["queries"].dtype == np.int64
-    past = np.arange(w) >= count[:, None]
-    assert not cols["so"][past].any() and not cols["candidates"][past].any()
-    assert (np.diff(cols["so"], axis=1) <= 0).all()
+    """The guessers' column format: exact dtypes and shapes, and word and
+    soft output zero where there is no hit."""
+    assert cols["hit"].dtype == bool and cols["hit"].shape == (n,)
+    assert cols["word"].dtype == np.uint8 and cols["word"].shape == (n, k)
+    assert cols["queries"].dtype == np.int64 and cols["queries"].shape == (n,)
+    assert not cols["word"][~cols["hit"]].any()
+    if "so" in cols:
+        assert cols["so"].dtype == np.float64 and cols["so"].shape == (n,)
+        assert not cols["so"][~cols["hit"]].any()
 
 
 @pytest.fixture(scope="module")
@@ -695,16 +658,15 @@ BLOCK_DECODERS = [(gcd_decode_block, gcd_decode, reference_gcd),
 
 @pytest.mark.parametrize("block, single, reference", BLOCK_DECODERS)
 @pytest.mark.parametrize("kwargs", [
-    dict(max_queries=2048), dict(max_queries=256, list_size=3),
+    dict(max_queries=2048), dict(max_queries=256),
     dict(max_queries=1),
     # S(k, 9) for k >= 9, the budget of a weight-9 cap: sogrand's rounds of
     # 64 and 128 queries end mid-round
     dict(max_queries=33),
-    # the CRC6 rows stop after 6 to 12 hits: a short row's phi sum must not
-    # see the zero padding up to the longest list
-    dict(max_queries=600, list_size=12),
-    # the list axis is as wide as the longest list, never list_size itself
-    dict(max_queries=256, list_size=1 << 20),
+    # sogrand's rounds of 64, 128, 256 and 512 queries, then a short one
+    dict(max_queries=600),
+    # the whole 2^12 patterns of the CRC6 rows, and 2^6 queries for gcd
+    dict(max_queries=4096),
 ])
 def test_block_decoders_match_reference_and_single_rows(block, single, reference,
                                                         kwargs, block_cases):
@@ -718,17 +680,13 @@ def test_block_decoders_match_reference_and_single_rows(block, single, reference
         got_f = block(np.asfortranarray(lo), spec, **kwargs)
         assert all(np.array_equal(got_f[key], got[key]) for key in got), name
         hard = block(lo, spec, soft=False, **kwargs)
+        check_columns(hard, *lo.shape)
         assert "so" not in hard and hard.keys() == got.keys() - {"so"}, name
-        assert all(hard[key].dtype == got[key].dtype and np.array_equal(hard[key], got[key])
-                   for key in ("count", "candidates", "queries")), name
+        assert all(np.array_equal(hard[key], got[key]) for key in hard), name
         for t, row in enumerate(lo):
             out = row_of(got, t)
             assert same_row(out, single(row, spec, **kwargs)), (name, t)
-            want_c, want_so, want_q = reference(
-                row, spec, kwargs["max_queries"], kwargs.get("list_size", 1))
-            assert out.queries == want_q, (name, t)
-            assert [tuple(c) for c in out.candidates] == want_c, (name, t)
-            assert np.allclose(out.so, want_so, rtol=1e-9, atol=1e-300), (name, t)
+            check_against_reference(out, reference(row, spec, kwargs["max_queries"]))
 
 
 @pytest.mark.parametrize("block, single", [d[:2] for d in BLOCK_DECODERS])
@@ -736,15 +694,12 @@ def test_block_of_one_and_of_none(block, single):
     lo = crc_failing_outer_llrs(1, (64, 43, 32), 3.0, 8, CRC11)
     got = block(lo, CRC11)
     check_columns(got, 1, 43)
-    assert got["count"][0] == 1
+    assert got["hit"][0]
     assert same_row(row_of(got, 0), single(lo[0], CRC11))
-    none = block(np.zeros((0, 43)), CRC11)
-    check_columns(none, 0, 43)
-    assert none["candidates"].shape == (0, 1, 43) and none["so"].shape == (0, 1)
-    # without soft output too the list axis is 1 wide, whatever list_size
-    hard = block(np.zeros((0, 43)), CRC11, list_size=4, soft=False)
-    assert "so" not in hard and hard["candidates"].shape == (0, 1, 43)
-    assert hard["count"].shape == hard["queries"].shape == (0,)
+    for soft in (True, False):
+        none = block(np.zeros((0, 43)), CRC11, soft=soft)
+        check_columns(none, 0, 43)
+        assert ("so" in none) == soft
 
 
 @pytest.mark.parametrize("block", [d[0] for d in BLOCK_DECODERS])
@@ -756,18 +711,18 @@ def test_block_decoders_refuse_bad_blocks(block):
     for bad in (np.zeros((3, 6)), np.zeros(16), np.zeros((2, 3, 16))):
         with pytest.raises(ValueError):
             block(bad, CRC6)
-    for kwargs in (dict(max_queries=0), dict(list_size=0)):
-        with pytest.raises(ValueError):
-            block(np.zeros((2, 16)), CRC6, **kwargs)
-    for name, value in (("max_queries", 100.5), ("list_size", 2.0)):
-        with pytest.raises(TypeError, match=name):
-            block(np.zeros((2, 16)), CRC6, **{name: value})
-    counts = dict(max_queries=np.int64(8), list_size=np.int64(2))
-    assert block(np.zeros((2, 16)), CRC6, **counts)["queries"].tolist() == [8, 8]
+    with pytest.raises(ValueError):
+        block(np.zeros((2, 16)), CRC6, max_queries=0)
+    with pytest.raises(TypeError, match="max_queries"):
+        block(np.zeros((2, 16)), CRC6, max_queries=100.5)
+    # a numpy integer budget is the same budget
+    lo = lo[:4]
+    want = block(lo, CRC6, max_queries=8)
+    got = block(lo, CRC6, max_queries=np.int64(8))
+    assert all(np.array_equal(got[key], want[key]) for key in want)
 
 
-@pytest.mark.parametrize("list_size", [1, 3])
-def test_gcd_slices_keep_the_first_of_tied_codewords(monkeypatch, list_size):
+def test_gcd_slices_keep_the_first_of_tied_codewords(monkeypatch):
     # equal magnitudes tie many codewords; scored in slices of 4 queries,
     # the best must still be the first in schedule order, as in one pass.
     # Without soft output a head of 1 or 4 queries leaves the rest to the
@@ -775,7 +730,7 @@ def test_gcd_slices_keep_the_first_of_tied_codewords(monkeypatch, list_size):
     # ulps sit just above it: such a query must still be scored
     llr = 2.0 * np.array([-1, 1, 1, -1, 1, 1, 1, -1, -1, 1, -1, 1.0])
     block = np.stack([llr, -llr, np.roll(llr, 5)])
-    whole = gcd_decode_block(block, CRC6, max_queries=64, list_size=list_size)
+    whole = gcd_decode_block(block, CRC6, max_queries=64)
     p = llr * (1 + 1e-14 * np.arange(12))
     near = [p, -p, np.roll(p, 5), p[::-1], np.roll(p[::-1], 3)]
     for seed in (26, 29):  # magnitudes 1, 2 or 3, where bound and lp nearly meet
@@ -783,41 +738,38 @@ def test_gcd_slices_keep_the_first_of_tied_codewords(monkeypatch, list_size):
         signs = rng.choice([-1.0, 1.0], 12)
         near.append(signs * rng.choice([1.0, 2.0, 3.0], 12) * (1 + 1e-14 * rng.permutation(12)))
     near = np.stack(near)
-    near_whole = gcd_decode_block(near, CRC6, max_queries=64, list_size=list_size)
+    near_whole = gcd_decode_block(near, CRC6, max_queries=64)
     monkeypatch.setattr(outer, "_CHUNK", 4)
-    sliced = gcd_decode_block(block, CRC6, max_queries=64, list_size=list_size)
-    assert np.array_equal(sliced["candidates"], whole["candidates"])
+    sliced = gcd_decode_block(block, CRC6, max_queries=64)
+    assert np.array_equal(sliced["word"], whole["word"])
     assert np.allclose(sliced["so"], whole["so"], rtol=1e-12, atol=0.0)
     for head in (1, 4):
         monkeypatch.setattr(outer, "_HEAD", head)
         for lo, want in ((block, whole), (near, near_whole)):
-            hard = gcd_decode_block(lo, CRC6, max_queries=64, list_size=list_size, soft=False)
-            for key in ("count", "candidates", "queries"):
+            hard = gcd_decode_block(lo, CRC6, max_queries=64, soft=False)
+            for key in ("hit", "word", "queries"):
                 assert np.array_equal(hard[key], want[key]), (head, key)
 
 
-@pytest.mark.parametrize("list_size", [1, 3])
-def test_gcd_passes_keep_every_bit(monkeypatch, block_cases, list_size):
+def test_gcd_passes_keep_every_bit(monkeypatch, block_cases):
     # a pass of one sum block, of two (the default) and of the whole budget
     # add the same floats in the same order; 100,000 queries end on a short
     # block inside the last pass.  Without soft output, where the bound
-    # prunes every pass after the head, the list and queries are the same
+    # prunes every pass after the head, the word and queries are the same
     for name, spec, lo in block_cases[1:3]:
         for budget in (5000, 1 << 16, 100_000):
             cols, hard = [], []
             for blocks in (1, 2, -(-budget // outer._CHUNK)):
                 monkeypatch.setattr(outer, "_PASS_BLOCKS", blocks)
-                cols.append(gcd_decode_block(lo, spec, max_queries=budget,
-                                             list_size=list_size))
-                hard.append(gcd_decode_block(lo, spec, max_queries=budget,
-                                             list_size=list_size, soft=False))
+                cols.append(gcd_decode_block(lo, spec, max_queries=budget))
+                hard.append(gcd_decode_block(lo, spec, max_queries=budget, soft=False))
             for got in cols[1:]:
-                for key in ("count", "candidates", "so", "queries"):
+                for key in ("hit", "word", "so", "queries"):
                     assert got[key].dtype == cols[0][key].dtype, (name, budget, key)
                     assert np.array_equal(got[key], cols[0][key]), (name, budget, key)
             for got in hard:
                 assert "so" not in got, (name, budget)
-                for key in ("count", "candidates", "queries"):
+                for key in ("hit", "word", "queries"):
                     assert got[key].dtype == cols[0][key].dtype, (name, budget, key)
                     assert np.array_equal(got[key], cols[0][key]), (name, budget, key)
 
@@ -853,12 +805,11 @@ def test_gcd_memory_without_soft_output_stays_bounded_by_the_pass():
 
 
 @pytest.mark.parametrize("head", [1, 64, 256])
-@pytest.mark.parametrize("list_size", [1, 3])
-def test_gcd_bound_keeps_rows_with_infinite_llrs(monkeypatch, head, list_size):
+def test_gcd_bound_keeps_rows_with_infinite_llrs(monkeypatch, head):
     # an infinite magnitude makes a query's lp, and its bound, -inf.  A row
     # of infinite LLRs that is no codeword scores -inf on every query, so its
-    # threshold stays -inf and nothing may be pruned: its list is the first
-    # queries in schedule order.  Rows with a few infinite LLRs prune by a
+    # threshold stays -inf and nothing may be pruned: its word is the first
+    # query in schedule order.  Rows with a few infinite LLRs prune by a
     # finite threshold past -inf bounds
     monkeypatch.setattr(outer, "_HEAD", head)
     rng = np.random.default_rng(35)
@@ -870,15 +821,14 @@ def test_gcd_bound_keeps_rows_with_infinite_llrs(monkeypatch, head, list_size):
     block[2, :] = np.inf * np.sign(block[2])
     block[2, 5:12] = rng.normal(0, 1, 7)
     for budget in (100, 5000):
-        soft = gcd_decode_block(block, CRC11, max_queries=budget, list_size=list_size)
-        hard = gcd_decode_block(block, CRC11, max_queries=budget, list_size=list_size,
-                                soft=False)
-        for key in ("count", "candidates", "queries"):
+        soft = gcd_decode_block(block, CRC11, max_queries=budget)
+        hard = gcd_decode_block(block, CRC11, max_queries=budget, soft=False)
+        for key in ("hit", "word", "queries"):
             assert np.array_equal(hard[key], soft[key]), (budget, key)
         for t, row in enumerate(block):
-            with np.errstate(invalid="ignore"):  # row 0's soft outputs read 0/0
-                want_c, _, want_q = reference_gcd(row, CRC11, budget, list_size)
-            assert [tuple(c) for c in hard["candidates"][t]] == want_c, (budget, t)
+            with np.errstate(invalid="ignore"):  # row 0's soft output reads 0/0
+                want_word, _, want_q = reference_gcd(row, CRC11, budget)
+            assert tuple(hard["word"][t]) == want_word, (budget, t)
 
 
 def test_results_never_depend_on_the_schedule_cache(monkeypatch):
@@ -892,8 +842,8 @@ def test_results_never_depend_on_the_schedule_cache(monkeypatch):
     def decode_all():
         outs = []
         for budget in (3000, 777):
-            outs.append(gcd_decode_block(llr, CRC11, max_queries=budget, list_size=2))
-            outs.append(sogrand_decode_block(llr, CRC11, max_queries=budget, list_size=2))
+            outs.append(gcd_decode_block(llr, CRC11, max_queries=budget))
+            outs.append(sogrand_decode_block(llr, CRC11, max_queries=budget))
             outs.append({"masks": orbgrand_schedule(order, budget)})
         return outs
 

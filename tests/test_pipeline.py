@@ -42,8 +42,6 @@ def test_config_validation():
     assert PipelineConfig(CODE, SPEC, np.int64(4)).list_size == 4
     with pytest.raises(ValueError, match="parity"):
         PipelineConfig(construct_polar(16, 8), crc_spec_for(11), 4)
-    with pytest.raises(ValueError):
-        PipelineConfig(CODE, SPEC, 4, outer_list_size=0)
     with pytest.raises(ValueError, match="outer"):
         PipelineConfig(CODE, SPEC, 4, outer_decoder="grand")
     with pytest.raises(ValueError, match="outer_max_queries"):
@@ -130,7 +128,7 @@ def test_one_row_decides_as_its_row_of_the_block(outer):
     # deciding one row alone gives that row of the block, in every column,
     # for CRC failures, retries and plain inner decisions alike
     cfg = PipelineConfig(CODE, SPEC, 4, retry_epsilon=1e-9, outer_decoder=outer,
-                         outer_max_queries=1 << 10, outer_list_size=2)
+                         outer_max_queries=1 << 10)
     _, llrs = noisy_block(23, 40, 2.0)
     cols = decide(llrs, cfg)
     assert (~cols["found"]).any() and cols["retried"].any()
@@ -217,9 +215,9 @@ def test_retry_keeps_better_decision():
         cols = decide_block(low_so_selection(0.4), llr[None], retry)
         assert cols["retried"][0] and cols["origin"][0] == INNER
         assert cols["so"][0] == 0.4 and not cols["message"].any() and cols["queries"][0] == 0
-        assert np.array_equal(cols["alt_message"][0], out["candidates"][0, 0, :24])
+        assert np.array_equal(cols["alt_message"][0], out["word"][0, :24])
         assert np.array_equal(cols["alt_message"][0], msg)
-        assert (cols["alt_so"][0], cols["alt_queries"][0]) == (out["so"][0, 0],
+        assert (cols["alt_so"][0], cols["alt_queries"][0]) == (out["so"][0],
                                                                 out["queries"][0])
         accepted, retry_taken = apply_threshold(cols, epsilon)
         assert (accepted[0], retry_taken[0]) == (False, taken)
@@ -235,8 +233,7 @@ def test_decide_block_without_soft_outputs(outer, monkeypatch):
     # soft=False drops so and alt_so and leaves every other column as it is,
     # with and without the outer stage; a retry needs the SO, so it is
     # refused before any outer call
-    cfg = PipelineConfig(CODE, SPEC, 4, outer_decoder=outer, outer_max_queries=1 << 10,
-                         outer_list_size=2)
+    cfg = PipelineConfig(CODE, SPEC, 4, outer_decoder=outer, outer_max_queries=1 << 10)
     _, llrs = noisy_block(23, 40, 2.0)
     sel = ca_select_batch(scl_decode_batch(llrs, CODE, 4), SPEC)
     assert (~sel["found"]).any() and sel["found"].any()

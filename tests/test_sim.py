@@ -107,11 +107,10 @@ def test_bad_pipeline_config_fails_before_any_output(tmp_path):
 def reference_outer(lo, cfg):
     """One trial's outer decision: (message, so, origin, queries)."""
     decode = gcd_decode_block if cfg.outer_decoder == "gcd" else sogrand_decode_block
-    out = decode(lo[None], cfg.spec, max_queries=cfg.outer_max_queries,
-                 list_size=cfg.outer_list_size)
+    out = decode(lo[None], cfg.spec, max_queries=cfg.outer_max_queries)
     queries = int(out["queries"][0])
-    if out["count"][0]:
-        return out["candidates"][0, 0, :cfg.m_msg], out["so"][0, 0], "outer", queries
+    if out["hit"][0]:
+        return out["word"][0, :cfg.m_msg], out["so"][0], "outer", queries
     return hard_decision(lo)[:cfg.m_msg], 0.0, "fallback", queries
 
 
@@ -152,7 +151,7 @@ def test_decide_batch_equals_reference_resolve(tmp_path, outer):
     # and applies one threshold rule afterwards; each trial must come out as
     # the per-trial rule makes it alone, at every threshold of the grid
     eps_grid = (1e-1, 1e-3)
-    cfg = small_cfg(tmp_path, outer_decoder=outer, outer_list_size=2,
+    cfg = small_cfg(tmp_path, outer_decoder=outer,
                     epsilon_grid=eps_grid, retry_on_threshold_fail=True)
     # the batch retries at the strictest threshold of the grid
     assert cfg.pipe.retry_epsilon == 1e-3
@@ -318,7 +317,7 @@ def test_bler_asks_the_guessers_for_no_soft_output(tmp_path, monkeypatch, outer,
     for name in ("gcd_decode_block", "sogrand_decode_block"):
         monkeypatch.setattr(f"capolar.pipeline.{name}",
                             recording(getattr(capolar.pipeline, name)))
-    cfg = small_cfg(tmp_path, outer_decoder=outer, outer_list_size=2, systematic=systematic,
+    cfg = small_cfg(tmp_path, outer_decoder=outer, systematic=systematic,
                     snr_grid_db=(1.0,), trials=1024)
     run_bler_sweep(cfg)
     assert calls and set(calls) == {False}
@@ -468,7 +467,7 @@ def test_empty_epsilon_grid_is_refused_before_any_output(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("trials", 64.0), ("min_errors", 10.0), ("batch_size", 32.0),
     ("round_trials", 512.0), ("workers", 1.0), ("master_seed", 5.0),
-    ("outer_max_queries", 256.0), ("outer_list_size", 1.0),
+    ("outer_max_queries", 256.0),
 ])
 def test_non_integer_count_is_refused_before_any_output(tmp_path, field, value):
     # SimConfig checks every count it holds before any sweep opens its outputs
@@ -478,8 +477,7 @@ def test_non_integer_count_is_refused_before_any_output(tmp_path, field, value):
 
 
 def test_numpy_integer_counts_are_accepted(tmp_path):
-    outer = dict(list_size=np.int64(2), outer_max_queries=np.int64(256),
-                 outer_list_size=np.int32(2))
+    outer = dict(list_size=np.int64(2), outer_max_queries=np.int32(256))
     cfg = small_cfg(tmp_path, trials=np.int64(64), master_seed=np.int64(-5),
                     batch_size=np.int32(32), out_stem="np", **outer)
     assert type(cfg.trials) is int and cfg.master_seed == -5
