@@ -722,12 +722,21 @@ def test_block_decoders_refuse_bad_blocks(block):
     assert all(np.array_equal(got[key], want[key]) for key in want)
 
 
-def test_gcd_slices_keep_the_first_of_tied_codewords(monkeypatch):
+def gcd_decode_in_groups(lo, spec, rows, **kwargs):
+    """gcd_decode_block over runs of `rows` rows, the columns joined."""
+    parts = [gcd_decode_block(lo[i:i + rows], spec, **kwargs)
+             for i in range(0, len(lo), rows)]
+    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_gcd_slices_keep_the_first_of_tied_codewords(monkeypatch, rows):
     # equal magnitudes tie many codewords; scored in slices of 4 queries,
     # the best must still be the first in schedule order, as in one pass.
     # Without soft output a head of 1 or 4 queries leaves the rest to the
     # bound, where ties meet the threshold exactly, and ties broken by a few
-    # ulps sit just above it: such a query must still be scored
+    # ulps sit just above it: such a query must still be scored.  Decoded
+    # `rows` rows at a time, each row's columns are those of the whole block
     llr = 2.0 * np.array([-1, 1, 1, -1, 1, 1, 1, -1, -1, 1, -1, 1.0])
     block = np.stack([llr, -llr, np.roll(llr, 5)])
     whole = gcd_decode_block(block, CRC6, max_queries=64)
@@ -740,29 +749,32 @@ def test_gcd_slices_keep_the_first_of_tied_codewords(monkeypatch):
     near = np.stack(near)
     near_whole = gcd_decode_block(near, CRC6, max_queries=64)
     monkeypatch.setattr(outer, "_CHUNK", 4)
-    sliced = gcd_decode_block(block, CRC6, max_queries=64)
+    sliced = gcd_decode_in_groups(block, CRC6, rows, max_queries=64)
     assert np.array_equal(sliced["word"], whole["word"])
     assert np.allclose(sliced["so"], whole["so"], rtol=1e-12, atol=0.0)
     for head in (1, 4):
         monkeypatch.setattr(outer, "_HEAD", head)
         for lo, want in ((block, whole), (near, near_whole)):
-            hard = gcd_decode_block(lo, CRC6, max_queries=64, soft=False)
+            hard = gcd_decode_in_groups(lo, CRC6, rows, max_queries=64, soft=False)
             for key in ("hit", "word", "queries"):
                 assert np.array_equal(hard[key], want[key]), (head, key)
 
 
-def test_gcd_passes_keep_every_bit(monkeypatch, block_cases):
+@pytest.mark.parametrize("rows", [1, 3])
+def test_gcd_passes_keep_every_bit(monkeypatch, block_cases, rows):
     # a pass of one sum block, of two (the default) and of the whole budget
     # add the same floats in the same order; 100,000 queries end on a short
     # block inside the last pass.  Without soft output, where the bound
-    # prunes every pass after the head, the word and queries are the same
+    # prunes every pass after the head, the word and queries are the same,
+    # also when the block is decoded `rows` rows at a time
     for name, spec, lo in block_cases[1:3]:
         for budget in (5000, 1 << 16, 100_000):
             cols, hard = [], []
             for blocks in (1, 2, -(-budget // outer._CHUNK)):
                 monkeypatch.setattr(outer, "_PASS_BLOCKS", blocks)
                 cols.append(gcd_decode_block(lo, spec, max_queries=budget))
-                hard.append(gcd_decode_block(lo, spec, max_queries=budget, soft=False))
+                hard.append(gcd_decode_in_groups(lo, spec, rows, max_queries=budget,
+                                                 soft=False))
             for got in cols[1:]:
                 for key in ("hit", "word", "so", "queries"):
                     assert got[key].dtype == cols[0][key].dtype, (name, budget, key)
@@ -805,12 +817,13 @@ def test_gcd_memory_without_soft_output_stays_bounded_by_the_pass():
 
 
 @pytest.mark.parametrize("head", [1, 64, 256])
-def test_gcd_bound_keeps_rows_with_infinite_llrs(monkeypatch, head):
+@pytest.mark.parametrize("rows", [1, 3])
+def test_gcd_bound_keeps_rows_with_infinite_llrs(monkeypatch, head, rows):
     # an infinite magnitude makes a query's lp, and its bound, -inf.  A row
     # of infinite LLRs that is no codeword scores -inf on every query, so its
     # threshold stays -inf and nothing may be pruned: its word is the first
     # query in schedule order.  Rows with a few infinite LLRs prune by a
-    # finite threshold past -inf bounds
+    # finite threshold past -inf bounds, whichever rows share their block
     monkeypatch.setattr(outer, "_HEAD", head)
     rng = np.random.default_rng(35)
     block = rng.normal(rng.choice([-2.0, 2.0], (6, 1)), 2.0, (6, 32))
@@ -822,7 +835,7 @@ def test_gcd_bound_keeps_rows_with_infinite_llrs(monkeypatch, head):
     block[2, 5:12] = rng.normal(0, 1, 7)
     for budget in (100, 5000):
         soft = gcd_decode_block(block, CRC11, max_queries=budget)
-        hard = gcd_decode_block(block, CRC11, max_queries=budget, soft=False)
+        hard = gcd_decode_in_groups(block, CRC11, rows, max_queries=budget, soft=False)
         for key in ("hit", "word", "queries"):
             assert np.array_equal(hard[key], soft[key]), (budget, key)
         for t, row in enumerate(block):
