@@ -3,9 +3,12 @@
 
 Decodes with the complete pipeline at a fixed SNR, then applies the
 erasure threshold over a grid of epsilon targets: accept only when the
-quoted success probability exceeds 1 - epsilon.  Because the soft output
-is conservative, the realised UER stays at or below every target.  Runs
-the systematic and non-systematic variants back to back.
+quoted success probability exceeds 1 - epsilon.  In the measured tables
+the realised UER stays at or below every target because outer decisions
+are rare among all trials, not because every soft output is conservative
+(an outer soft output is conservative only given the K outer LLRs it
+reads; README, pipeline step 3).  Runs the systematic and non-systematic
+variants back to back.
 """
 
 import argparse

@@ -71,8 +71,8 @@ def _exact_value(tok: str) -> Fraction:
 
 def _parse_grid(text: str) -> tuple[float, ...]:
     """A comma list, or an inclusive start:step:stop range whose point i is
-    the float nearest start + i * step.  A range of more than
-    _MAX_GRID_POINTS points, or whose points repeat as floats, is refused."""
+    the float nearest start + i * step.  A grid whose points repeat as
+    floats, or a range of more than _MAX_GRID_POINTS points, is refused."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -84,10 +84,11 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         if last >= _MAX_GRID_POINTS:
             raise ValueError(f"range {text!r} holds more than {_MAX_GRID_POINTS} points")
         grid = tuple(float(start + i * step) for i in range(last + 1))
-        if len(set(grid)) < len(grid):
-            raise ValueError(f"range {text!r} repeats points: its step is below float spacing")
-        return grid
-    return tuple(_parse_value(p) for p in text.split(","))
+    else:
+        grid = tuple(_parse_value(p) for p in text.split(","))
+    if len(set(grid)) < len(grid):
+        raise ValueError(f"grid {text!r} repeats points")
+    return grid
 
 
 def _parse_bool(text: str) -> bool:
@@ -108,8 +109,10 @@ def _read_config(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+            out[key] = value
     return out
 
 
@@ -138,7 +141,6 @@ _SETTINGS = {
     "min_errors": _Setting("min_errors", _parse_count,
                            "stop a point early after this many block errors"),
     "seed": _Setting("master_seed", _parse_count, "master seed for the per-trial RNG keys"),
-    "method": _Setting("method", str, "information-set construction", ("5g", "bhattacharyya")),
     "outer": _Setting("outer_decoder", str,
                       "outer decoder: pattern guessing or codeword guessing",
                       ("sogrand", "gcd")),

@@ -434,7 +434,8 @@ def gcd_decode_block(llr: np.ndarray, spec: CrcSpec,
     its soft output divides phi(c) by the phi mass of all queried codewords
     plus the guessed-part pattern mass left unqueried, which never exceeds
     the mass of the missed codewords, so the quoted posterior is
-    conservative.
+    conservative given the row's K LLRs, though not on the CRC failures
+    that reach it (README, pipeline step 3).
 
     The split into solved and guessed parts is one GF(2) elimination over
     the block.  The schedule over the guessed part depends only on its

@@ -3,8 +3,8 @@
 The polar transform is x = u F^(x)n with F = [[1, 0], [1, 1]] acting on row
 vectors; it is its own inverse.  Bit positions are 0-based and index 0 is
 transmitted first.  The frozen set holds the N-K least reliable positions of
-the chosen reliability order; the information set carries the CRC-encoded
-message in ascending position order.
+the 5G NR sequence (the Bhattacharyya order past N = 1024); the information
+set carries the CRC-encoded message in ascending position order.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crc import CrcSpec, crc_encode
-from .reliability import bhattacharyya_order, sequence_for
+from .reliability import RELIABILITY_1024, bhattacharyya_order, sequence_for
 
 __all__ = [
     "CodeDims",
@@ -136,17 +136,13 @@ def polar_transform(u: np.ndarray) -> np.ndarray:
     return _butterfly(u, np.bitwise_xor, np.uint8)
 
 
-def construct_polar(n_code: int, k_crc: int, method: str = "5g",
-                    systematic: bool = False) -> PolarCode:
-    """Freeze the N-K least reliable positions under the chosen ordering."""
+def construct_polar(n_code: int, k_crc: int, *, systematic: bool = False) -> PolarCode:
+    """Freeze the N-K least reliable positions: those of the 5G NR sequence
+    up to N = 1024, where it ends, and of the Bhattacharyya order past it."""
     if not 0 < k_crc <= n_code:
         raise ValueError(f"K={k_crc} must satisfy 0 < K <= N={n_code}")
-    if method == "5g":
-        order = sequence_for(n_code)
-    elif method == "bhattacharyya":
-        order = bhattacharyya_order(n_code)
-    else:
-        raise ValueError(f"unknown construction method {method!r}")
+    order = (sequence_for(n_code) if n_code <= len(RELIABILITY_1024)
+             else bhattacharyya_order(n_code))
     return PolarCode(
         n_code=n_code,
         frozen=order[: n_code - k_crc],

@@ -90,7 +90,6 @@ class SimConfig:
     trials: int = 10_000
     min_errors: int = 100
     master_seed: int = 1
-    method: str = "5g"
     outer_max_queries: int = 1 << 16
     outer_decoder: str = "sogrand"
     retry_on_threshold_fail: bool = False
@@ -123,8 +122,7 @@ class SimConfig:
                     raise ValueError("epsilon values must lie in [0, 1)")
         if self.retry_on_threshold_fail and self.epsilon_grid is None:
             raise ValueError("retry_on_threshold_fail needs an epsilon grid")
-        code = construct_polar(self.dims.n_code, self.dims.k_crc,
-                               method=self.method, systematic=self.systematic)
+        code = construct_polar(self.dims.n_code, self.dims.k_crc, systematic=self.systematic)
         object.__setattr__(self, "pipe", PipelineConfig(
             code, crc_spec_for(self.dims.parity_bits), self.list_size,
             retry_epsilon=min(self.epsilon_grid) if self.retry_on_threshold_fail else None,
@@ -462,8 +460,8 @@ def _open_outputs(cfg: SimConfig, kind: str) -> dict:
         "json": out_dir / f"{stem}.json",
         "plot": out_dir / f"{stem}.dat" if cfg.emit_plot else None,
     }
-    # fail before computing anything if the target is not writable
-    with open(paths["csv"], "w", newline=""):
+    # check writability before any work, without emptying an earlier table
+    with open(paths["csv"], "a"):
         pass
     return paths
 

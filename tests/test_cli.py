@@ -92,6 +92,8 @@ def test_ranges_step_exactly():
     ("1:1e-17:1.0000000000000002", "repeats points"),
     ("0:1e-12:1", "more than 10000 points"),  # refused before it is built
     ("0:0.5:5000", "more than 10000 points"),
+    ("3,3", "repeats points"),
+    ("10^-1,0.1", "repeats points"),
 ])
 def test_ranges_that_repeat_or_overflow_are_refused(tmp_path, capsys, grid, match):
     with pytest.raises(ValueError, match=match):
@@ -140,6 +142,16 @@ def test_config_file_defaults_flags_override(tmp_path):
     assert blob["config"]["master_seed"] == 7  # flag beats file
     assert blob["config"]["trials"] == 32      # file beats default
     assert blob["config"]["list_size"] == 2
+
+
+def test_repeated_config_key_rejected(tmp_path, capsys):
+    cfgfile = tmp_path / "twice.cfg"
+    cfgfile.write_text("dims = 16,9,3\nlist = 2\ntrials = 32\nlist = 4\n")
+    rc = main(["bler", "--config", str(cfgfile), "--snr", "3",
+               "--out", str(tmp_path), "--stem", "dup"])
+    assert rc == 2
+    assert f"{cfgfile}:4: duplicate key 'list'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("dup.*"))
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -260,7 +272,7 @@ def test_every_setting_is_a_flag_and_a_config_key(tmp_path):
     # one value per setting, none of them SimConfig's default
     text = {"dims": "16,9,3", "snr": "3,4", "systematic": "1", "list": "2",
             "decoder": "ca_scl", "epsilon": "10^-2", "trials": "1e3", "min_errors": "7",
-            "seed": "-3", "method": "bhattacharyya", "outer": "gcd", "outer_budget": "64",
+            "seed": "-3", "outer": "gcd", "outer_budget": "64",
             "retry": "1", "workers": "2",
             "batch_size": "32", "round_trials": "64", "out": str(tmp_path), "stem": "s"}
     assert set(text) == set(_SETTINGS)
@@ -286,11 +298,13 @@ def test_every_setting_is_a_flag_and_a_config_key(tmp_path):
         assert getattr(by_flag, setting.field) == want, key
         assert want != getattr(default, setting.field), key
 
-    # the guessers return one word, so an outer list is no setting
+    # the guessers return one word, so an outer list is no setting; N picks
+    # the construction, so neither is the method
     out = ["--out", str(tmp_path), "--stem", "ol"]
-    with pytest.raises(SystemExit) as exc:
-        main(["bler"] + SMALL + ["--outer-list", "2"] + out)
-    assert exc.value.code == 2
-    cfgfile.write_text("outer_list = 2\n")
-    assert main(["bler"] + SMALL + ["--config", str(cfgfile)] + out) == 2
+    for key, value in (("outer_list", "2"), ("method", "5g")):
+        with pytest.raises(SystemExit) as exc:
+            main(["bler"] + SMALL + ["--" + key.replace("_", "-"), value] + out)
+        assert exc.value.code == 2
+        cfgfile.write_text(f"{key} = {value}\n")
+        assert main(["bler"] + SMALL + ["--config", str(cfgfile)] + out) == 2
     assert not list(tmp_path.glob("ol*"))

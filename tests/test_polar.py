@@ -14,6 +14,7 @@ from capolar.polar import (
     encode_systematic,
     polar_transform,
 )
+from capolar.reliability import bhattacharyya_order, sequence_for
 from capolar.scl import _boxplus
 
 # (N, K) pool for randomized encoding checks; covers both CRC lengths
@@ -113,30 +114,43 @@ def test_nonsystematic_round_trip(pick, word):
 
 
 def test_construct_polar_partitions_positions():
-    for method in ("5g", "bhattacharyya"):
-        code = construct_polar(64, 43, method=method)
-        assert len(code.frozen) == 21 and len(code.info) == 43
+    for n, k in ((64, 43), (2048, 1400)):
+        code = construct_polar(n, k)
+        assert len(code.frozen) == n - k and len(code.info) == k
         assert np.array_equal(
-            np.sort(np.concatenate([code.frozen, code.info])), np.arange(64)
+            np.sort(np.concatenate([code.frozen, code.info])), np.arange(n)
         )
 
 
-def test_construct_polar_rejects_unknown_method():
-    with pytest.raises(ValueError, match="method"):
-        construct_polar(16, 8, method="genie")
+def test_construct_polar_takes_the_5g_sequence_to_its_end():
+    # N picks the order: the 5G NR sequence up to N = 1024, where it ends,
+    # and the Bhattacharyya order past it.  At K = 88, 512 and 600 the two
+    # orders split N = 1024 differently, so each case tells them apart.
+    for n, order in ((1024, sequence_for(1024)), (2048, bhattacharyya_order(2048))):
+        for k in (1, 88, 512, 600, n):
+            code = construct_polar(n, k)
+            assert np.array_equal(code.frozen, np.sort(order[:n - k])), (n, k)
+            assert np.array_equal(code.info, np.sort(order[n - k:])), (n, k)
+    with pytest.raises(TypeError):  # systematic is keyword-only
+        construct_polar(16, 8, True)
 
 
 def test_info_set_closed_under_domination():
-    # systematic encoding relies on this closure property of the shipped
-    # orderings: covering an information index keeps you in the set
-    for method in ("5g", "bhattacharyya"):
-        for n, k in DIM_POOL:
-            code = construct_polar(n, k, method=method)
-            frozen = set(code.frozen.tolist())
-            for a in code.info.tolist():
-                for j in range(n):
-                    if (a & j) == a and j in frozen:
-                        pytest.fail(f"{method} [{n},{k}]: {j} covers info {a} but is frozen")
+    # systematic encoding relies on this closure property of both orders:
+    # covering an information index keeps you in the set.  Setting one bit
+    # at a time reaches every cover, so single-bit steps suffice.  At N =
+    # 2048, 356 channels have z = 1.0 exactly, and K = 1800 splits them, so
+    # the tie break toward the smaller index is checked too.
+    for n, k in DIM_POOL + [(2048, 88), (2048, 1800)]:
+        code = construct_polar(n, k)
+        is_info = np.zeros(n, dtype=bool)
+        is_info[code.info] = True
+        idx = np.arange(n)
+        for b in range(code.stages):
+            lost = is_info & ~is_info[idx | 1 << b]
+            if lost.any():
+                a = idx[lost][0]
+                pytest.fail(f"[{n},{k}]: {a | 1 << b} covers info {a} but is frozen")
 
 
 def test_polar_code_validation():
