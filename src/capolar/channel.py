@@ -127,6 +127,6 @@ def llr_from_channel(y: np.ndarray, params: ChannelParams) -> np.ndarray:
     return -2.0 * np.asarray(y, dtype=np.float64) / params.sigma**2
 
 
-def saturate_llr(llr: np.ndarray, limit: float = LLR_LIMIT) -> np.ndarray:
-    """Clip LLR magnitudes before decoding."""
-    return np.clip(llr, -limit, limit)
+def saturate_llr(llr: np.ndarray) -> np.ndarray:
+    """Clip LLR magnitudes to ``LLR_LIMIT`` before decoding."""
+    return np.clip(llr, -LLR_LIMIT, LLR_LIMIT)

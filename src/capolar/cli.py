@@ -150,8 +150,6 @@ _SETTINGS = {
                       "retry threshold failures through the outer decoder"),
     "workers": _Setting("workers", _parse_count,
                         "process pool width (results do not depend on it)"),
-    "batch_size": _Setting("batch_size", _parse_count, "trials per batch"),
-    "round_trials": _Setting("round_trials", _parse_count, "trials per stop-rule round"),
     "out": _Setting("out_dir", str, "output directory (default $CAPOLAR_OUT_DIR or .)"),
     "stem": _Setting("out_stem", str, "output file stem"),
 }

@@ -276,7 +276,7 @@ CHECKS = [
 ]
 
 
-def run_selftest(out=print) -> int:
+def run_selftest() -> int:
     """Run all checks, print one line per check, return a process exit code."""
     failures = 0
     for name, fn in CHECKS:
@@ -287,6 +287,6 @@ def run_selftest(out=print) -> int:
         status = "PASS" if ok else "FAIL"
         if not ok:
             failures += 1
-        out(f"{status}  {name}: {detail}")
-    out(f"{len(CHECKS) - failures}/{len(CHECKS)} checks passed")
+        print(f"{status}  {name}: {detail}")
+    print(f"{len(CHECKS) - failures}/{len(CHECKS)} checks passed")
     return 0 if failures == 0 else 1

@@ -1,12 +1,12 @@
 """Monte Carlo harness: BLER sweeps, soft-output calibration, UER sweeps.
 
 Determinism is the organising principle.  Every trial owns a counter-based
-RNG keyed by (master_seed, trial index), trials are grouped into fixed-size
-batches, batches into fixed-size rounds, and partial results fold in batch
-order.  The worker count changes how batches are scheduled, never what they
-compute, so re-running a sweep with a different pool width produces byte
-identical CSVs.  The stop rule (enough trials or enough block errors) is
-evaluated only at round boundaries for the same reason.
+RNG keyed by (master_seed, trial index); trials fall into one fixed grid,
+batches of ``BATCH_SIZE`` from trial 0 in rounds of ``ROUND_BATCHES``, and
+partial results fold in batch order.  The worker count changes how batches
+are scheduled, never what they compute, so re-running a sweep with a
+different pool width produces byte identical CSVs.  The stop rule (enough
+trials or enough block errors) is read only at round boundaries.
 
 One engine, ``_sweep``, runs every table.  A batch function maps a batch to
 one fixed-shape array, and a point's result is the sum of those arrays in
@@ -68,6 +68,11 @@ OUT_DIR_ENV = "CAPOLAR_OUT_DIR"
 # top edge is 1 because every predicted error 1 - SO lies in [0, 1]
 CALIBRATION_EDGES = tuple(10.0 ** (-0.5 * i) for i in reversed(range(11)))
 
+# the trial grid: batches of BATCH_SIZE trials from trial 0, in rounds of
+# ROUND_BATCHES whole batches; smaller batches would only save memory
+BATCH_SIZE = 512
+ROUND_BATCHES = 16
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -94,8 +99,6 @@ class SimConfig:
     outer_decoder: str = "sogrand"
     retry_on_threshold_fail: bool = False
     workers: int = 1
-    batch_size: int = 512
-    round_trials: int = 8192
     out_dir: str | None = None
     out_stem: str | None = None
     emit_plot: bool = False
@@ -103,8 +106,7 @@ class SimConfig:
     def __post_init__(self):
         # stored as plain ints, so the JSON sidecar can write them; pipe
         # checks the decoder's counts below
-        for name, low in (("trials", 1), ("min_errors", 1), ("batch_size", 1),
-                          ("round_trials", 1), ("workers", 1), ("master_seed", None)):
+        for name, low in (("trials", 1), ("min_errors", 1), ("workers", 1), ("master_seed", None)):
             object.__setattr__(self, name, _checked_int(getattr(self, name), name, low))
         if len(self.snr_grid_db) == 0:
             raise ValueError("snr grid must be nonempty")
@@ -112,8 +114,6 @@ class SimConfig:
             raise ValueError(f"snr grid points must be finite, got {self.snr_grid_db}")
         if self.decoder not in ("ca_scl", "cca_scl"):
             raise ValueError(f"unknown decoder {self.decoder!r}")
-        if self.round_trials < self.batch_size:
-            raise ValueError("need round_trials >= batch_size")
         if self.epsilon_grid is not None:
             if len(self.epsilon_grid) == 0:
                 raise ValueError("epsilon grid must be nonempty")
@@ -167,8 +167,9 @@ class CalibrationBin:
     errors: int
 
 
-def wilson_interval(successes: int, total: int, z: float = 1.959963984540054):
+def wilson_interval(successes: int, total: int):
     """95% Wilson score interval for a binomial rate."""
+    z = 1.959963984540054  # the 97.5% normal quantile
     if total == 0:
         return 0.0, 1.0
     p = successes / total
@@ -271,10 +272,10 @@ def _sweep(cfg: SimConfig, batch_fn, stop=None):
     """Per SNR point of the grid: the sum of ``batch_fn``'s arrays over its
     batches, in batch order, and the point's wall time.
 
-    A point runs rounds of ``round_trials`` trials, each split into batches
-    of ``batch_size`` from the round's first trial, until ``trials`` have run
-    or ``stop(sum)`` holds at the end of a round.  Batches run through a
-    pool of ``workers`` processes, or in this one.
+    A point's ``trials`` split into batches of ``BATCH_SIZE`` from trial 0,
+    the last one partial, and the batches run in rounds of ``ROUND_BATCHES``
+    until all have run or ``stop(sum)`` holds at the end of a round.
+    Batches run through a pool of ``workers`` processes, or in this one.
     """
     pool = None
     if cfg.workers > 1:
@@ -282,18 +283,17 @@ def _sweep(cfg: SimConfig, batch_fn, stop=None):
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=cfg.workers)
     run = map if pool is None else pool.map
+    starts = range(0, cfg.trials, BATCH_SIZE)
     points = []
     try:
         for snr in cfg.snr_grid_db:
             t0 = time.perf_counter()
-            acc, done = 0, 0
-            while done < cfg.trials:
-                end = min(done + cfg.round_trials, cfg.trials)
-                jobs = [(cfg, snr, s, min(cfg.batch_size, end - s))
-                        for s in range(done, end, cfg.batch_size)]
+            acc = 0
+            for first in range(0, len(starts), ROUND_BATCHES):
+                jobs = [(cfg, snr, s, min(BATCH_SIZE, cfg.trials - s))
+                        for s in starts[first:first + ROUND_BATCHES]]
                 for part in run(batch_fn, jobs):
                     acc = acc + part
-                done = end
                 if stop is not None and stop(acc):
                     break
             points.append((acc, time.perf_counter() - t0))
@@ -348,10 +348,11 @@ def run_calibration(cfg: SimConfig):
     point of the grid, with bins ordered from the underflow bin upward.
     """
     _one_point(cfg, "calibration")
+    # the bins read the inner soft outputs only: no outer stage, no retry
+    if cfg.decoder != "ca_scl":
+        raise ValueError(f"calibration runs the ca_scl decoder only, got {cfg.decoder!r}")
     paths = _open_outputs(cfg, "calibrate")
-    # the bins read the inner soft outputs only, so no outer stage runs, and
-    # with it no retry
-    ((acc, wall),) = _sweep(replace(cfg, decoder="ca_scl"), _calibrate_batch)
+    ((acc, wall),) = _sweep(cfg, _calibrate_batch)
     asc = (0.0,) + CALIBRATION_EDGES
     result = {}
     for key, (cnts, errs, sums) in zip(("so", "so_forney"), acc):
@@ -418,10 +419,7 @@ def run_llr_profile(cfg: SimConfig):
     """
     _one_point(cfg, "the LLR profile")
     paths = _open_outputs(cfg, "diag_llr")
-    # rounds of whole batches keep the batch grid of trial 0 at any
-    # round_trials, so the sums add up in one order
-    whole = replace(cfg, round_trials=cfg.batch_size * cfg.workers)
-    ((acc, wall),) = _sweep(whole, _profile_batch)
+    ((acc, wall),) = _sweep(cfg, _profile_batch)
     n = cfg.dims.n_code
     profile = {"inner": acc[:n] / cfg.trials, "outer": acc[n:] / cfg.trials}
     header = ["schema_version", "series", "rank", "mean_abs_llr"]
@@ -461,8 +459,11 @@ def _open_outputs(cfg: SimConfig, kind: str) -> dict:
         "plot": out_dir / f"{stem}.dat" if cfg.emit_plot else None,
     }
     # check writability before any work, without emptying an earlier table
-    with open(paths["csv"], "a"):
-        pass
+    # or leaving an empty one where none was
+    fresh = not paths["csv"].exists()
+    open(paths["csv"], "a").close()
+    if fresh:
+        paths["csv"].unlink()
     return paths
 
 

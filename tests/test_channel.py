@@ -52,10 +52,9 @@ def test_noiseless_hard_decisions_recover_bits():
 
 
 def test_saturate_llr():
-    llr = np.array([-1e9, -1.0, 0.0, 1.0, 1e9])
+    llr = np.array([-np.inf, -1e9, -1.0, 0.0, 1.0, 1e9, np.inf])
     out = saturate_llr(llr)
-    assert np.array_equal(out, [-LLR_LIMIT, -1.0, 0.0, 1.0, LLR_LIMIT])
-    assert np.array_equal(saturate_llr(llr, limit=2.0), [-2, -1, 0, 1, 2])
+    assert np.array_equal(out, [-LLR_LIMIT, -LLR_LIMIT, -1.0, 0.0, 1.0, LLR_LIMIT, LLR_LIMIT])
 
 
 def test_transmit_adds_deterministic_noise():

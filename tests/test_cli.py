@@ -57,16 +57,16 @@ def test_counts_parse_exactly_and_accept_float_forms(tmp_path):
     assert _parse_count(seed) == 2 ** 64 - 1
     args = build_parser().parse_args(["bler"] + SMALL + ["--seed", seed])
     assert _build_simconfig(args, {}).master_seed == 2 ** 64 - 1
-    rc = main(["bler"] + SMALL + ["--min-errors", "1e3", "--batch-size", "3.2e1",
+    rc = main(["bler"] + SMALL + ["--min-errors", "1e3", "--outer-budget", "3.2e1",
                "--out", str(tmp_path), "--stem", "n"])
     assert rc == 0
     config = json.loads((tmp_path / "n.json").read_text())["config"]
-    assert config["min_errors"] == 1000 and config["batch_size"] == 32
+    assert config["min_errors"] == 1000 and config["outer_max_queries"] == 32
 
 
 @pytest.mark.parametrize("value", ["2.5", "1e400"])
 @pytest.mark.parametrize("flag", ["--list", "--min-errors", "--workers",
-                                  "--batch-size", "--round-trials", "--seed"])
+                                  "--outer-budget", "--seed"])
 def test_count_flags_refuse_what_is_not_a_whole_number(tmp_path, capsys, flag, value):
     rc = main(["bler"] + SMALL + [flag, value, "--out", str(tmp_path), "--stem", "t"])
     assert rc == 2
@@ -229,6 +229,11 @@ def test_calibrate_subcommand(tmp_path, capsys):
     blob = json.loads((tmp_path / "cal.json").read_text())
     assert blob["kind"] == "calibrate"
     assert blob["config"]["decoder"] == "ca_scl"  # calibration default
+    # the bins read the inner soft outputs only, so cca_scl would run ca_scl
+    rc = main(["calibrate"] + SMALL + ["--decoder", "cca_scl", "--out", str(tmp_path),
+               "--stem", "cca"])
+    assert rc == 2 and "ca_scl decoder only" in capsys.readouterr().err
+    assert not list(tmp_path.glob("cca*"))
 
 
 def test_uer_default_epsilon_grid(tmp_path, capsys):
@@ -273,8 +278,7 @@ def test_every_setting_is_a_flag_and_a_config_key(tmp_path):
     text = {"dims": "16,9,3", "snr": "3,4", "systematic": "1", "list": "2",
             "decoder": "ca_scl", "epsilon": "10^-2", "trials": "1e3", "min_errors": "7",
             "seed": "-3", "outer": "gcd", "outer_budget": "64",
-            "retry": "1", "workers": "2",
-            "batch_size": "32", "round_trials": "64", "out": str(tmp_path), "stem": "s"}
+            "retry": "1", "workers": "2", "out": str(tmp_path), "stem": "s"}
     assert set(text) == set(_SETTINGS)
     fields = {f.name for f in dataclasses.fields(SimConfig)}
     assert {s.field for s in _SETTINGS.values()} == fields - {"emit_plot"}
@@ -299,9 +303,11 @@ def test_every_setting_is_a_flag_and_a_config_key(tmp_path):
         assert want != getattr(default, setting.field), key
 
     # the guessers return one word, so an outer list is no setting; N picks
-    # the construction, so neither is the method
+    # the construction, so neither is the method; every sweep runs one trial
+    # grid, so neither are batch_size and round_trials
     out = ["--out", str(tmp_path), "--stem", "ol"]
-    for key, value in (("outer_list", "2"), ("method", "5g")):
+    for key, value in (("outer_list", "2"), ("method", "5g"), ("batch_size", "64"),
+                       ("round_trials", "100")):
         with pytest.raises(SystemExit) as exc:
             main(["bler"] + SMALL + ["--" + key.replace("_", "-"), value] + out)
         assert exc.value.code == 2

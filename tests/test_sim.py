@@ -14,10 +14,14 @@ from capolar.pipeline import ORIGINS, apply_threshold
 from capolar.polar import CodeDims, ca_encode
 from capolar.scl import ca_select_batch, scl_decode_batch
 from capolar.sim import (
+    BATCH_SIZE,
     CALIBRATION_EDGES,
+    ROUND_BATCHES,
     SCHEMA_VERSION,
     SimConfig,
+    _calibrate_batch,
     _decide_batch,
+    _sweep,
     _table_batch,
     _tally,
     _trial_wave,
@@ -34,10 +38,16 @@ DIMS = CodeDims(16, 9, 3)  # CRC-6, small enough for thousands of trials
 def small_cfg(tmp_path, **kw):
     base = dict(dims=DIMS, snr_grid_db=(3.0,), list_size=2,
                 trials=2048, min_errors=10**6, master_seed=5,
-                outer_max_queries=256, batch_size=256, round_trials=512,
-                out_dir=str(tmp_path))
+                outer_max_queries=256, out_dir=str(tmp_path))
     base.update(kw)
     return SimConfig(**base)
+
+
+def small_grid(monkeypatch, batch_size, round_batches):
+    """Shrink the sweep grid, so a few trials cross its boundaries; only
+    ``_sweep`` reads it, in this process."""
+    monkeypatch.setattr("capolar.sim.BATCH_SIZE", batch_size)
+    monkeypatch.setattr("capolar.sim.ROUND_BATCHES", round_batches)
 
 
 def test_wilson_interval_values():
@@ -64,13 +74,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(DIMS, (3.0,), min_errors=0)
     with pytest.raises(ValueError):
-        SimConfig(DIMS, (3.0,), batch_size=64, round_trials=32)
-    with pytest.raises(ValueError):
         SimConfig(DIMS, (3.0,), workers=0)
     with pytest.raises(ValueError):
         SimConfig(DIMS, (3.0,), epsilon_grid=(1.0,))
     with pytest.raises(ValueError):
         SimConfig(DIMS, (3.0,), retry_on_threshold_fail=True)
+    # every sweep runs one trial grid, the module's BATCH_SIZE and ROUND_BATCHES
+    for name in ("batch_size", "round_trials"):
+        with pytest.raises(TypeError):
+            SimConfig(DIMS, (3.0,), **{name: 64})
 
 
 @pytest.mark.parametrize("kw, match", [
@@ -99,7 +111,8 @@ def test_missing_out_dir_fails_before_decoding(tmp_path):
 
 def test_interrupted_sweep_keeps_the_earlier_table(tmp_path, monkeypatch):
     # the target is checked for writing before decoding, without emptying
-    # it: the earlier run's table stays whole until the new one is written
+    # it: the earlier run's table stays whole until the new one is written,
+    # and a fresh stem is left with no file at all
     (tmp_path / "dir.csv").mkdir()
     with pytest.raises(IsADirectoryError):
         run_bler_sweep(small_cfg(tmp_path, trials=10**9, out_stem="dir"))
@@ -112,6 +125,9 @@ def test_interrupted_sweep_keeps_the_earlier_table(tmp_path, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         run_bler_sweep(small_cfg(tmp_path, out_stem="keep"))
     assert (tmp_path / "keep.csv").read_text() == "earlier table\n"
+    with pytest.raises(KeyboardInterrupt):
+        run_bler_sweep(small_cfg(tmp_path, out_stem="fresh"))
+    assert not list(tmp_path.glob("fresh*"))
 
 
 def test_bad_pipeline_config_fails_before_any_output(tmp_path):
@@ -265,20 +281,20 @@ def test_noiseless_point_is_error_free(tmp_path):
     assert rec.mean_outer_queries == 0.0
 
 
-def test_stop_rule_rounds_off_early(tmp_path):
+def test_stop_rule_rounds_off_early(tmp_path, monkeypatch):
+    small_grid(monkeypatch, 256, 2)
     cfg = small_cfg(tmp_path, snr_grid_db=(0.0,), trials=100_000, min_errors=20)
     (rec,) = run_bler_sweep(cfg)
     assert rec.block_errors >= 20
     assert rec.trials < 100_000
-    assert rec.trials % cfg.round_trials == 0
+    assert rec.trials % 512 == 0
 
 
-def test_worker_count_never_changes_the_csv(tmp_path):
+def test_worker_count_never_changes_the_csv(tmp_path, monkeypatch):
+    small_grid(monkeypatch, 256, 2)
     retry = {"epsilon_grid": (1e-1, 1e-3), "retry_on_threshold_fail": True}
-    # the profile's rounds follow the pool width, its batches do not
-    odd = {"batch_size": 64, "round_trials": 100}
-    for sweep, kw in ((run_bler_sweep, {}), (run_calibration, {}), (run_uer_sweep, retry),
-                      (run_llr_profile, odd)):
+    for sweep, kw in ((run_bler_sweep, {}), (run_calibration, {"decoder": "ca_scl"}),
+                      (run_uer_sweep, retry), (run_llr_profile, {})):
         outs = []
         for w in (1, 2):
             stem = f"{sweep.__name__}-{w}"
@@ -302,18 +318,63 @@ def test_numpy_integer_dims_give_the_plain_csv(tmp_path):
 
 
 def test_calibration_never_runs_the_outer_stage(tmp_path, monkeypatch):
-    # the bins read the inner soft outputs only, so the complete decoder's
-    # calibration runs no outer stage and writes the plain decoder's CSV
+    # the bins read the inner soft outputs only, so no outer stage runs,
+    # not even for a retry the config asks for
     def no_outer(*args):
         raise AssertionError("calibration ran the outer stage")
 
     monkeypatch.setattr("capolar.pipeline.outer_llr", no_outer)
-    outs = []
-    for decoder in ("ca_scl", "cca_scl"):
-        run_calibration(small_cfg(tmp_path, snr_grid_db=(1.0,), decoder=decoder,
-                                  out_stem=decoder))
-        outs.append((tmp_path / f"{decoder}.csv").read_bytes())
-    assert outs[0] == outs[1]
+    result = run_calibration(small_cfg(tmp_path, snr_grid_db=(1.0,), decoder="ca_scl",
+                                       epsilon_grid=(1e-3,), retry_on_threshold_fail=True,
+                                       out_stem="ca"))
+    assert 0 < sum(b.count for b in result["so"]) < 2048  # CRC failures are not binned
+    config = json.loads((tmp_path / "ca.json").read_text())["config"]
+    assert config["decoder"] == "ca_scl"
+
+
+def test_calibration_refuses_the_complete_decoder(tmp_path):
+    # a cca_scl table would be the ca_scl one under another name
+    with pytest.raises(ValueError, match="ca_scl decoder only"):
+        run_calibration(small_cfg(tmp_path, decoder="cca_scl"))
+    assert not list(tmp_path.iterdir())
+
+
+def test_sweep_grid_is_fixed(tmp_path):
+    # 20,000 trials: two whole rounds of 16 batches of 512, then a round of
+    # 7 whole batches and one of 32 trials
+    assert (BATCH_SIZE, ROUND_BATCHES) == (512, 16)
+    cfg = small_cfg(tmp_path, snr_grid_db=(2.0,), decoder="ca_scl", trials=20_000)
+    batches, rounds = [], []
+
+    def batch(args):
+        batches.append(args[2:])
+        return np.array([1, args[3]])
+
+    _sweep(cfg, batch, stop=lambda acc: rounds.append(acc.tolist()))
+    assert batches == [(s, min(512, 20_000 - s)) for s in range(0, 20_000, 512)]
+    assert batches[-1] == (19_968, 32)
+    assert rounds == [[16, 8192], [32, 16_384], [40, 20_000]]
+
+    # the calibrate CSV folds those batches of _calibrate_batch in order,
+    # at any worker count
+    acc = 0
+    for start, count in batches:
+        acc = acc + _calibrate_batch((cfg, 2.0, start, count))
+    lines = ["schema_version,estimator,bin_lower,bin_upper,count,mean_predicted,"
+             "errors,empirical_error_rate,err_lo,err_hi"]
+    edges = (0.0,) + CALIBRATION_EDGES
+    for key, (counts, errors, sums) in zip(("so", "so_forney"), acc):
+        for i, (c, e, p) in enumerate(zip(counts.astype(int).tolist(),
+                                          errors.astype(int).tolist(), sums.tolist())):
+            row = [SCHEMA_VERSION, key, edges[i], edges[i + 1], c,
+                   float(p / c) if c else 0.0, e, e / c if c else 0.0,
+                   *wilson_interval(e, c)]
+            lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
+                                  for v in row))
+    want = "".join(line + "\r\n" for line in lines).encode()
+    for workers in (1, 3):
+        run_calibration(dataclasses.replace(cfg, workers=workers, out_stem=f"w{workers}"))
+        assert (tmp_path / f"w{workers}.csv").read_bytes() == want, workers
 
 
 @pytest.mark.parametrize("outer", ["gcd", "sogrand"])
@@ -402,8 +463,8 @@ def test_calibration_bins(tmp_path):
     assert len(CALIBRATION_EDGES) == 11
     assert CALIBRATION_EDGES[0] == pytest.approx(1e-5)
     assert CALIBRATION_EDGES[-1] == 1.0
-    cfg = small_cfg(tmp_path, snr_grid_db=(25.0,), trials=512, out_stem="cal",
-                    emit_plot=True)
+    cfg = small_cfg(tmp_path, snr_grid_db=(25.0,), trials=512, decoder="ca_scl",
+                    out_stem="cal", emit_plot=True)
     result = run_calibration(cfg)
     assert set(result) == {"so", "so_forney"}
     for key in result:
@@ -481,8 +542,7 @@ def test_empty_epsilon_grid_is_refused_before_any_output(tmp_path):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("trials", 64.0), ("min_errors", 10.0), ("batch_size", 32.0),
-    ("round_trials", 512.0), ("workers", 1.0), ("master_seed", 5.0),
+    ("trials", 64.0), ("min_errors", 10.0), ("workers", 1.0), ("master_seed", 5.0),
     ("outer_max_queries", 256.0),
 ])
 def test_non_integer_count_is_refused_before_any_output(tmp_path, field, value):
@@ -495,8 +555,8 @@ def test_non_integer_count_is_refused_before_any_output(tmp_path, field, value):
 def test_numpy_integer_counts_are_accepted(tmp_path):
     outer = dict(list_size=np.int64(2), outer_max_queries=np.int32(256))
     cfg = small_cfg(tmp_path, trials=np.int64(64), master_seed=np.int64(-5),
-                    batch_size=np.int32(32), out_stem="np", **outer)
-    assert type(cfg.trials) is int and cfg.master_seed == -5
+                    workers=np.int32(1), out_stem="np", **outer)
+    assert type(cfg.trials) is int and type(cfg.workers) is int and cfg.master_seed == -5
     (rec,) = run_bler_sweep(cfg)
     assert rec.trials == 64
     config = json.loads((tmp_path / "np.json").read_text())["config"]
@@ -530,8 +590,8 @@ def test_uer_retry_only_converts_erasures(tmp_path):
     (CodeDims(64, 43, 32), 8, "sogrand", 0),
     (CodeDims(16, 9, 3), 2, "gcd", 1),  # exact outer posteriors: retries win
 ])
-def test_uer_sweep_equals_the_full_pipeline_per_epsilon(tmp_path, dims, list_size,
-                                                        outer, min_accepted):
+def test_uer_sweep_equals_the_full_pipeline_per_epsilon(tmp_path, monkeypatch, dims,
+                                                        list_size, outer, min_accepted):
     # the sweep decodes once, thresholds afterwards and decodes the retries
     # in their batch's outer block; the counts must equal a complete decode
     # per trial and per epsilon, in one batch or in several
@@ -541,8 +601,9 @@ def test_uer_sweep_equals_the_full_pipeline_per_epsilon(tmp_path, dims, list_siz
                     retry_on_threshold_fail=True, trials=256, master_seed=11,
                     out_dir=str(tmp_path))
     recs = run_uer_sweep(cfg)
-    small = run_uer_sweep(dataclasses.replace(cfg, batch_size=40, round_trials=80,
-                                              out_stem="small"))
+    with monkeypatch.context() as patch:
+        small_grid(patch, 40, 2)
+        small = run_uer_sweep(dataclasses.replace(cfg, out_stem="small"))
     code, spec = cfg.pipe.code, cfg.pipe.spec
     params = ChannelParams(3.0, dims.rate)
     undetected = dict.fromkeys(eps_grid, 0)
@@ -588,17 +649,17 @@ def test_uer_sweep_equals_the_full_pipeline_per_epsilon(tmp_path, dims, list_siz
         assert rec.trials == cfg.trials and fails > 0
 
 
-def test_llr_profile_orders_reliability(tmp_path):
+def test_llr_profile_orders_reliability(tmp_path, monkeypatch):
+    small_grid(monkeypatch, 64, 2)
     cfg = SimConfig(CodeDims(128, 114, 90), (6.0,), trials=400,
-                    list_size=1, master_seed=3, batch_size=64, round_trials=100,
+                    list_size=1, master_seed=3,
                     out_dir=str(tmp_path), out_stem="prof", emit_plot=True)
     profile = run_llr_profile(cfg)
     inner, outer = profile["inner"], profile["outer"]
-    # the sums add whole batches of batch_size from trial 0, whatever the
-    # round size
+    # the sums add the batches of 64 from trial 0 in order, the last partial
     sums = [np.zeros(128), np.zeros(114)]
-    for start in range(0, cfg.trials, cfg.batch_size):
-        _, llr = _trial_wave(cfg, 6.0, range(start, min(start + cfg.batch_size, cfg.trials)))
+    for start in range(0, cfg.trials, 64):
+        _, llr = _trial_wave(cfg, 6.0, range(start, min(start + 64, cfg.trials)))
         for acc, v in zip(sums, (llr, outer_llr(llr, cfg.pipe.code))):
             acc += np.sort(np.abs(v), axis=1).sum(axis=0)
     assert np.array_equal(inner, sums[0] / cfg.trials)
